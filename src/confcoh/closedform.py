@@ -154,7 +154,11 @@ def build_P_HA(g, D):
         + build_P_ker_mod(g, D)
         + _bi(D, [(2, 0, 1)]) * build_P_quot(g, D)
     )
-    assert direct == assembled, "the two constructions of P_H(A) disagree"
+    if direct != assembled:
+        raise ArithmeticError(
+            f"the two constructions of P_H(A) disagree at g={g}, D={D}: "
+            f"the difference is {(direct - assembled).text()}"
+        )
     return direct
 
 
@@ -193,9 +197,14 @@ def build_Q(g, N):
     if N < 0:
         raise ValueError("truncation must be >= 0")
     q = geom_u(N) * q_bracket(g, N)
-    assert q.coeff_u(0) == {(0, 0): VirtualRep.unit()}, "u^0 coefficient must be 1"
+    u0 = q.coeff_u(0)
+    if u0 != {(0, 0): VirtualRep.unit()}:
+        raise ArithmeticError(f"u^0 coefficient must be 1 at g={g}, got {u0}")
     for (t, s, u), _ in q.coeffs():
-        assert t <= u + 2 * g + 2, f"exponent bound violated at {(t, s, u)}"
+        if t > u + 2 * g + 2:
+            raise ArithmeticError(
+                f"exponent bound t <= u + 2g + 2 violated at {(t, s, u)}, g={g}"
+            )
     return q
 
 

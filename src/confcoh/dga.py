@@ -17,16 +17,15 @@ cohomology gives the weight-graded cohomology of the n-point unordered
 configuration space after the regrading
 (k, h) = (deg1 + deg2, deg1 + 2*deg2).
 
-The differential is computed with Koszul signs by explicit resorting of
-generator sequences; blocks are split by torus weight before the exact
-rank computation, which is valid because d preserves the weight.
+Monomials are stored packed (exterior bits, flags and exponents), and the
+differential is computed on those fields directly, its Koszul signs read
+off as parities of exterior bits.  Blocks are split by torus weight before
+the exact rank computation, which is valid because d preserves the weight.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,72 +69,15 @@ class Monomial(NamedTuple):
     sym: tuple
 
 
-# generator codes, in the fixed order a < b < s1 < p < sp < sa < sb
-def _code_s1(g):
-    return 2 * g
-
-
-def _code_p(g):
-    return 2 * g + 1
-
-
-def _code_sp(g):
-    return 2 * g + 2
-
-
-def _code_sa(g, i):
-    return 2 * g + 3 + i
-
-
-def _code_sb(g, i):
-    return 3 * g + 3 + i
-
-
-@lru_cache(maxsize=None)
-def _gen_tables(g):
-    """Per-code (deg1, deg2, deg3), total-degree parity, and torus weight."""
-    ncodes = 4 * g + 3
-    degs = [None] * ncodes
-    odd = [False] * ncodes
-    weight = [None] * ncodes
-    zero = (0,) * g
-    for i in range(g):
-        e_i = tuple(1 if k == i else 0 for k in range(g))
-        me_i = tuple(-1 if k == i else 0 for k in range(g))
-        degs[i] = (1, 0, 1)
-        odd[i] = True
-        weight[i] = e_i
-        degs[g + i] = (1, 0, 1)
-        odd[g + i] = True
-        weight[g + i] = me_i
-        degs[_code_sa(g, i)] = (1, 1, 2)
-        odd[_code_sa(g, i)] = False
-        weight[_code_sa(g, i)] = e_i
-        degs[_code_sb(g, i)] = (1, 1, 2)
-        odd[_code_sb(g, i)] = False
-        weight[_code_sb(g, i)] = me_i
-    degs[_code_s1(g)] = (0, 1, 2)
-    odd[_code_s1(g)] = True
-    weight[_code_s1(g)] = zero
-    degs[_code_p(g)] = (2, 0, 1)
-    odd[_code_p(g)] = False
-    weight[_code_p(g)] = zero
-    degs[_code_sp(g)] = (2, 1, 2)
-    odd[_code_sp(g)] = True
-    weight[_code_sp(g)] = zero
-    return tuple(degs), tuple(odd), tuple(weight)
-
-
 def mono_degrees(g, m):
     """(deg1, deg2, deg3) of a monomial."""
-    degs, _, _ = _gen_tables(g)
-    d1 = d2 = d3 = 0
-    for code in _expand(g, m):
-        a, b, c = degs[code]
-        d1 += a
-        d2 += b
-        d3 += c
-    return d1, d2, d3
+    ext = m.ext.bit_count()
+    sym = sum(m.sym)
+    return (
+        ext + 2 * m.p + 2 * m.sp + sym,
+        m.s1 + m.sp + sym,
+        ext + m.p + 2 * m.s1 + 2 * m.sp + 2 * sym,
+    )
 
 
 def mono_weight(g, m):
@@ -150,114 +92,55 @@ def mono_weight(g, m):
     return tuple(w)
 
 
-def _expand(g, m):
-    """Generator codes of a monomial in canonical order, with multiplicity."""
-    seq = [i for i in range(2 * g) if m.ext >> i & 1]
-    if m.s1:
-        seq.append(_code_s1(g))
-    seq.extend([_code_p(g)] * m.p)
-    if m.sp:
-        seq.append(_code_sp(g))
-    for i in range(g):
-        seq.extend([_code_sa(g, i)] * m.sym[i])
-    for i in range(g):
-        seq.extend([_code_sb(g, i)] * m.sym[g + i])
-    return seq
-
-
-def _canonicalize(g, model, seq):
-    """Sort a generator sequence into a Monomial with its Koszul sign.
-
-    Returns (sign, Monomial) or (0, None) when the product vanishes: a
-    repeated odd generator, or p^2 (or any sp) in model A.
-    """
-    _, odd, _ = _gen_tables(g)
-    sign = 1
-    seen_odd = []
-    for code in seq:
-        if odd[code]:
-            for prev in seen_odd:
-                if prev > code:
-                    sign = -sign
-            seen_odd.append(code)
-    if len(set(seen_odd)) != len(seen_odd):
-        return 0, None
-    counts = Counter(seq)
-    p_exp = counts.get(_code_p(g), 0)
-    sp_flag = counts.get(_code_sp(g), 0)
-    if model == "A" and (p_exp >= 2 or sp_flag):
-        return 0, None
-    ext = 0
-    for i in range(2 * g):
-        if counts.get(i, 0):
-            ext |= 1 << i
-    sym = tuple(
-        [counts.get(_code_sa(g, i), 0) for i in range(g)]
-        + [counts.get(_code_sb(g, i), 0) for i in range(g)]
-    )
-    return sign, Monomial(ext, counts.get(_code_s1(g), 0), p_exp, sp_flag, sym)
-
-
-@lru_cache(maxsize=None)
-def _dterms(g, code):
-    """Differential of a single generator as ((coeff, codes), ...)."""
-    if code == _code_s1(g):
-        out = [(1, (_code_p(g),))]
-        out.extend((-1, (i, g + i)) for i in range(g))
-        return tuple(out)
-    if code == _code_sp(g):
-        return ((1, (_code_p(g), _code_p(g))),)
-    if 2 * g + 3 <= code < 3 * g + 3:
-        return ((1, (code - 2 * g - 3, _code_p(g))),)
-    if 3 * g + 3 <= code < 4 * g + 3:
-        return ((1, (g + code - 3 * g - 3, _code_p(g))),)
-    return ()
-
-
 def differential_monomial(g, model, m):
-    """d of a monomial by the Leibniz rule, as a list of (coeff, Monomial)."""
-    _, odd, _ = _gen_tables(g)
-    seq = _expand(g, m)
-    out = {}
-    parity = 0
-    for k, code in enumerate(seq):
-        terms = _dterms(g, code)
-        if terms:
-            sgn = -1 if parity else 1
-            for coeff, ins in terms:
-                s, mono = _canonicalize(g, model, seq[:k] + list(ins) + seq[k + 1:])
-                if mono is not None:
-                    out[mono] = out.get(mono, 0) + coeff * sgn * s
-        if odd[code]:
-            parity ^= 1
-    return [(c, mono) for mono, c in out.items() if c]
+    """d of a monomial of the model by the Leibniz rule, as a list of
+    (coeff, Monomial).
 
-
-def _model_gens(g, model):
-    codes = list(range(2 * g)) + [_code_s1(g), _code_p(g)]
-    if model == "B":
-        codes.append(_code_sp(g))
-    codes += [_code_sa(g, i) for i in range(g)] + [_code_sb(g, i) for i in range(g)]
-    return codes
+    In the canonical order a < b < s1 < p < sp < sa < sb each Koszul sign is
+    a parity of exterior bits: d(s1) and d(sp) sit behind ext (and s1), and
+    the a_i or b_i brought in by d(sa_i), d(sb_i) or d(s1) is sorted into
+    ext.  The index j of sa_1..sa_g, sb_1..sb_g in ``sym`` is also the bit of
+    the matching a_i or b_i.  Model A drops every term with p >= 2.
+    """
+    ext, s1, p, sp, sym = m
+    sign = -1 if ext.bit_count() & 1 else 1
+    raise_p = model == "B" or p == 0
+    out = []
+    if s1:
+        if raise_p:
+            out.append((sign, Monomial(ext, 0, p + 1, sp, sym)))
+        for i in range(g):
+            pair = 1 << i | 1 << (g + i)
+            if not ext & pair:
+                above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
+                coeff = sign if above & 1 else -sign
+                out.append((coeff, Monomial(ext | pair, 0, p, sp, sym)))
+    if sp:
+        out.append((-sign if s1 else sign, Monomial(ext, s1, p + 2, 0, sym)))
+    if raise_p:
+        for j, e in enumerate(sym):
+            if e and not ext >> j & 1:
+                below = (ext & ((1 << j) - 1)).bit_count()
+                rest = sym[:j] + (e - 1,) + sym[j + 1:]
+                coeff = -e if below & 1 else e
+                out.append((coeff, Monomial(ext | 1 << j, s1, p + 1, sp, rest)))
+    return out
 
 
 def basis_count_series(g, model, n):
     """[t^k] counts of the model by third degree, k <= n, via the product
-    of one generator factor each: (1 + t^deg3) for odd generators and a
-    truncated geometric series for even ones.  Independent of the basis
-    enumeration; used to cross-check it."""
-    degs, odd, _ = _gen_tables(g)
+    of one generator factor each: (1 + t^deg3) for odd generators (and p in
+    model A, where p^2 = 0) and a truncated geometric series for even ones.
+    Independent of the basis enumeration; used to cross-check it."""
+    # (deg3, square_zero) of a_i, b_i, s1, p, [sp,] sa_i, sb_i
+    factors = [(1, True)] * (2 * g) + [(2, True), (1, model == "A")]
+    if model == "B":
+        factors.append((2, True))
+    factors += [(2, False)] * (2 * g)
     poly = [1] + [0] * n
-    for code in _model_gens(g, model):
-        d3 = degs[code][2]
-        if model == "A" and code == _code_p(g):
-            factor_exps = (0, d3)  # p^2 = 0
-        elif odd[code]:
-            factor_exps = (0, d3)
-        else:
-            factor_exps = range(0, n + 1, d3)
+    for d3, square_zero in factors:
         new = [0] * (n + 1)
-        for e in factor_exps:
+        for e in (0, d3) if square_zero else range(0, n + 1, d3):
             if e > n:
                 break
             for k in range(n + 1 - e):
@@ -268,6 +151,18 @@ def basis_count_series(g, model, n):
 
 
 @lru_cache(maxsize=None)
+def _sym_exponents(length, budget):
+    """All tuples of ``length`` nonnegative integers with sum <= budget."""
+    if length == 0:
+        return ((),)
+    return tuple(
+        (v,) + rest
+        for v in range(budget + 1)
+        for rest in _sym_exponents(length - 1, budget - v)
+    )
+
+
+@lru_cache(maxsize=None)
 def enumerate_basis(g, n, model="A"):
     """All monomials of third degree <= n, in a deterministic order."""
     if g < 0 or n < 0:
@@ -275,37 +170,14 @@ def enumerate_basis(g, n, model="A"):
     if model not in ("A", "B"):
         raise ValueError(f"model must be 'A' or 'B', got {model!r}")
     out = []
-    sym_len = 2 * g
-
-    def sym_tuples(budget):
-        def rec(prefix, left):
-            if len(prefix) == sym_len:
-                yield tuple(prefix)
-                return
-            for v in range(left + 1):
-                yield from rec(prefix + [v], left - v)
-
-        if sym_len == 0:
-            yield ()
-        else:
-            yield from rec([], budget)
-
     for ext in range(1 << (2 * g)):
-        used_ext = bin(ext).count("1")
-        if used_ext > n:
-            continue
         for s1 in (0, 1):
-            used1 = used_ext + 2 * s1
-            if used1 > n:
-                continue
-            p_max = min(1, n - used1) if model == "A" else n - used1
-            for p in range(p_max + 1):
-                used2 = used1 + p
-                sp_range = (0, 1) if model == "B" and used2 + 2 <= n else (0,)
-                for sp in sp_range:
-                    used3 = used2 + 2 * sp
-                    for sym in sym_tuples((n - used3) // 2):
-                        out.append(Monomial(ext, s1, p, sp, sym))
+            for p in range(2 if model == "A" else n + 1):
+                for sp in (0, 1) if model == "B" else (0,):
+                    used = ext.bit_count() + 2 * s1 + p + 2 * sp
+                    if used <= n:
+                        for sym in _sym_exponents(2 * g, (n - used) // 2):
+                            out.append(Monomial(ext, s1, p, sp, sym))
     out.sort()
     return tuple(out)
 
@@ -329,77 +201,48 @@ class BlockMatrix(NamedTuple):
     matrix: SparseIntMatrix
 
 
+def _matrix(g, model, source, target):
+    """Matrix of d from the ``source`` monomials (columns) to the ``target``
+    monomials (rows), which must hold every image."""
+    row = {m: r for r, m in enumerate(target)}
+    entries = [
+        (row[image], col, coeff)
+        for col, m in enumerate(source)
+        for coeff, image in differential_monomial(g, model, m)
+    ]
+    return SparseIntMatrix(len(target), len(source), entries)
+
+
 def differential_block(g, n, model, block):
     """Matrix of d on the given (deg1, deg2) block of F_n."""
     by_block = blocks(g, n, model)
-    source = by_block.get(block, [])
     d1, d2 = block
-    target = by_block.get((d1 + 2, d2 - 1), [])
-    index = {m: r for r, m in enumerate(target)}
-    entries = []
-    for col, m in enumerate(source):
-        for coeff, image in differential_monomial(g, model, m):
-            entries.append((index[image], col, coeff))
-    return BlockMatrix(
-        tuple(source), tuple(target), SparseIntMatrix(len(target), len(source), entries)
-    )
+    source = tuple(by_block.get(block, ()))
+    target = tuple(by_block.get((d1 + 2, d2 - 1), ()))
+    return BlockMatrix(source, target, _matrix(g, model, source, target))
 
 
-def _check_supported(g, n):
-    if g == 0 and n == 1:
-        raise Genus0N1Unsupported(
-            "genus 0 with one point is served by the genus-0 closed form"
-        )
-
-
-def _weight_split(g, n, model):
-    """Basis grouped by ((deg1, deg2), torus weight)."""
+def _outgoing_ranks(g, n, model):
+    """The basis grouped by ((deg1, deg2), torus weight), and the exact rank
+    of d on every group; d preserves the weight, so the groups split it."""
     groups = {}
     for m in enumerate_basis(g, n, model):
         d1, d2, _ = mono_degrees(g, m)
         groups.setdefault(((d1, d2), mono_weight(g, m)), []).append(m)
-    return groups
-
-
-def _rank_one_group(args):
-    g, n, model, key, source, position = args
-    entries = []
-    for col, m in enumerate(source):
-        for coeff, image in differential_monomial(g, model, m):
-            entries.append((position[image], col, coeff))
-    matrix = SparseIntMatrix(len(position), len(source), entries)
-    return key, rank(matrix)
-
-
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("CONFCOH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _outgoing_ranks(g, n, model):
-    """Exact rank of d on every ((deg1, deg2), weight) group of F_n."""
-    groups = _weight_split(g, n, model)
-    jobs = []
-    for (block, w), source in sorted(groups.items()):
-        d1, d2 = block
-        target = groups.get(((d1 + 2, d2 - 1), w), [])
-        position = {m: r for r, m in enumerate(target)}
-        jobs.append((g, n, model, (block, w), source, position))
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rank_one_group, jobs))
-    else:
-        results = [_rank_one_group(job) for job in jobs]
-    return groups, dict(results)
+    ranks = {}
+    for ((d1, d2), w), source in groups.items():
+        target = groups.get(((d1 + 2, d2 - 1), w), ())
+        ranks[(d1, d2), w] = rank(_matrix(g, model, source, target))
+    return groups, ranks
 
 
 @lru_cache(maxsize=None)
 def _cohomology_by_weight(g, n, model="A"):
     """dim H per ((deg1, deg2), weight): kernel minus incoming rank."""
-    _check_supported(g, n)
+    if g == 0 and n == 1:
+        raise Genus0N1Unsupported(
+            "genus 0 with one point is served by the genus-0 closed form"
+        )
     groups, ranks = _outgoing_ranks(g, n, model)
     out = {}
     for (block, w), monos in groups.items():
@@ -409,7 +252,11 @@ def _cohomology_by_weight(g, n, model="A"):
             - ranks.get((block, w), 0)
             - ranks.get(((d1 - 2, d2 + 1), w), 0)
         )
-        assert dim >= 0
+        if dim < 0:
+            raise ArithmeticError(
+                f"negative cohomology dimension {dim} at (block, weight) = "
+                f"{(block, w)}: {len(monos)} monomials, ranks exceed them"
+            )
         if dim:
             out[(block, w)] = dim
     return out
@@ -447,11 +294,11 @@ def cohomology_reps(g, n, max_genus=3):
 def dump_blocks(g, n, model, dirpath):
     """Write every differential block of F_n in Matrix Market format."""
     os.makedirs(dirpath, exist_ok=True)
+    by_block = blocks(g, n, model)
     written = []
-    for block in sorted(blocks(g, n, model)):
-        bm = differential_block(g, n, model, block)
-        name = f"g{g}_n{n}_{model}_d{block[0]}_{block[1]}.mtx"
-        path = os.path.join(dirpath, name)
-        write_matrix_market(bm.matrix, path)
+    for (d1, d2), source in sorted(by_block.items()):
+        target = by_block.get((d1 + 2, d2 - 1), ())
+        path = os.path.join(dirpath, f"g{g}_n{n}_{model}_d{d1}_{d2}.mtx")
+        write_matrix_market(_matrix(g, model, source, target), path)
         written.append(path)
     return written

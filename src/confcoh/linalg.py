@@ -7,8 +7,7 @@ an integer and the result is exact.  Pivots are chosen Markowitz-style
 makes the computation deterministic.
 
 A dense Bareiss elimination is kept as an independent reference for
-small matrices, and a modular elimination provides a fast certified
-lower bound on the rank.
+small matrices.
 """
 
 from math import gcd
@@ -186,35 +185,6 @@ def rank_dense_bareiss(dense):
                 a[r][c2] = (piv * a[r][c2] - f * a[r0][c2]) // prev
             a[r][c] = 0
         prev = piv
-        rk += 1
-        r0 += 1
-    return rk
-
-
-def rank_mod_p(m, p):
-    """Rank of ``m`` over GF(p); a lower bound for the exact rank."""
-    a = [[v % p for v in row] for row in m.to_dense()]
-    n_rows = len(a)
-    n_cols = m.n_cols
-    rk = 0
-    r0 = 0
-    for c in range(n_cols):
-        if r0 >= n_rows:
-            break
-        pr = None
-        for r in range(r0, n_rows):
-            if a[r][c] % p:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[r0], a[pr] = a[pr], a[r0]
-        inv = pow(a[r0][c], p - 2, p)
-        for r in range(r0 + 1, n_rows):
-            if a[r][c]:
-                f = (a[r][c] * inv) % p
-                for c2 in range(c, n_cols):
-                    a[r][c2] = (a[r][c2] - f * a[r0][c2]) % p
         rk += 1
         r0 += 1
     return rk

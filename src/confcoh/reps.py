@@ -270,9 +270,11 @@ def weyl_dim(g, weight):
     for alpha in _positive_roots(g):
         num *= _dot(lam_rho, alpha)
         den *= _dot(rho, alpha)
-    assert num % den == 0, "Weyl dimension must be an integer"
-    d = num // den
-    assert d > 0
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise ArithmeticError(
+            f"Weyl dimension {num}/{den} of {weight} is not a positive integer"
+        )
     return d
 
 
@@ -307,7 +309,11 @@ def dim_irrep(g, label):
         * Fraction(2 * g + 2 - 2 * j, 2 * g + 2 + i - j)
         * Fraction(j, i + j)
     )
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise ArithmeticError(
+            f"hook formula gives {val} for {label} at genus {g}, "
+            "not a positive integer"
+        )
     return int(val)
 
 
@@ -375,7 +381,10 @@ def _tensor_ext_sym(g, j, i):
         return lam
     out = VirtualRep()
     for (li, lj), mult in lam.items():
-        assert li == 0
+        if li != 0:
+            raise ArithmeticError(
+                f"exterior power {j} at genus {g} has constituent V({li},{lj})"
+            )
         if lj == 0:
             # trivial tensor S^i V: the symmetric power itself
             out += VirtualRep.single(rep_label(g, i, 0), mult)
@@ -437,7 +446,10 @@ def branching_hook(g, i, j):
     if not (1 <= j <= 2 * g) or i < 0:
         raise ValueError(f"need 0 <= i and 1 <= j <= {2 * g}, got i={i}, j={j}")
     out = _branch_strip(g, i, j) if j <= g else _branch_series(g, i, j)
-    assert out.is_effective(), f"negative multiplicity in branching({g},{i},{j})"
+    if not out.is_effective():
+        raise ArithmeticError(
+            f"negative multiplicity in branching({g},{i},{j}): {out.text()}"
+        )
     return out
 
 
@@ -554,7 +566,8 @@ def _dominant_mults(g, lam):
     lam_rho_sq = _dot(lam_rho, lam_rho)
     doms = _dominant_weights_below(g, lam)
     doms.sort(key=lambda mu: _height2(g, tuple(a - b for a, b in zip(lam, mu))))
-    assert doms[0] == lam
+    if doms[0] != lam:
+        raise ArithmeticError(f"highest dominant weight {doms[0]} is not {lam}")
     dom_set = set(doms)
     mults = {lam: 1}
     for mu in doms[1:]:
@@ -570,10 +583,14 @@ def _dominant_mults(g, lam):
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         den = lam_rho_sq - _dot(mu_rho, mu_rho)
-        assert den > 0
+        if den <= 0:
+            raise ArithmeticError(f"Freudenthal denominator {den} at {mu} below {lam}")
         m, r = divmod(2 * num, den)
-        assert r == 0, "Freudenthal division must be exact"
-        assert m > 0
+        if r or m <= 0:
+            raise ArithmeticError(
+                f"Freudenthal gives multiplicity {2 * num}/{den} at {mu} below {lam}, "
+                "not a positive integer"
+            )
         mults[mu] = m
     return tuple(sorted(mults.items()))
 

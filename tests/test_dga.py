@@ -1,7 +1,10 @@
+import hashlib
+import os
 from collections import Counter
 
 import pytest
 
+from confcoh import dga
 from confcoh.closedform import build_Q, mixed_table
 from confcoh.dga import (
     Genus0N1Unsupported,
@@ -19,7 +22,7 @@ from confcoh.dga import (
     mono_weight,
 )
 from confcoh.linalg import read_matrix_market
-from confcoh.reps import Character, RepLabel, VirtualRep
+from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep, _orbit
 
 INSTANCES = [
     (0, 4, "A"),
@@ -118,6 +121,54 @@ def test_d_of_sp():
     g = 1
     m = Monomial(0, 0, 0, 1, (0, 0))
     assert differential_monomial(g, "B", m) == [(1, Monomial(0, 0, 2, 0, (0, 0)))]
+
+
+def reference_differential(g, model, m):
+    """d by the Leibniz rule on the spelled-out generator word, each term
+    resorted with its Koszul sign: the slow reference for
+    differential_monomial, as {Monomial: coeff}."""
+    # generator codes in the canonical order a < b < s1 < p < sp < sa < sb
+    s1, p, sp = 2 * g, 2 * g + 1, 2 * g + 2
+    sym = [sp + 1 + j for j in range(2 * g)]  # sa_1..sa_g, sb_1..sb_g
+
+    def odd(code):
+        return code <= s1 or code == sp
+
+    d_gen = {s1: [(1, [p])] + [(-1, [i, g + i]) for i in range(g)], sp: [(1, [p, p])]}
+    d_gen.update({sym[j]: [(1, [j, p])] for j in range(2 * g)})  # a_i p, b_i p
+    word = [code for code in range(2 * g) if m.ext >> code & 1]
+    word += [s1] * m.s1 + [p] * m.p + [sp] * m.sp
+    word += [sym[j] for j, e in enumerate(m.sym) for _ in range(e)]
+    out = Counter()
+    for k, code in enumerate(word):
+        before = sum(map(odd, word[:k]))
+        for coeff, image in d_gen.get(code, ()):
+            new = word[:k] + image + word[k + 1:]
+            odds = [x for x in new if odd(x)]
+            if len(set(odds)) < len(odds):
+                continue  # a repeated odd generator squares to zero
+            if model == "A" and (new.count(p) > 1 or sp in new):
+                continue  # model A is the quotient by (sp, p^2)
+            inversions = sum(x > y for i, x in enumerate(odds) for y in odds[i + 1:])
+            mono = Monomial(
+                sum(1 << x for x in set(new) if x < 2 * g),
+                new.count(s1),
+                new.count(p),
+                new.count(sp),
+                tuple(new.count(x) for x in sym),
+            )
+            out[mono] += coeff * (-1) ** (before + inversions)
+    return {mono: c for mono, c in out.items() if c}
+
+
+def test_differential_matches_slow_reference():
+    # d o d = 0 alone would not see a sign flipped on one generator
+    for g, n, model in INSTANCES + [(4, 5, "A"), (3, 5, "B")]:
+        for m in enumerate_basis(g, n, model):
+            terms = differential_monomial(g, model, m)
+            got = {mono: c for c, mono in terms}
+            assert len(got) == len(terms) and all(got.values()), (g, n, model, m)
+            assert got == reference_differential(g, model, m), (g, n, model, m)
 
 
 def test_d_squared_is_zero():
@@ -259,14 +310,28 @@ def test_reps_cross_check_u_slice():
     assert table.entries == want
 
 
-def test_thread_pool_gives_identical_results(monkeypatch):
-    from confcoh import dga
+def test_cohomology_characters_are_weyl_invariant():
+    # the model is Sp(2g)-equivariant, so every weight has the multiplicity
+    # of its dominant representative and every orbit is complete
+    for g, n_max in ((1, 8), (2, 6), (3, 4)):
+        for n in range(n_max + 1):
+            for block, char in cohomology_weights(g, n).items():
+                dominant = {}
+                for w, mult in char.items():
+                    assert char.get(_dom_rep(w)) == mult, (g, n, block, w)
+                    if w == _dom_rep(w):
+                        dominant[w] = mult
+                orbits = sum(len(_orbit(w)) * mult for w, mult in dominant.items())
+                assert char.mass() == orbits, (g, n, block)
 
-    want = cohomology_dims(2, 4, "A")
-    monkeypatch.setenv("CONFCOH_THREADS", "4")
+
+def test_negative_dimension_raises(monkeypatch):
+    # a rank above the group size is caught even under python -O
+    monkeypatch.setattr(dga, "rank", lambda matrix: matrix.n_cols + 1)
     dga._cohomology_by_weight.cache_clear()
     try:
-        assert cohomology_dims(2, 4, "A") == want
+        with pytest.raises(ArithmeticError, match=r"\(block, weight\)"):
+            cohomology_dims(1, 2)
     finally:
         dga._cohomology_by_weight.cache_clear()
 
@@ -281,3 +346,21 @@ def test_dump_blocks(tmp_path):
         tmp_path / "g1_n2_A_d0_1.mtx"
     )
     assert again == bm.matrix
+
+
+# sha256 over each file name and its bytes, in name order; recorded from the
+# earlier implementation that resorted generator words for every term
+DUMP_SHA256 = {
+    (2, 3, "A"): "af63cc65427d2c2c985b033869a68611afebc37d046ffb18ad4bd3f704da1eb9",
+    (1, 4, "B"): "0fd1403cda7ad288732af5de7a077708a5ebd87b9f3be94a86a29dca7e45d42c",
+}
+
+
+def test_dump_blocks_bytes_unchanged(tmp_path):
+    for (g, n, model), want in DUMP_SHA256.items():
+        digest = hashlib.sha256()
+        for path in sorted(dump_blocks(g, n, model, tmp_path / f"g{g}_n{n}_{model}")):
+            digest.update(os.path.basename(path).encode() + b"\n")
+            with open(path, "rb") as f:
+                digest.update(f.read())
+        assert digest.hexdigest() == want, (g, n, model)

@@ -7,7 +7,6 @@ from confcoh.linalg import (
     kernel_dim,
     rank,
     rank_dense_bareiss,
-    rank_mod_p,
     read_matrix_market,
     write_matrix_market,
 )
@@ -83,18 +82,6 @@ def test_rank_transpose_and_bounds():
         assert r == rank(m.transpose())
         assert r <= min(nr, nc)
         assert r + kernel_dim(m) == nc
-
-
-def test_modular_rank_is_lower_bound():
-    rng = random.Random(5)
-    primes = [1009, 65521, 1000003]
-    values = [0, 0, 0, 1, -1, 2, 6, -6]
-    for _ in range(100):
-        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
-        m = SparseIntMatrix.from_dense(_random_dense(rng, nr, nc, values))
-        r = rank(m)
-        for p in primes:
-            assert rank_mod_p(m, p) <= r
 
 
 def test_matrix_market_round_trip(tmp_path):
