@@ -4,94 +4,19 @@ generating series with coefficients in the representation ring of sp(2g),
 and brute-force cohomology of a filtered differential graded model.
 """
 
-from .closedform import (
-    MixedTable,
-    betti,
-    build_P_HA,
-    build_P_SV,
-    build_P_ker_cap,
-    build_P_ker_mod,
-    build_P_quot,
-    build_Q,
-    euler_binomials,
-    euler_series,
-    genus0_betti,
-    mixed_poincare,
-    mixed_table,
-    stabilization_bound,
-)
-from .dga import (
-    Genus0N1Unsupported,
-    Monomial,
-    cohomology_dims,
-    cohomology_reps,
-    cohomology_weights,
-    enumerate_basis,
-)
-from .linalg import SparseIntMatrix, kernel_dim, rank
-from .reps import (
-    Character,
-    CharacterBudgetExceeded,
-    NotACharacter,
-    RepLabel,
-    VirtualRep,
-    ZERO,
-    branching_hook,
-    dim_irrep,
-    ext_power_decomp,
-    irreducible_character,
-    peel_character,
-    rep_label,
-    sl_hook_dim,
-    tensor_std_sym_decomp,
-    weyl_dim,
-)
-from .series import BiSeries, BothSidesVirtual, OutOfTruncation, TriSeries, geom_u
+from .closedform import MixedTable, betti, build_Q, mixed_table
+from .dga import cohomology_dims, cohomology_reps
+from .reps import RepLabel, VirtualRep
 
 __all__ = [
     "MixedTable",
     "betti",
-    "build_P_HA",
-    "build_P_SV",
-    "build_P_ker_cap",
-    "build_P_ker_mod",
-    "build_P_quot",
     "build_Q",
-    "euler_binomials",
-    "euler_series",
-    "genus0_betti",
-    "mixed_poincare",
     "mixed_table",
-    "stabilization_bound",
-    "Genus0N1Unsupported",
-    "Monomial",
     "cohomology_dims",
     "cohomology_reps",
-    "cohomology_weights",
-    "enumerate_basis",
-    "SparseIntMatrix",
-    "kernel_dim",
-    "rank",
-    "Character",
-    "CharacterBudgetExceeded",
-    "NotACharacter",
     "RepLabel",
     "VirtualRep",
-    "ZERO",
-    "branching_hook",
-    "dim_irrep",
-    "ext_power_decomp",
-    "irreducible_character",
-    "peel_character",
-    "rep_label",
-    "sl_hook_dim",
-    "tensor_std_sym_decomp",
-    "weyl_dim",
-    "BiSeries",
-    "BothSidesVirtual",
-    "OutOfTruncation",
-    "TriSeries",
-    "geom_u",
 ]
 
 __version__ = "0.1.0"

@@ -11,10 +11,7 @@ import json
 import sys
 
 from . import closedform, dga
-from .reps import CharacterBudgetExceeded
 from .series import TriSeries
-
-CHARACTER_GENUS_BUDGET = 3
 
 
 def _progress(msg):
@@ -158,8 +155,6 @@ def cmd_oracle(args, parser):
         _progress(f"wrote {len(written)} block matrices to {args.debug_dir}")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
-        if args.genus > CHARACTER_GENUS_BUDGET:
-            parser.error(f"--reps budgeted to genus <= {CHARACTER_GENUS_BUDGET}")
         if args.model != "A":
             parser.error("--reps requires model A")
         table = dga.cohomology_reps(args.genus, args.n)
@@ -251,8 +246,6 @@ def _verify_positive_genus(g, max_n, check_reps, lines):
 
 def cmd_verify(args, parser):
     _check_oracle_budget(args, parser, args.max_n)
-    if args.reps and args.genus > CHARACTER_GENUS_BUDGET:
-        parser.error(f"--reps budgeted to genus <= {CHARACTER_GENUS_BUDGET}")
     lines = []
     if args.genus == 0:
         ok = _verify_genus0(args.max_n, lines)
@@ -338,10 +331,7 @@ def main(argv=None):
     for attr in ("genus", "n", "max_n", "i"):
         if getattr(args, attr, 0) is not None and getattr(args, attr, 0) < 0:
             parser.error(f"--{attr.replace('_', '-')} must be >= 0")
-    try:
-        return args.fn(args, parser)
-    except CharacterBudgetExceeded as exc:
-        parser.error(str(exc))
+    return args.fn(args, parser)
 
 
 if __name__ == "__main__":

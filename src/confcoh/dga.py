@@ -21,6 +21,9 @@ Monomials are stored packed (exterior bits, flags and exponents), and the
 differential is computed on those fields directly, its Koszul signs read
 off as parities of exterior bits.  Blocks are split by torus weight before
 the exact rank computation, which is valid because d preserves the weight.
+Only dominant weights are ranked: d also commutes with the Weyl group, so
+every weight has the cohomology of its dominant representative, and each
+dominant weight counts once per member of its orbit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 from .closedform import MixedTable
 from .linalg import SparseIntMatrix, rank, write_matrix_market
-from .reps import Character, peel_character
+from .reps import Character, _is_dominant, orbit_size, peel_character
 
 __all__ = [
     "Genus0N1Unsupported",
@@ -223,12 +226,15 @@ def differential_block(g, n, model, block):
 
 
 def _outgoing_ranks(g, n, model):
-    """The basis grouped by ((deg1, deg2), torus weight), and the exact rank
-    of d on every group; d preserves the weight, so the groups split it."""
+    """The dominant-weight part of the basis grouped by ((deg1, deg2),
+    torus weight), and the exact rank of d on every group; d preserves the
+    weight, so the groups split it."""
     groups = {}
     for m in enumerate_basis(g, n, model):
-        d1, d2, _ = mono_degrees(g, m)
-        groups.setdefault(((d1, d2), mono_weight(g, m)), []).append(m)
+        w = mono_weight(g, m)
+        if _is_dominant(w):
+            d1, d2, _ = mono_degrees(g, m)
+            groups.setdefault(((d1, d2), w), []).append(m)
     ranks = {}
     for ((d1, d2), w), source in groups.items():
         target = groups.get(((d1 + 2, d2 - 1), w), ())
@@ -238,7 +244,8 @@ def _outgoing_ranks(g, n, model):
 
 @lru_cache(maxsize=None)
 def _cohomology_by_weight(g, n, model="A"):
-    """dim H per ((deg1, deg2), weight): kernel minus incoming rank."""
+    """dim H per ((deg1, deg2), dominant weight): kernel minus incoming
+    rank."""
     if g == 0 and n == 1:
         raise Genus0N1Unsupported(
             "genus 0 with one point is served by the genus-0 closed form"
@@ -265,13 +272,14 @@ def _cohomology_by_weight(g, n, model="A"):
 def cohomology_dims(g, n, model="A"):
     """Bigraded cohomology dimensions of F_n as a map (deg1, deg2) -> dim."""
     out = {}
-    for (block, _), dim in _cohomology_by_weight(g, n, model).items():
-        out[block] = out.get(block, 0) + dim
+    for (block, w), dim in _cohomology_by_weight(g, n, model).items():
+        out[block] = out.get(block, 0) + orbit_size(w) * dim
     return dict(sorted(out.items()))
 
 
 def cohomology_weights(g, n):
-    """Per-block torus characters of the cohomology of F_n (model A)."""
+    """Per-block characters of the cohomology of F_n (model A), each the
+    dominant part of the block's torus character."""
     if g < 1:
         raise ValueError("weights require genus >= 1")
     out = {}
@@ -280,14 +288,17 @@ def cohomology_weights(g, n):
     return {block: Character(mult) for block, mult in sorted(out.items())}
 
 
-def cohomology_reps(g, n, max_genus=3):
+def cohomology_reps(g, n, max_genus=None):
     """MixedTable of the brute-force cohomology: regrade each block by
-    (k, h) = (deg1 + deg2, deg1 + 2*deg2) and peel its character."""
+    (k, h) = (deg1 + deg2, deg1 + 2*deg2) and peel its character.
+
+    ``max_genus`` is accepted and ignored; characters have no genus limit.
+    """
     if g < 1:
         raise ValueError("representation tables require genus >= 1")
     entries = {}
     for (d1, d2), char in cohomology_weights(g, n).items():
-        entries[(d1 + d2, d1 + 2 * d2)] = peel_character(g, char, max_genus)
+        entries[(d1 + d2, d1 + 2 * d2)] = peel_character(g, char)
     return MixedTable(g, n, entries).validate()
 
 

@@ -2,10 +2,15 @@
 
 Labels of the two-parameter highest-weight family i*w1 + w_j, their exact
 dimensions by two independent routes (a closed product formula and the
-Weyl dimension formula), torus characters via the Freudenthal recursion,
-and the decomposition rules consumed by the generating-series pipeline:
-exterior powers of the standard representation, sl(2g)-hooks restricted
-to sp(2g), and tensor products of a fundamental with a symmetric power.
+Weyl dimension formula), characters as dominant-weight multiplicities via
+the Freudenthal recursion, and the decomposition rules consumed by the
+generating-series pipeline: exterior powers of the standard
+representation, sl(2g)-hooks restricted to sp(2g), and tensor products of
+a fundamental with a symmetric power.
+
+A character is Weyl-invariant, so it is stored by its dominant weights
+only; the Weyl group enters solely through ``orbit_size``, the number of
+weights a dominant weight stands for.
 
 All arithmetic is exact; there is no floating point in this module.
 """
@@ -14,8 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 __all__ = [
@@ -26,27 +30,21 @@ __all__ = [
     "VirtualRep",
     "Character",
     "NotACharacter",
-    "CharacterBudgetExceeded",
     "weyl_dim",
     "dim_irrep",
     "sl_hook_dim",
     "ext_power_decomp",
     "tensor_std_sym_decomp",
     "branching_hook",
+    "orbit_size",
     "irreducible_character",
     "character_of",
     "peel_character",
 ]
 
-DEFAULT_CHARACTER_GENUS_BUDGET = 3
-
 
 class NotACharacter(ValueError):
     """Peeling met data that cannot come from a genuine character."""
-
-
-class CharacterBudgetExceeded(ValueError):
-    """A character was requested beyond the configured genus budget."""
 
 
 class RepLabel(NamedTuple):
@@ -248,8 +246,27 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _dom_rep(w):
+    """Dominant representative of a weight under the hyperoctahedral Weyl
+    group: absolute values sorted decreasingly."""
+    return tuple(sorted((abs(x) for x in w), reverse=True))
+
+
 def _is_dominant(w):
-    return all(w[k] >= w[k + 1] for k in range(len(w) - 1)) and w[-1] >= 0
+    """True for a dominant weight (also the empty weight of genus 0)."""
+    return _dom_rep(w) == tuple(w)
+
+
+def orbit_size(w):
+    """Size of the Weyl orbit of a weight, g! 2^(#nonzero) over the
+    factorials of the multiplicities of its absolute values.
+
+    >>> orbit_size((1, 1)), orbit_size((2, 0)), orbit_size((0, 0))
+    (4, 4, 1)
+    """
+    a = [abs(x) for x in w]
+    stabilizer = prod(factorial(a.count(v)) for v in set(a))
+    return factorial(len(a)) * 2 ** (len(a) - a.count(0)) // stabilizer
 
 
 @lru_cache(maxsize=None)
@@ -458,9 +475,12 @@ def branching_hook(g, i, j):
 
 
 class Character:
-    """Finitely supported weight-multiplicity map on the torus of sp(2g).
+    """Weyl-invariant torus character of sp(2g), stored as the
+    multiplicities of its dominant weights; every weight of an orbit has the
+    multiplicity of the orbit's dominant member.
 
-    Weights are integer g-tuples in e_1..e_g coordinates.
+    Weights are integer g-tuples in e_1..e_g coordinates.  A non-dominant
+    weight raises ValueError.
     """
 
     __slots__ = ("_mult",)
@@ -472,6 +492,8 @@ class Character:
             for w, m in items:
                 if m:
                     w = tuple(w)
+                    if not _is_dominant(w):
+                        raise ValueError(f"weight {w} is not dominant")
                     data[w] = data.get(w, 0) + m
         self._mult = {w: m for w, m in data.items() if m}
 
@@ -482,8 +504,9 @@ class Character:
         return self._mult.get(tuple(w), 0)
 
     def mass(self):
-        """Total multiplicity; equals the dimension for a genuine character."""
-        return sum(self._mult.values())
+        """Total multiplicity over every Weyl orbit; equals the dimension
+        for a genuine character."""
+        return sum(orbit_size(w) * m for w, m in self._mult.items())
 
     def __bool__(self):
         return bool(self._mult)
@@ -510,25 +533,6 @@ class Character:
 
     def __repr__(self):
         return f"Character({self._mult!r})"
-
-
-def _dom_rep(w):
-    """Dominant representative of a weight under the hyperoctahedral Weyl
-    group: absolute values sorted decreasingly."""
-    return tuple(sorted((abs(x) for x in w), reverse=True))
-
-
-def _orbit(w):
-    """Full Weyl orbit of a dominant weight (signed permutations)."""
-    out = set()
-    for perm in set(permutations(w)):
-        nonzero = [k for k, x in enumerate(perm) if x]
-        for signs in product((1, -1), repeat=len(nonzero)):
-            v = list(perm)
-            for k, s in zip(nonzero, signs):
-                v[k] *= s
-            out.add(tuple(v))
-    return out
 
 
 def _height2(g, v):
@@ -595,33 +599,20 @@ def _dominant_mults(g, lam):
     return tuple(sorted(mults.items()))
 
 
-def irreducible_character(g, label, max_genus=DEFAULT_CHARACTER_GENUS_BUDGET):
-    """Full weight-multiplicity map of V_{i*w1 + w_j}.
-
-    The Weyl group has size 2^g g!, so the engine is budgeted to small
-    genus (default g <= 3).
-    """
+def irreducible_character(g, label):
+    """Character of V_{i*w1 + w_j}: its dominant-weight multiplicities."""
     _check_genus(g)
-    if g > max_genus:
-        raise CharacterBudgetExceeded(
-            f"character engine budgeted to genus <= {max_genus}, got {g}"
-        )
     label = RepLabel(*label)
     if label == ZERO:
         raise ValueError("ZERO label has no character")
-    lam = highest_weight(g, label)
-    full = {}
-    for mu, m in _dominant_mults(g, lam):
-        for w in _orbit(mu):
-            full[w] = m
-    return Character(full)
+    return Character(_dominant_mults(g, highest_weight(g, label)))
 
 
-def character_of(g, vrep, max_genus=DEFAULT_CHARACTER_GENUS_BUDGET):
+def character_of(g, vrep):
     """Character of a virtual representation (sum of irreducible characters)."""
     out = Character()
     for label, m in vrep.items():
-        out += irreducible_character(g, label, max_genus).scaled(m)
+        out += irreducible_character(g, label).scaled(m)
     return out
 
 
@@ -639,7 +630,7 @@ def _hook_label(w):
     return RepLabel(nonzero[0] - 1, j)
 
 
-def peel_character(g, char, max_genus=DEFAULT_CHARACTER_GENUS_BUDGET):
+def peel_character(g, char):
     """Decompose a genuine character into irreducibles of the hook family
     by repeatedly subtracting the character of a maximal dominant weight.
 
@@ -651,17 +642,15 @@ def peel_character(g, char, max_genus=DEFAULT_CHARACTER_GENUS_BUDGET):
     work = {w: m for w, m in char.items()}
     out = []
     while any(work.values()):
-        dominants = [w for w, m in work.items() if m and _is_dominant(w)]
-        if not dominants:
-            raise NotACharacter("nonzero weights remain but none is dominant")
-        mu = max(dominants)  # lexicographic max is maximal in dominance order
+        # lexicographic max is maximal in dominance order
+        mu = max(w for w, m in work.items() if m)
         m = work[mu]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at weight {mu}")
         label = _hook_label(mu)
         if label is None:
             raise NotACharacter(f"highest weight {mu} is not of hook form")
-        for w, mm in irreducible_character(g, label, max_genus).items():
+        for w, mm in irreducible_character(g, label).items():
             work[w] = work.get(w, 0) - m * mm
         out.append((label, m))
     return VirtualRep(out)

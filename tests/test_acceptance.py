@@ -16,6 +16,7 @@ from confcoh.closedform import (
     euler_series,
     genus0_betti,
     mixed_table,
+    stabilization_bound,
 )
 from confcoh.dga import (
     basis_count_series,
@@ -37,8 +38,8 @@ from confcoh.reps import (
     weyl_dim,
 )
 
-DIMS_SWEEP = ((1, 10), (2, 8), (3, 5))
-REPS_SWEEP = ((1, 8), (2, 6))
+DIMS_SWEEP = ((1, 14), (2, 10), (3, 8), (4, 7), (5, 6))
+REPS_SWEEP = ((1, 14), (2, 10), (3, 8), (4, 7), (5, 6))
 
 
 def _regrade(dims):
@@ -218,4 +219,29 @@ def test_criterion_9_band_and_growth():
         f"\n[criterion 9] PASS: weight band holds on {checked} table entries; "
         f"stable torus Betti numbers are linear in the degree "
         f"(second differences vanish for k in [4, {max(stable) + 2}])"
+    )
+
+
+def test_criterion_10_stabilization_bound():
+    # every brute-force entry is constant from stabilization_bound on, and
+    # the bound is sharp: the entry just before it differs
+    cells = sharp = 0
+    for g, max_n in REPS_SWEEP:
+        tables = [cohomology_reps(g, n).entries for n in range(max_n + 1)]
+        for k, h in sorted(set().union(*tables)):
+            n0 = stabilization_bound(g, k, h)
+            entry = [t.get((k, h), VirtualRep.zero()) for t in tables]
+            for n in range(n0, max_n + 1):
+                assert entry[n] == entry[n0], (
+                    f"entry ({k},{h}) at genus {g} moves at n={n} > n0={n0}"
+                )
+            if 1 <= n0 <= max_n:
+                assert entry[n0 - 1] != entry[n0], (
+                    f"entry ({k},{h}) at genus {g} is already stable before n0={n0}"
+                )
+                sharp += 1
+            cells += 1
+    print(
+        f"\n[criterion 10] PASS: brute-force entries are constant from "
+        f"stabilization_bound on for {cells} cells, sharp on {sharp}"
     )

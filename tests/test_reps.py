@@ -1,11 +1,11 @@
 import random
+from itertools import permutations, product
 from math import comb
 
 import pytest
 
 from confcoh.reps import (
     Character,
-    CharacterBudgetExceeded,
     NotACharacter,
     RepLabel,
     TRIVIAL,
@@ -13,13 +13,14 @@ from confcoh.reps import (
     ZERO,
     _branch_series,
     _branch_strip,
-    _orbit,
+    _dominant_weights_below,
     branching_hook,
     character_of,
     dim_irrep,
     ext_power_decomp,
     highest_weight,
     irreducible_character,
+    orbit_size,
     peel_character,
     rep_label,
     sl_hook_dim,
@@ -209,13 +210,12 @@ def test_branching_full_column_hook():
 
 def test_character_standard():
     char = irreducible_character(1, RepLabel(0, 1))
-    assert char == Character({(1,): 1, (-1,): 1})
+    assert char == Character({(1,): 1})
 
 
 def test_character_second_fundamental():
     char = irreducible_character(2, RepLabel(0, 2))
-    want = {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1, (0, 0): 1}
-    assert char == Character(want)
+    assert char == Character({(1, 1): 1, (0, 0): 1})
 
 
 def test_character_trivial():
@@ -224,7 +224,7 @@ def test_character_trivial():
 
 
 def test_character_mass_is_dimension():
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 4, 5):
         for i in range(0, 4):
             for j in range(0, g + 1):
                 label = rep_label(g, i, j)
@@ -234,22 +234,26 @@ def test_character_mass_is_dimension():
                 assert char.mass() == dim_irrep(g, label)
 
 
-def test_character_weyl_invariance_sampled():
-    rng = random.Random(3)
-    for g in (2, 3):
-        char = irreducible_character(g, RepLabel(2, g))
-        weights = [w for w, _ in char.items()]
-        for w in rng.sample(weights, min(12, len(weights))):
-            m = char.get(w)
-            for image in _orbit(w):
-                assert char.get(image) == m
+def _orbit(w):
+    """Weyl orbit of a weight, spelled out as every signed permutation."""
+    out = set()
+    for perm in permutations(w):
+        for signs in product((1, -1), repeat=len(w)):
+            out.add(tuple(s * x for s, x in zip(signs, perm)))
+    return out
 
 
-def test_character_budget():
-    with pytest.raises(CharacterBudgetExceeded):
-        irreducible_character(4, RepLabel(0, 1))
-    # budget is configurable
-    assert irreducible_character(4, RepLabel(0, 1), max_genus=4).mass() == 8
+def test_orbit_size_matches_signed_permutations():
+    # both parities of dominant weights, up to genus 4
+    for g in range(1, 5):
+        for top in ((4,) * g, (3,) + (2,) * (g - 1)):
+            for w in _dominant_weights_below(g, top):
+                assert orbit_size(w) == len(_orbit(w)), w
+
+
+def test_character_rejects_non_dominant_weight():
+    with pytest.raises(ValueError):
+        Character({(1, -1): 1})
 
 
 def test_peel_irreducible():
