@@ -7,6 +7,11 @@ k = t_exp + s_exp and weight h = t_exp + 2*s_exp, is the mixed table for n
 points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
+The bigraded Hilbert series P(t, s) (the build_P_* functions) are stored
+already substituted, t -> tu and s -> su: each is a TriSeries with
+u = t+s on every term, truncated at u^D, which is total degree D.  The
+master series is a bracket of such series times 1/(1-u).
+
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
 """
@@ -18,7 +23,7 @@ from functools import lru_cache
 from math import comb
 
 from .reps import VirtualRep, rep_label
-from .series import BiSeries, TriSeries, geom_u
+from .series import TriSeries, geom_u
 
 __all__ = [
     "build_P_SV",
@@ -49,8 +54,9 @@ def _V(g, i, j):
     return VirtualRep.single(rep_label(g, i, j))
 
 
-def _bi(D, terms):
-    return BiSeries(D, {(t, s): c for t, s, c in terms})
+def _ts(D, terms):
+    """The t,s-series sum c t^a s^b over (a, b, c), stored with u = a+b."""
+    return TriSeries(D, {(t, s, t + s): c for t, s, c in terms})
 
 
 def _tri(N, terms):
@@ -59,69 +65,66 @@ def _tri(N, terms):
 
 def _geo_even(D, m):
     """1 + t^2 + ... + t^(2(m-1)), the expanded (t^(2m) - 1)/(t^2 - 1)."""
-    return _bi(D, [(2 * k, 0, 1) for k in range(max(m, 0))])
+    return _ts(D, [(2 * k, 0, 1) for k in range(max(m, 0))])
+
+
+def _core(g, N, j):
+    """sum over i >= 0 of [V(i, j)] t^(j+i) s^i u^(j+2i), truncated at u^N;
+    every term has u = t+s."""
+    return TriSeries(
+        N, {(j + i, i, j + 2 * i): _V(g, i, j) for i in range((N - j) // 2 + 1)}
+    )
+
+
+def _tail(g, N, factor):
+    """sum over 1 <= j <= g of factor(j) * _core(g, N, j)."""
+    return sum(
+        (factor(j) * _core(g, N, j) for j in range(1, g + 1)), TriSeries.zero(N)
+    )
 
 
 def _sum_core(g, D):
     """sum over 1 <= j <= g, i >= 0 of [V(i, j)] t^(j+i) s^i, truncated."""
-    terms = {}
-    for j in range(1, g + 1):
-        i = 0
-        while j + 2 * i <= D:
-            terms[(j + i, i)] = _V(g, i, j)
-            i += 1
-    return BiSeries(D, terms)
+    return _tail(g, D, lambda j: TriSeries.one(D))
 
 
 def build_P_SV(g, D):
     """Bigraded Hilbert series of the exterior-times-symmetric algebra on
     the standard representation: the coefficient at (j+i, i) is the class
-    of Lambda^j V tensor S^i V."""
+    of Lambda^j V tensor S^i V.  Stored with u = t+s, truncated at u^D."""
     _check_genus(g)
-    out = _geo_even(D, g + 1)
-    out = out + _bi(D, [(2, 1, 1)]) * _geo_even(D, g)
-    pre = _bi(D, [(0, 0, 1), (0, 1, 1), (2, 1, 1), (2, 2, 1)])  # (1+s)(1+t^2 s)
-    tail = BiSeries.zero(D)
-    for j in range(1, g + 1):
-        geo_j = _geo_even(D, g - j + 1)
-        core = {}
-        i = 0
-        while j + 2 * i <= D:
-            core[(j + i, i)] = _V(g, i, j)
-            i += 1
-        tail = tail + geo_j * BiSeries(D, core)
-    return out + pre * tail
+    out = _geo_even(D, g + 1) + _ts(D, [(2, 1, 1)]) * _geo_even(D, g)
+    pre = _ts(D, [(0, 0, 1), (0, 1, 1), (2, 1, 1), (2, 2, 1)])  # (1+s)(1+t^2 s)
+    return out + pre * _tail(g, D, lambda j: _geo_even(D, g - j + 1))
 
 
 def build_P_ker_cap(g, D):
     """Series of the joint kernel of the Koszul differential and of
     multiplication by the symplectic class:
-    t^(2g) + (1 + t^2 s) * sum [V(i,j)] t^(2g-j+i) s^i."""
+    t^(2g) + (1 + t^2 s) * sum [V(i,j)] t^(2g-j+i) s^i.
+    Stored with u = t+s, truncated at u^D."""
     _check_genus(g)
-    terms = {}
-    for j in range(1, g + 1):
-        i = 0
-        while 2 * g - j + 2 * i <= D:
-            terms[(2 * g - j + i, i)] = _V(g, i, j)
-            i += 1
-    pre = _bi(D, [(0, 0, 1), (2, 1, 1)])
-    return _bi(D, [(2 * g, 0, 1)]) + pre * BiSeries(D, terms)
+    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
+    tail = _tail(g, D, lambda j: _ts(D, [(2 * (g - j), 0, 1)]))
+    return _ts(D, [(2 * g, 0, 1)]) + pre * tail
 
 
 def build_P_ker_mod(g, D):
     """Series of the Koszul kernel modulo the symplectic class:
-    1 + (1 + t^2 s) * sum [V(i,j)] t^(j+i) s^i."""
+    1 + (1 + t^2 s) * sum [V(i,j)] t^(j+i) s^i.
+    Stored with u = t+s, truncated at u^D."""
     _check_genus(g)
-    pre = _bi(D, [(0, 0, 1), (2, 1, 1)])
-    return BiSeries.one(D) + pre * _sum_core(g, D)
+    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
+    return TriSeries.one(D) + pre * _sum_core(g, D)
 
 
 def build_P_quot(g, D):
     """Series of the quotient by the images of the symplectic class and of
-    the Koszul differential: (1 + t^2 s)(1 + s * sum [V(i,j)] t^(j+i) s^i)."""
+    the Koszul differential: (1 + t^2 s)(1 + s * sum [V(i,j)] t^(j+i) s^i).
+    Stored with u = t+s, truncated at u^D."""
     _check_genus(g)
-    pre = _bi(D, [(0, 0, 1), (2, 1, 1)])
-    return pre * (BiSeries.one(D) + _bi(D, [(0, 1, 1)]) * _sum_core(g, D))
+    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
+    return pre * (TriSeries.one(D) + _ts(D, [(0, 1, 1)]) * _sum_core(g, D))
 
 
 def build_P_HA(g, D):
@@ -130,29 +133,23 @@ def build_P_HA(g, D):
         (1+t^2 s)(1 + t^2 + t^(2g) s)
         + (1+t^2 s)^2 * sum [V(i,j)] t^(j+i) s^i (1 + t^(2(g-j)) s).
 
-    The same series is assembled from the three kernel/quotient series,
-    and both constructions must agree exactly.
+    Stored with u = t+s, truncated at u^D.  The same series is assembled
+    from the three kernel/quotient series, and both constructions must
+    agree exactly.
     """
     _check_genus(g)
-    pre = _bi(D, [(0, 0, 1), (2, 1, 1)])
-    direct = pre * _bi(D, [(0, 0, 1), (2, 0, 1), (2 * g, 1, 1)])
-    tail = BiSeries.zero(D)
-    for j in range(1, g + 1):
-        factor = _bi(D, [(0, 0, 1), (2 * (g - j), 1, 1)])
-        core = {}
-        i = 0
-        while j + 2 * i <= D:
-            core[(j + i, i)] = _V(g, i, j)
-            i += 1
-        tail = tail + factor * BiSeries(D, core)
+    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
+    direct = pre * _ts(D, [(0, 0, 1), (2, 0, 1), (2 * g, 1, 1)])
+    tail = _tail(g, D, lambda j: _ts(D, [(0, 0, 1), (2 * (g - j), 1, 1)]))
     direct = direct + pre * pre * tail
 
+    ker_cap = build_P_ker_cap(g, D)
     assembled = (
-        _bi(D, [(0, 1, 1)]) * build_P_ker_cap(g, D)
-        + _bi(D, [(2, 1, 1)])
-        + _bi(D, [(2, 2, 1)]) * build_P_ker_cap(g, D)
+        _ts(D, [(0, 1, 1)]) * ker_cap
+        + _ts(D, [(2, 1, 1)])
+        + _ts(D, [(2, 2, 1)]) * ker_cap
         + build_P_ker_mod(g, D)
-        + _bi(D, [(2, 0, 1)]) * build_P_quot(g, D)
+        + _ts(D, [(2, 0, 1)]) * build_P_quot(g, D)
     )
     if direct != assembled:
         raise ArithmeticError(
@@ -175,19 +172,10 @@ def q_bracket(g, N):
     f2 = _tri(N, [(0, 0, 0, 1), (2, 1, 2, 1)])  # 1 + t^2 s u^2
     bracket = f3 * _tri(N, [(0, 0, 0, 1), (2, 0, 1, 1)])
     bracket = bracket + f2 * _tri(N, [(2 * g, 1, 2 * (g + 1), 1)])
-    tail = TriSeries.zero(N)
-    for j in range(1, g + 1):
-        trailing = _tri(
-            N, [(0, 0, 0, 1), (2 * (g - j), 1, 2 * (g - j + 1), 1)]
-        )
-        core = {}
-        i = 0
-        while j + 2 * i <= N:
-            core[(j + i, i, j + 2 * i)] = _V(g, i, j)
-            i += 1
-        tail = tail + trailing * TriSeries(N, core)
-    bracket = bracket + f2 * f3 * tail
-    return bracket
+    tail = _tail(
+        g, N, lambda j: _tri(N, [(0, 0, 0, 1), (2 * (g - j), 1, 2 * (g - j + 1), 1)])
+    )
+    return bracket + f2 * f3 * tail
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +197,13 @@ def build_Q(g, N):
 
 
 def build_Q_assembled(g, N):
-    """Second route to the master series: substitute t -> tu, s -> su in the
-    kernel/quotient series and assemble with the stated prefactors."""
+    """Second route to the master series: assemble the kernel/quotient
+    series, already stored substituted (t -> tu, s -> su), with the stated
+    prefactors."""
     _check_genus(g)
-    D = 2 * N + 2 * g + 4
-    ker_cap = build_P_ker_cap(g, D).substitute_tu_su(N)
-    ker_mod = build_P_ker_mod(g, D).substitute_tu_su(N)
-    quot = build_P_quot(g, D).substitute_tu_su(N)
+    ker_cap = build_P_ker_cap(g, N)
+    ker_mod = build_P_ker_mod(g, N)
+    quot = build_P_quot(g, N)
     bracket = (
         _tri(N, [(0, 1, 2, 1)]) * ker_cap
         + _tri(N, [(2, 1, 3, 1)])

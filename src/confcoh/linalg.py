@@ -44,19 +44,10 @@ class SparseIntMatrix:
     def nnz(self):
         return sum(len(row) for row in self.rows.values())
 
-    def get(self, r, c):
-        return self.rows.get(r, {}).get(c, 0)
-
     def transpose(self):
         return SparseIntMatrix(
             self.n_cols, self.n_rows, ((c, r, v) for r, c, v in self.entries())
         )
-
-    def to_dense(self):
-        dense = [[0] * self.n_cols for _ in range(self.n_rows)]
-        for r, c, v in self.entries():
-            dense[r][c] = v
-        return dense
 
     @classmethod
     def from_dense(cls, dense):

@@ -1,7 +1,9 @@
 """Truncated formal power series with representation-valued coefficients.
 
-TriSeries lives in variables t, s, u and is truncated in the u-exponent;
-BiSeries lives in t, s and is truncated in the total degree t+s.  The
+TriSeries lives in variables t, s, u and is truncated in the u-exponent.
+A series in t and s alone is stored with u = t+s on every term, which is
+the substitution t -> tu, s -> su; truncating it in u is then truncating
+it in the total degree t+s, and sums and products keep u = t+s.  The
 coefficients are VirtualRep values (plain integers coerce to multiples of
 the trivial representation).  Multiplication is only defined when at most
 one factor carries non-scalar coefficients, because the representation
@@ -14,7 +16,6 @@ from .reps import VirtualRep
 
 __all__ = [
     "TriSeries",
-    "BiSeries",
     "geom_u",
     "OutOfTruncation",
     "BothSidesVirtual",
@@ -149,11 +150,6 @@ class TriSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, c):
-        """Multiply every coefficient by an integer or a VirtualRep."""
-        c = _as_rep(c)
-        return TriSeries(self.u_trunc, {k: _coeff_mul(v, c) for k, v in self._c.items()})
-
     def is_scalar(self):
         return all(v.is_scalar() for v in self._c.values())
 
@@ -240,111 +236,3 @@ class TriSeries:
 def geom_u(N):
     """The truncated geometric series 1 + u + ... + u^N."""
     return TriSeries(N, {(0, 0, n): 1 for n in range(N + 1)})
-
-
-class BiSeries:
-    """Series in t, s truncated at a fixed total degree t+s."""
-
-    __slots__ = ("total_trunc", "_c")
-
-    def __init__(self, total_trunc, coeffs=None):
-        if total_trunc < 0:
-            raise ValueError("total truncation must be >= 0")
-        self.total_trunc = total_trunc
-        data = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for key, c in items:
-                t, s = key
-                if t < 0 or s < 0:
-                    raise ValueError(f"negative exponent in {key}")
-                if t + s > total_trunc:
-                    continue
-                c = _as_rep(c)
-                if not c:
-                    continue
-                prev = data.get((t, s))
-                data[(t, s)] = prev + c if prev is not None else c
-        self._c = {k: v for k, v in data.items() if v}
-
-    @classmethod
-    def zero(cls, total_trunc):
-        return cls(total_trunc)
-
-    @classmethod
-    def one(cls, total_trunc):
-        return cls(total_trunc, {(0, 0): 1})
-
-    @classmethod
-    def term(cls, total_trunc, t, s, coeff=1):
-        return cls(total_trunc, {(t, s): coeff})
-
-    def coeffs(self):
-        return sorted(self._c.items())
-
-    def get(self, t, s):
-        return self._c.get((t, s), VirtualRep.zero())
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.total_trunc == other.total_trunc and self._c == other._c
-
-    def __add__(self, other):
-        trunc = min(self.total_trunc, other.total_trunc)
-        out = {k: v for k, v in self._c.items() if k[0] + k[1] <= trunc}
-        for k, v in other._c.items():
-            if k[0] + k[1] <= trunc:
-                out[k] = out.get(k, VirtualRep.zero()) + v
-        return BiSeries(trunc, out)
-
-    def __neg__(self):
-        return BiSeries(self.total_trunc, {k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c):
-        c = _as_rep(c)
-        return BiSeries(
-            self.total_trunc, {k: _coeff_mul(v, c) for k, v in self._c.items()}
-        )
-
-    def is_scalar(self):
-        return all(v.is_scalar() for v in self._c.values())
-
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        if not self.is_scalar() and not other.is_scalar():
-            raise BothSidesVirtual("at most one factor may carry nontrivial labels")
-        trunc = min(self.total_trunc, other.total_trunc)
-        out = {}
-        for (t1, s1), c1 in self._c.items():
-            for (t2, s2), c2 in other._c.items():
-                t, s = t1 + t2, s1 + s2
-                if t + s > trunc:
-                    continue
-                c = _coeff_mul(c1, c2)
-                prev = out.get((t, s))
-                out[(t, s)] = prev + c if prev is not None else c
-        return BiSeries(trunc, out)
-
-    def substitute_tu_su(self, u_trunc):
-        """Substitute t -> t*u, s -> s*u: the (a, b) term acquires u^(a+b)."""
-        return TriSeries(
-            u_trunc,
-            {(t, s, t + s): c for (t, s), c in self._c.items() if t + s <= u_trunc},
-        )
-
-    def text(self):
-        if not self._c:
-            return "0"
-        parts = [_term_text(c, _mono_text(t, s)) for (t, s), c in self.coeffs()]
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"BiSeries(t+s<={self.total_trunc}, {self.text()})"

@@ -23,7 +23,7 @@ from confcoh.reps import (
     rep_label,
     tensor_std_sym_decomp,
 )
-from confcoh.series import BiSeries
+from confcoh.series import TriSeries
 
 W1 = RepLabel(0, 1)
 
@@ -37,9 +37,9 @@ def V(g, i, j, mult=1):
 
 def test_p_sv_low_order():
     p = build_P_SV(1, 4)
-    assert p.get(1, 0) == VirtualRep.single(W1)
+    assert p.get(1, 0, 1) == VirtualRep.single(W1)
     # coefficient at (2,1) collects the geometric factor and V tensor V
-    assert p.get(2, 1) == VirtualRep.unit() + V(1, 1, 1)
+    assert p.get(2, 1, 3) == VirtualRep.unit() + V(1, 1, 1)
 
 
 def test_p_sv_matches_direct_decomposition():
@@ -62,36 +62,48 @@ def test_p_sv_matches_direct_decomposition():
                             want += VirtualRep.single(rep_label(g, i, 0), m)
                         else:
                             want += tensor_std_sym_decomp(g, i, lj).scaled(m)
-                assert p.get(j + i, i) == want, (g, i, j)
+                assert p.get(j + i, i, j + 2 * i) == want, (g, i, j)
 
 
 def test_p_ker_cap_examples():
     p1 = build_P_ker_cap(1, 4)
-    assert p1.get(2, 0) == VirtualRep.unit()  # the leading t^(2g)
-    assert p1.get(1, 0) == VirtualRep.single(W1)
-    assert build_P_ker_cap(2, 1).get(1, 0) == VirtualRep.zero()
+    assert p1.get(2, 0, 2) == VirtualRep.unit()  # the leading t^(2g)
+    assert p1.get(1, 0, 1) == VirtualRep.single(W1)
+    assert build_P_ker_cap(2, 1).get(1, 0, 1) == VirtualRep.zero()
 
 
 def test_p_ker_mod_examples():
-    assert build_P_ker_mod(1, 0) == BiSeries.one(0)
-    assert build_P_ker_mod(1, 1).get(1, 0) == VirtualRep.single(W1)
-    assert build_P_ker_mod(2, 2).get(2, 0) == V(2, 0, 2)
+    assert build_P_ker_mod(1, 0) == TriSeries.one(0)
+    assert build_P_ker_mod(1, 1).get(1, 0, 1) == VirtualRep.single(W1)
+    assert build_P_ker_mod(2, 2).get(2, 0, 2) == V(2, 0, 2)
 
 
 def test_p_quot_examples():
     p = build_P_quot(1, 3)
-    assert p.get(0, 0) == VirtualRep.unit()
-    assert p.get(2, 1) == VirtualRep.unit()  # the t^2 s prefactor alone
-    assert p.get(1, 1) == VirtualRep.single(W1)
+    assert p.get(0, 0, 0) == VirtualRep.unit()
+    assert p.get(2, 1, 3) == VirtualRep.unit()  # the t^2 s prefactor alone
+    assert p.get(1, 1, 2) == VirtualRep.single(W1)
     # at higher genus the inner sum contributes at (2, 1) as well
-    assert build_P_quot(2, 3).get(2, 1) == VirtualRep.unit() + V(2, 0, 2)
+    assert build_P_quot(2, 3).get(2, 1, 3) == VirtualRep.unit() + V(2, 0, 2)
 
 
 def test_p_ha_examples():
     p = build_P_HA(1, 4)
-    assert p.get(0, 0) == VirtualRep.unit()
-    assert p.get(1, 0) == VirtualRep.single(W1)
-    assert p.get(2, 0) == VirtualRep.unit()
+    assert p.get(0, 0, 0) == VirtualRep.unit()
+    assert p.get(1, 0, 1) == VirtualRep.single(W1)
+    assert p.get(2, 0, 2) == VirtualRep.unit()
+
+
+def test_p_series_are_stored_with_u_equal_to_total_degree():
+    # a t,s-series is a TriSeries with u = t+s on every term, cut at u <= D
+    builders = (build_P_SV, build_P_ker_cap, build_P_ker_mod, build_P_quot, build_P_HA)
+    for build in builders:
+        for g in (1, 2, 3):
+            for D in range(13):
+                p = build(g, D)
+                assert p.u_trunc == D
+                for (t, s, u), _ in p.coeffs():
+                    assert u == t + s <= D, (build.__name__, g, D, (t, s, u))
 
 
 def test_p_ha_assembly_identity():
@@ -131,8 +143,9 @@ def test_q_g1_u3_expansion():
 
 
 def test_q_matches_assembled_route():
-    for g in (1, 2, 3):
-        assert build_Q(g, 6) == build_Q_assembled(g, 6)
+    for g in range(1, 6):
+        for N in range(13):
+            assert build_Q(g, N) == build_Q_assembled(g, N), (g, N)
 
 
 def test_q_rejects_genus_zero():

@@ -298,7 +298,12 @@ def test_peel_round_trip_near_dimension_bound():
 
 
 def test_peel_rejects_non_character():
+    # (1, 0) is not a weight of V(1,1) = S^2 V at g=2 (its weights have even
+    # coordinate sum), so peeling V(1,1) leaves multiplicity -1 there
     char = irreducible_character(2, RepLabel(1, 1))
-    broken = char - Character({(1, 0): 1})  # remove one weight of a real orbit
-    with pytest.raises(NotACharacter):
+    broken = char - Character({(1, 0): 1})
+    with pytest.raises(NotACharacter, match="negative multiplicity"):
         peel_character(2, broken)
+    # 2w1 + 2w2 is dominant but outside the i*w1 + w_j family
+    with pytest.raises(NotACharacter, match="not of hook form"):
+        peel_character(2, Character({(2, 2): 1}))

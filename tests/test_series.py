@@ -4,7 +4,6 @@ import pytest
 
 from confcoh.reps import RepLabel, VirtualRep
 from confcoh.series import (
-    BiSeries,
     BothSidesVirtual,
     OutOfTruncation,
     TriSeries,
@@ -128,20 +127,3 @@ def test_json_round_trip():
     )
     assert TriSeries.from_json(q.to_json(), 4) == q
 
-
-def test_biseries_truncation_and_substitution():
-    p = BiSeries(3, {(2, 0): 1, (1, 1): 1, (3, 1): 1})  # t^3 s beyond trunc
-    assert p == BiSeries(3, {(2, 0): 1, (1, 1): 1})
-    q = p.substitute_tu_su(5)
-    assert q == TriSeries(5, {(2, 0, 2): 1, (1, 1, 2): 1})
-
-
-def test_biseries_product():
-    a = BiSeries(4, {(0, 0): 1, (2, 1): 1})
-    assert a * a == BiSeries(4, {(0, 0): 1, (2, 1): 2})  # (2,1)+(2,1) truncated
-
-
-def test_biseries_rejects_two_virtual_factors():
-    a = BiSeries(4, {(1, 0): VirtualRep.single(W1)})
-    with pytest.raises(BothSidesVirtual):
-        a * a

@@ -1,0 +1,17 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "confcoh"
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements; invariants must raise real exceptions
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
