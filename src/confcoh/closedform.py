@@ -10,7 +10,10 @@ degree-one classes in weight 1 and the point class in weight 2.
 The bigraded Hilbert series P(t, s) (the build_P_* functions) are stored
 already substituted, t -> tu and s -> su: each is a TriSeries with
 u = t+s on every term, truncated at u^D, which is total degree D.  The
-master series is a bracket of such series times 1/(1-u).
+master series is a bracket of such series times 1/(1-u), and 1/(1-u) is a
+running sum over u: the u^n coefficient at (t, s) is the sum of the
+bracket's (t, s) column over u <= n.  A table is the u^n coefficient of
+the master series truncated at u^n.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -18,7 +21,6 @@ requires g >= 1.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from math import comb
 
@@ -166,6 +168,12 @@ def q_bracket(g, N):
         (1+t^2 s u^3)(1 + t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2)
         + (1+t^2 s u^2)(1+t^2 s u^3)
           * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))).
+
+    Every path to a table goes through here, so the bracket's invariants
+    are checked here: its u^0 coefficient is 1, and every term has
+    t <= u + 2g + 2 and u <= t + s + 1.  1/(1-u) keeps the u^0 coefficient
+    and only carries terms to higher u, so the master series meets the
+    first two as well.
     """
     _check_genus(g)
     f3 = _tri(N, [(0, 0, 0, 1), (2, 1, 3, 1)])  # 1 + t^2 s u^3
@@ -175,25 +183,30 @@ def q_bracket(g, N):
     tail = _tail(
         g, N, lambda j: _tri(N, [(0, 0, 0, 1), (2 * (g - j), 1, 2 * (g - j + 1), 1)])
     )
-    return bracket + f2 * f3 * tail
-
-
-@lru_cache(maxsize=None)
-def build_Q(g, N):
-    """Master series truncated at u^N: 1/(1-u) times the bracket."""
-    _check_genus(g)
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
-    q = geom_u(N) * q_bracket(g, N)
-    u0 = q.coeff_u(0)
+    bracket = bracket + f2 * f3 * tail
+    u0 = bracket.coeff_u(0)
     if u0 != {(0, 0): VirtualRep.unit()}:
         raise ArithmeticError(f"u^0 coefficient must be 1 at g={g}, got {u0}")
-    for (t, s, u), _ in q.coeffs():
+    for (t, s, u), _ in bracket.coeffs():
         if t > u + 2 * g + 2:
             raise ArithmeticError(
                 f"exponent bound t <= u + 2g + 2 violated at {(t, s, u)}, g={g}"
             )
-    return q
+        if u > t + s + 1:
+            raise ArithmeticError(
+                f"exponent bound u <= t + s + 1 violated at {(t, s, u)}, g={g}"
+            )
+    return bracket
+
+
+@lru_cache(maxsize=None)
+def build_Q(g, N):
+    """Master series truncated at u^N: the bracket times 1/(1-u), which is
+    the running sum of each (t, s) column of the bracket over u."""
+    _check_genus(g)
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    return q_bracket(g, N).div_one_minus_u()
 
 
 def build_Q_assembled(g, N):
@@ -238,9 +251,8 @@ class MixedTable:
             if not rep.is_effective():
                 raise ValueError(f"negative multiplicity at (k={k}, h={h})")
             if not (h >= k and 0 <= 3 * k - 2 * h <= 2 * g + 2):
-                warnings.warn(
-                    f"weight band violated at genus {g}, n={n}, (k={k}, h={h})",
-                    stacklevel=2,
+                raise ArithmeticError(
+                    f"weight band violated at genus {g}, n={n}, (k={k}, h={h})"
                 )
         if self.euler() != euler_binomials(g, n)[n]:
             raise ValueError(
@@ -297,8 +309,10 @@ class MixedTable:
 
 
 def mixed_table(g, n):
-    """Table of gr-pieces of H^*(UConf_n) for genus g >= 1, from the master
-    series: series key (t, s) becomes (k, h) = (t+s, t+2s)."""
+    """Table of gr-pieces of H^*(UConf_n) for genus g >= 1: the u^n
+    coefficient of the master series, whose (t, s) entry is the bracket's
+    (t, s) column summed over u <= n; series key (t, s) becomes
+    (k, h) = (t+s, t+2s)."""
     _check_genus(g)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -369,7 +383,8 @@ def stabilization_bound(g, k, h):
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
     largest u-exponent with which the bracket meets (k, h).  Every bracket
-    term satisfies u <= t + s + 1, so scanning up to k + 2 is exhaustive.
+    term satisfies u <= t + s + 1 (q_bracket checks it), so scanning up to
+    k + 2 is exhaustive.
     """
     _check_genus(g)
     t, s = 2 * k - h, h - k

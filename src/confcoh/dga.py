@@ -52,8 +52,14 @@ __all__ = [
     "ORACLE_BUDGET",
 ]
 
-#: Desk-scale defaults for the brute-force route (basis sizes stay small).
-ORACLE_BUDGET = {0: 12, 1: 10, 2: 8, 3: 5}
+#: Largest n per genus at which one model A point with characters
+#: (``cohomology_reps``; ``cohomology_dims`` at genus 0, which has none) and
+#: one model B point (``cohomology_dims(g, n, "B")``) each took at most 1 s,
+#: timed in fresh processes on a 2-core x86 box.  The budget covers the
+#: computation only: ``oracle --debug-dir`` also writes one file per block,
+#: and a whole such run at the budget took 1.2-3.1 s at g >= 1 and 5.5 s
+#: (50 998 files) at genus 0, model B.
+ORACLE_BUDGET = {0: 17000, 1: 56, 2: 19, 3: 12, 4: 9, 5: 8}
 
 
 class Genus0N1Unsupported(ValueError):

@@ -38,14 +38,6 @@ def _as_rep(c):
     raise TypeError(f"coefficient must be int or VirtualRep, got {type(c)!r}")
 
 
-def _coeff_mul(a, b):
-    if a.is_scalar():
-        return b.scaled(a.scalar_value())
-    if b.is_scalar():
-        return a.scaled(b.scalar_value())
-    raise BothSidesVirtual("both coefficients carry nontrivial labels")
-
-
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -156,22 +148,46 @@ class TriSeries:
     def __mul__(self, other):
         if not isinstance(other, TriSeries):
             return NotImplemented
-        if not self.is_scalar() and not other.is_scalar():
+        if self.is_scalar():
+            scalar, rest = self, other
+        elif other.is_scalar():
+            scalar, rest = other, self
+        else:
             raise BothSidesVirtual("at most one factor may carry nontrivial labels")
         trunc = min(self.u_trunc, other.u_trunc)
         out = {}
-        for (t1, s1, u1), c1 in self._c.items():
+        for (t1, s1, u1), c1 in scalar._c.items():
             if u1 > trunc:
                 continue
-            for (t2, s2, u2), c2 in other._c.items():
+            k = c1.scalar_value()
+            for (t2, s2, u2), c2 in rest._c.items():
                 u = u1 + u2
                 if u > trunc:
                     continue
                 key = (t1 + t2, s1 + s2, u)
-                c = _coeff_mul(c1, c2)
+                c = c2 if k == 1 else c2.scaled(k)  # VirtualRep is immutable
                 prev = out.get(key)
                 out[key] = prev + c if prev is not None else c
         return TriSeries(trunc, out)
+
+    def div_one_minus_u(self):
+        """This series times 1/(1-u) = 1 + u + u^2 + ..., at the same
+        truncation: the u^n coefficient at (t, s) is the running sum of the
+        (t, s) column over u <= n.  Zero sums are not stored."""
+        columns = {}
+        for (t, s, u), c in self._c.items():
+            columns.setdefault((t, s), []).append((u, c))
+        out = {}
+        for (t, s), column in columns.items():
+            column.sort()  # u is unique in a column, so no rep is compared
+            ends = [u for u, _ in column[1:]] + [self.u_trunc + 1]
+            total = VirtualRep.zero()
+            for (u, c), end in zip(column, ends):
+                total = total + c
+                if total:
+                    for v in range(u, end):
+                        out[(t, s, v)] = total
+        return TriSeries(self.u_trunc, out)
 
     def coeff_u(self, n):
         """The u^n slice as a map (t_exp, s_exp) -> VirtualRep."""

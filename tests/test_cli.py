@@ -3,6 +3,7 @@ import json
 import pytest
 
 from confcoh.cli import main
+from confcoh.dga import ORACLE_BUDGET
 
 
 def run(capsys, *argv):
@@ -130,6 +131,13 @@ def test_oracle_debug_dir(capsys, tmp_path):
 def test_oracle_budget_enforced(capsys):
     assert run_expect_exit(capsys, "oracle", "--genus", "1", "--n", "99") == 2
     assert run_expect_exit(capsys, "oracle", "--genus", "7", "--n", "2") == 2
+
+
+@pytest.mark.parametrize("genus", sorted(ORACLE_BUDGET))
+def test_oracle_budget_refuses_one_past(capsys, genus):
+    over = str(ORACLE_BUDGET[genus] + 1)
+    assert run_expect_exit(capsys, "oracle", "--genus", str(genus), "--n", over) == 2
+    assert run_expect_exit(capsys, "verify", "--genus", str(genus), "--max-n", over) == 2
 
 
 def test_verify_small(capsys):

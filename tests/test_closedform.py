@@ -1,6 +1,8 @@
 import pytest
 
+from confcoh import closedform
 from confcoh.closedform import (
+    MixedTable,
     betti,
     build_P_HA,
     build_P_SV,
@@ -14,6 +16,7 @@ from confcoh.closedform import (
     genus0_betti,
     mixed_poincare,
     mixed_table,
+    q_bracket,
     stabilization_bound,
 )
 from confcoh.reps import (
@@ -23,7 +26,7 @@ from confcoh.reps import (
     rep_label,
     tensor_std_sym_decomp,
 )
-from confcoh.series import TriSeries
+from confcoh.series import TriSeries, geom_u
 
 W1 = RepLabel(0, 1)
 
@@ -148,6 +151,49 @@ def test_q_matches_assembled_route():
             assert build_Q(g, N) == build_Q_assembled(g, N), (g, N)
 
 
+def test_q_running_sum_matches_geometric_product():
+    # build_Q sums each (t, s) column of the bracket over u; the slow
+    # reference multiplies by the truncated geometric series
+    for g in range(1, 9):
+        for N in range(17):
+            assert build_Q(g, N) == geom_u(N) * q_bracket(g, N), (g, N)
+
+
+@pytest.fixture
+def bad_bracket_term(monkeypatch):
+    """Adds one scalar term (t, s, u) to every _core, so to the bracket."""
+
+    def inject(t, s, u):
+        core = closedform._core
+        monkeypatch.setattr(
+            closedform,
+            "_core",
+            lambda g, N, j: core(g, N, j) + TriSeries.term(N, t, s, u),
+        )
+        closedform.q_bracket.cache_clear()
+        closedform.build_Q.cache_clear()
+
+    yield inject
+    closedform.q_bracket.cache_clear()
+    closedform.build_Q.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ((1, 0, 0), r"u\^0 coefficient must be 1"),
+        ((6, 0, 1), r"t <= u \+ 2g \+ 2"),
+        ((0, 0, 2), r"u <= t \+ s \+ 1"),
+    ],
+)
+def test_bracket_invariants_raise(bad_bracket_term, term, message):
+    bad_bracket_term(*term)
+    with pytest.raises(ArithmeticError, match=message):
+        mixed_table(1, 4)
+    with pytest.raises(ArithmeticError, match=message):
+        build_Q(1, 4)
+
+
 def test_q_rejects_genus_zero():
     with pytest.raises(ValueError):
         build_Q(0, 3)
@@ -182,6 +228,31 @@ def test_betti_examples():
 def test_mixed_poincare():
     mp = mixed_poincare(1, 2)
     assert mp == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+    with pytest.raises(ValueError):
+        mixed_poincare(1, -1)
+
+
+def test_tables_are_one_u_column_of_the_master_series():
+    # the u^n slice at (t, s) is the bracket's (t, s) column summed over u <= n
+    for g in range(1, 6):
+        for n in range(13):
+            slice_n = {}
+            for (t, s, u), rep in q_bracket(g, n).coeffs():
+                assert u <= n
+                slice_n[(t, s)] = slice_n.get((t, s), VirtualRep.zero()) + rep
+            slice_n = {ts: rep for ts, rep in slice_n.items() if rep}
+            want = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
+            assert mixed_table(g, n).entries == want, (g, n)
+            dims = {ts: rep.dim(g) for ts, rep in slice_n.items()}
+            assert mixed_poincare(g, n) == dims, (g, n)
+
+
+def test_weight_band_violation_raises():
+    # h < k; 3k - 2h < 0; 3k - 2h > 2g + 2
+    for cell in ((2, 1), (1, 3), (5, 5)):
+        table = MixedTable(1, 1, {(0, 0): VirtualRep.unit(), cell: VirtualRep.unit()})
+        with pytest.raises(ArithmeticError, match="weight band"):
+            table.validate()
 
 
 def test_table_monotone_in_n():

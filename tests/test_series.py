@@ -90,6 +90,61 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
+def _random_labelled_tri(rng, trunc):
+    coeffs = {}
+    for _ in range(rng.randint(0, 8)):
+        key = (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, trunc))
+        label = RepLabel(rng.randint(0, 2), rng.randint(0, 2))
+        coeffs[key] = VirtualRep.single(label, rng.randint(-3, 3))
+    return TriSeries(trunc, coeffs)
+
+
+def _reference_product(a, b):
+    """Term-by-term product, scaling each labelled coefficient by the
+    scalar one it meets."""
+    trunc = min(a.u_trunc, b.u_trunc)
+    out = {}
+    for (t1, s1, u1), c1 in a.coeffs():
+        for (t2, s2, u2), c2 in b.coeffs():
+            if u1 + u2 > trunc:
+                continue
+            if c1.is_scalar():
+                c = c2.scaled(c1.scalar_value())
+            else:
+                c = c1.scaled(c2.scalar_value())
+            key = (t1 + t2, s1 + s2, u1 + u2)
+            out[key] = out.get(key, VirtualRep.zero()) + c
+    return TriSeries(trunc, out)
+
+
+def test_mul_matches_term_by_term_reference():
+    rng = random.Random(11)
+    for _ in range(80):
+        trunc = rng.randint(0, 6)
+        a = _random_scalar_tri(rng, trunc)
+        a = a + TriSeries.term(trunc, 1, 0, 0, rng.choice([-2, 2, 3]))  # k != 1
+        b = _random_labelled_tri(rng, rng.randint(0, 6))
+        want = _reference_product(a, b)
+        assert a * b == want
+        assert b * a == want
+        c = _random_scalar_tri(rng, trunc)
+        assert a * c == _reference_product(a, c)
+
+
+def test_div_one_minus_u_matches_geometric_product():
+    rng = random.Random(3)
+    for _ in range(60):
+        trunc = rng.randint(0, 7)
+        for a in (_random_scalar_tri(rng, trunc), _random_labelled_tri(rng, trunc)):
+            assert a.div_one_minus_u() == geom_u(trunc) * a
+    # the (1, 0) column sums back to zero from u^3 on and stores nothing there
+    a = TriSeries(5, {(1, 0, 1): 2, (1, 0, 3): -2, (0, 0, 0): 1})
+    q = a.div_one_minus_u()
+    assert q == geom_u(5) * a
+    assert [key for key, _ in q.coeffs() if key[:2] == (1, 0)] == [(1, 0, 1), (1, 0, 2)]
+    assert all(c for _, c in q.coeffs())
+
+
 def test_mul_respects_truncation():
     # the u^n slice of a product only sees slices up to n of the factors
     rng = random.Random(5)

@@ -15,3 +15,15 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_warnings_import_in_package():
+    # a broken invariant must raise, not warn
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+    ]
+    assert found == []
