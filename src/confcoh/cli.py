@@ -150,13 +150,15 @@ def cmd_oracle(args, parser):
     _check_oracle_budget(args, parser, args.n)
     if args.genus == 0 and args.n == 1:
         parser.error("genus 0 with one point: use `betti --genus 0 --n 1`")
+    if args.reps and args.genus == 0:
+        parser.error("--reps needs genus >= 1; use `oracle --genus 0` for dimensions")
+    if args.reps and args.model != "A":
+        parser.error("--reps requires model A")
     if args.debug_dir:
         written = dga.dump_blocks(args.genus, args.n, args.model, args.debug_dir)
         _progress(f"wrote {len(written)} block matrices to {args.debug_dir}")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
-        if args.model != "A":
-            parser.error("--reps requires model A")
         table = dga.cohomology_reps(args.genus, args.n)
         _emit(_render_table(table, args), args.out)
         return 0

@@ -23,7 +23,10 @@ off as parities of exterior bits.  Blocks are split by torus weight before
 the exact rank computation, which is valid because d preserves the weight.
 Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
-dominant weight counts once per member of its orbit.
+dominant weight counts once per member of its orbit.  The dominant-weight
+monomials are enumerated directly, coordinate by coordinate, never by
+filtering the whole basis; ``enumerate_basis`` serves the block dumps and
+the basis-count cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 from .closedform import MixedTable
 from .linalg import SparseIntMatrix, rank, write_matrix_market
-from .reps import Character, _is_dominant, orbit_size, peel_character
+from .reps import Character, orbit_size, peel_character
 
 __all__ = [
     "Genus0N1Unsupported",
@@ -56,10 +59,11 @@ __all__ = [
 #: (``cohomology_reps``; ``cohomology_dims`` at genus 0, which has none) and
 #: one model B point (``cohomology_dims(g, n, "B")``) each took at most 1 s,
 #: timed in fresh processes on a 2-core x86 box.  The budget covers the
-#: computation only: ``oracle --debug-dir`` also writes one file per block,
-#: and a whole such run at the budget took 1.2-3.1 s at g >= 1 and 5.5 s
-#: (50 998 files) at genus 0, model B.
-ORACLE_BUDGET = {0: 17000, 1: 56, 2: 19, 3: 12, 4: 9, 5: 8}
+#: computation only: ``oracle --debug-dir`` also writes one file per block
+#: of the whole basis, and a whole such run at the budget, model B, took
+#: 1.5-3.6 s at 1 <= g <= 6, 8.2 s at g = 7 and 4.6 s (68 998 files) at
+#: genus 0.
+ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
 
 
 class Genus0N1Unsupported(ValueError):
@@ -171,13 +175,17 @@ def _sym_exponents(length, budget):
     )
 
 
-@lru_cache(maxsize=None)
-def enumerate_basis(g, n, model="A"):
-    """All monomials of third degree <= n, in a deterministic order."""
+def _check_point(g, n, model):
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0")
     if model not in ("A", "B"):
         raise ValueError(f"model must be 'A' or 'B', got {model!r}")
+
+
+@lru_cache(maxsize=None)
+def enumerate_basis(g, n, model="A"):
+    """All monomials of third degree <= n, in a deterministic order."""
+    _check_point(g, n, model)
     out = []
     for ext in range(1 << (2 * g)):
         for s1 in (0, 1):
@@ -231,20 +239,85 @@ def differential_block(g, n, model, block):
     return BlockMatrix(source, target, _matrix(g, model, source, target))
 
 
-def _outgoing_ranks(g, n, model):
-    """The dominant-weight part of the basis grouped by ((deg1, deg2),
-    torus weight), and the exact rank of d on every group; d preserves the
-    weight, so the groups split it."""
+def _coordinate_states(n):
+    """The parts (a_i, b_i, sa_i, sb_i) of one coordinate i of a monomial of
+    deg3 <= n with weight a - b + sa - sb >= 0, as lists indexed by that
+    weight of (deg3, deg1, deg2, a, b, sa, sb), each sorted by deg3.  A
+    part's weight never exceeds its deg3 a + b + 2 sa + 2 sb."""
+    by_weight = [[] for _ in range(n + 1)]
+    for sa in range(n // 2 + 1):
+        for sb in range((n - 2 * sa) // 2 + 1):
+            for a in (0, 1):
+                for b in (0, 1):
+                    d3 = a + b + 2 * (sa + sb)
+                    w = a - b + sa - sb
+                    if d3 <= n and w >= 0:
+                        by_weight[w].append((d3, a + b + sa + sb, sa + sb, a, b, sa, sb))
+    for parts in by_weight:
+        parts.sort()
+    return by_weight
+
+
+def _dominant_groups(g, n, model):
+    """The monomials of F_n whose torus weight is dominant, grouped by
+    ((deg1, deg2), weight), each group in basis order.
+
+    Built one coordinate at a time: coordinate i takes a part of weight
+    w_i <= w_(i-1) from ``_coordinate_states``, and s1, p and sp come last,
+    so no monomial of another weight is ever made.  The part table has
+    O(n^2) entries; genus 0 has no coordinates and never builds it.
+    """
+    _check_point(g, n, model)
+    # (deg3, deg1, deg2, ext, sa exponents, sb exponents, weight)
+    prefixes = [(0, 0, 0, 0, (), (), ())]
+    if g:
+        by_weight = _coordinate_states(n)
+        for i in range(g):
+            grown = []
+            for d3, d1, d2, ext, sa, sb, w in prefixes:
+                room = n - d3
+                for wi in range(min(w[-1] if w else n, room) + 1):
+                    for c3, c1, c2, a, b, x, y in by_weight[wi]:
+                        if c3 > room:
+                            break
+                        grown.append((
+                            d3 + c3, d1 + c1, d2 + c2,
+                            ext | a << i | b << (g + i),
+                            sa + (x,), sb + (y,), w + (wi,),
+                        ))
+            prefixes = grown
+    # (deg3, deg1, deg2, s1, p, sp) of the s1 p^p sp factor
+    tails = sorted(
+        (2 * s1 + p + 2 * sp, 2 * p + 2 * sp, s1 + sp, s1, p, sp)
+        for s1 in (0, 1)
+        for p in range(2 if model == "A" else n + 1)
+        for sp in ((0, 1) if model == "B" else (0,))
+    )
     groups = {}
-    for m in enumerate_basis(g, n, model):
-        w = mono_weight(g, m)
-        if _is_dominant(w):
-            d1, d2, _ = mono_degrees(g, m)
-            groups.setdefault(((d1, d2), w), []).append(m)
+    for d3, d1, d2, ext, sa, sb, w in prefixes:
+        sym = sa + sb
+        for t3, t1, t2, s1, p, sp in tails:
+            if d3 + t3 > n:
+                break
+            groups.setdefault(((d1 + t1, d2 + t2), w), []).append(
+                Monomial(ext, s1, p, sp, sym)
+            )
+    for members in groups.values():
+        members.sort()
+    return groups
+
+
+def _outgoing_ranks(g, n, model):
+    """The dominant-weight monomials grouped by ((deg1, deg2), torus
+    weight), and the exact rank of d on every group that has a target; d
+    preserves the weight, so the groups split it, and a group with no
+    target has rank 0."""
+    groups = _dominant_groups(g, n, model)
     ranks = {}
     for ((d1, d2), w), source in groups.items():
-        target = groups.get(((d1 + 2, d2 - 1), w), ())
-        ranks[(d1, d2), w] = rank(_matrix(g, model, source, target))
+        target = groups.get(((d1 + 2, d2 - 1), w))
+        if target:
+            ranks[(d1, d2), w] = rank(_matrix(g, model, source, target))
     return groups, ranks
 
 

@@ -38,8 +38,8 @@ from confcoh.reps import (
     weyl_dim,
 )
 
-DIMS_SWEEP = ((1, 14), (2, 10), (3, 8), (4, 7), (5, 6))
-REPS_SWEEP = ((1, 14), (2, 10), (3, 8), (4, 7), (5, 6))
+DIMS_SWEEP = ((1, 24), (2, 12), (3, 10), (4, 9), (5, 7), (6, 7), (7, 6))
+REPS_SWEEP = ((1, 24), (2, 12), (3, 10), (4, 9), (5, 7), (6, 7), (7, 6))
 
 
 def _regrade(dims):

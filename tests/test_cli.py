@@ -111,6 +111,21 @@ def test_oracle_matches_table(capsys):
     assert oracle_out == table_out
 
 
+@pytest.mark.parametrize(
+    "genus, model, message",
+    [("0", "A", "--reps needs genus >= 1"), ("2", "B", "--reps requires model A")],
+)
+def test_oracle_reps_usage_errors(capsys, tmp_path, genus, model, message):
+    debug = tmp_path / "blocks"
+    argv = ("oracle", "--genus", genus, "--n", "3", "--model", model, "--reps",
+            "--debug-dir", str(debug))
+    assert run_expect_exit(capsys, *argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    # refused before any work: no block dump, no progress line
+    assert not debug.exists() and "computing" not in captured.err
+
+
 def test_oracle_model_b(capsys):
     code, a = run(capsys, "oracle", "--genus", "1", "--n", "3", "--model", "A")
     assert code == 0
@@ -130,7 +145,8 @@ def test_oracle_debug_dir(capsys, tmp_path):
 
 def test_oracle_budget_enforced(capsys):
     assert run_expect_exit(capsys, "oracle", "--genus", "1", "--n", "99") == 2
-    assert run_expect_exit(capsys, "oracle", "--genus", "7", "--n", "2") == 2
+    past = str(max(ORACLE_BUDGET) + 1)  # a genus with no budget is refused
+    assert run_expect_exit(capsys, "oracle", "--genus", past, "--n", "2") == 2
 
 
 @pytest.mark.parametrize("genus", sorted(ORACLE_BUDGET))

@@ -22,7 +22,7 @@ from confcoh.dga import (
     mono_weight,
 )
 from confcoh.linalg import rank, read_matrix_market
-from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep
+from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep, _is_dominant
 
 INSTANCES = [
     (0, 4, "A"),
@@ -33,6 +33,22 @@ INSTANCES = [
     (2, 3, "B"),
     (3, 3, "A"),
 ]
+
+# model A at genus 1-5 as far as the whole-basis reference stays near a
+# second in all (the larger acceptance points run through the acceptance
+# criteria only), and model B up to the largest n of the benchmark's
+# model_b points per genus
+MODEL_A_SWEEP = ((1, 14), (2, 10), (3, 8), (4, 7), (5, 6))
+MODEL_B_SWEEP = ((1, 22), (2, 11), (3, 8), (4, 6))
+
+
+def sweep_points():
+    """(g, n, model) over genus 0 (n <= 12, both models), MODEL_A_SWEEP
+    and MODEL_B_SWEEP."""
+    points = [(0, n, model) for n in range(13) for model in "AB"]
+    points += [(g, n, "A") for g, top in MODEL_A_SWEEP for n in range(top + 1)]
+    points += [(g, n, "B") for g, top in MODEL_B_SWEEP for n in range(top + 1)]
+    return points
 
 
 def one(g):
@@ -342,6 +358,67 @@ def test_cohomology_characters_are_weyl_invariant():
                 mass[block] += dim
             assert {block: char.mass() for block, char in weights.items()} == mass
             assert cohomology_dims(g, n) == mass, (g, n)
+
+
+def reference_dominant_groups(g, n, model):
+    """The whole basis filtered to dominant weights and grouped by
+    ((deg1, deg2), weight): the slow reference for dga._dominant_groups."""
+    groups = {}
+    for m in enumerate_basis(g, n, model):
+        w = mono_weight(g, m)
+        if _is_dominant(w):
+            d1, d2, _ = mono_degrees(g, m)
+            groups.setdefault(((d1, d2), w), []).append(m)
+    return groups
+
+
+def test_dominant_groups_match_filtered_reference():
+    try:
+        for g, n, model in sweep_points():
+            got = dga._dominant_groups(g, n, model)
+            assert got == reference_dominant_groups(g, n, model), (g, n, model)
+    finally:
+        enumerate_basis.cache_clear()  # the reference fills it with large bases
+
+
+def test_dominant_groups_check_their_arguments():
+    with pytest.raises(ValueError, match="model"):
+        cohomology_dims(1, 3, "C")
+    with pytest.raises(ValueError, match="n >= 0"):
+        dga._dominant_groups(1, -1, "A")
+
+
+def test_empty_target_groups_have_no_differential():
+    # the rank loop skips a group with no target, where d must vanish
+    skipped = 0
+    for g, n, model in sweep_points():
+        groups = dga._dominant_groups(g, n, model)
+        for ((d1, d2), w), source in groups.items():
+            if ((d1 + 2, d2 - 1), w) not in groups:
+                for m in source:
+                    assert differential_monomial(g, model, m) == [], (g, n, model, m)
+                skipped += 1
+    assert skipped
+
+
+def test_genus0_builds_no_coordinate_table(monkeypatch):
+    # the table grows as n^2, and genus 0 is budgeted to large n
+    monkeypatch.setattr(dga, "_coordinate_states", None)
+    assert dga._dominant_groups(0, 50, "B")
+
+
+def test_rank_loop_does_not_enumerate_the_basis(monkeypatch):
+    def whole_basis(*args):
+        raise AssertionError("the rank loop enumerated the whole basis")
+
+    want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
+    monkeypatch.setattr(dga, "enumerate_basis", whole_basis)
+    dga._cohomology_by_weight.cache_clear()
+    try:
+        got = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
+    finally:
+        dga._cohomology_by_weight.cache_clear()
+    assert got == want
 
 
 def test_negative_dimension_raises(monkeypatch):
