@@ -182,7 +182,6 @@ def _check_point(g, n, model):
         raise ValueError(f"model must be 'A' or 'B', got {model!r}")
 
 
-@lru_cache(maxsize=None)
 def enumerate_basis(g, n, model="A"):
     """All monomials of third degree <= n, in a deterministic order."""
     _check_point(g, n, model)

@@ -1,10 +1,12 @@
 """Exact rank and kernel computation for sparse integer matrices.
 
-Elimination is fraction-free: target rows are cross-multiplied with the
-pivot row and re-normalized by their gcd, so every intermediate value is
-an integer and the result is exact.  Pivots are chosen Markowitz-style
-(least expected fill-in) with ties broken by lowest (row, col), which
-makes the computation deterministic.
+Elimination is fraction-free, so every intermediate value is an integer
+and the result is exact.  Each step pivots on the lowest column of the
+shortest remaining row (the earliest such row on a tie), which keeps
+fill-in low on the sparse differential blocks.  Every other row with an
+entry in that column becomes piv*row - f*prow and is divided by its
+content, the gcd of its entries, so the entries stay small.  The order is
+deterministic; the rank does not depend on it.
 
 A dense Bareiss elimination is kept as an independent reference for
 small matrices.
@@ -78,69 +80,42 @@ class SparseIntMatrix:
 
 
 def rank(m):
-    """Exact rank of ``m`` over the rationals.
+    """Exact rank of ``m`` over the rationals; ``m`` is left unchanged.
 
     >>> rank(SparseIntMatrix.from_dense([[1, 2], [2, 4]]))
     1
     """
-    rows = {r: dict(cs) for r, cs in m.rows.items() if cs}
-    cols = {}
-    for r, cs in rows.items():
-        for c in cs:
-            cols.setdefault(c, set()).add(r)
+    rows = [dict(m.rows[r]) for r in sorted(m.rows) if m.rows[r]]
     rk = 0
     while rows:
-        # Markowitz pivot: minimize (row_nnz - 1)*(col_nnz - 1),
-        # ties broken by lowest (row, col).
-        best = None
-        for r in sorted(rows):
-            rn = len(rows[r]) - 1
-            for c in sorted(rows[r]):
-                cost = rn * (len(cols[c]) - 1)
-                key = (cost, r, c)
-                if best is None or key < best:
-                    best = key
-                if cost == 0 and best[0] == 0:
-                    break
-            if best is not None and best[0] == 0 and best[1] == r:
-                break
-        _, pr, pc = best
-        piv = rows[pr][pc]
-        prow = rows.pop(pr)
-        for c in prow:
-            cols[c].discard(pr)
-            if not cols[c]:
-                del cols[c]
-        for r2 in sorted(cols.get(pc, ())):
-            row2 = rows[r2]
-            f = row2.pop(pc)
-            # row2 <- piv*row2 - f*prow; scaling by a nonzero integer and
-            # adding a multiple of the pivot row preserves the row span.
-            for c2 in row2:
-                row2[c2] *= piv
-            for c2, v in prow.items():
-                if c2 == pc:
+        prow = min(rows, key=len)  # the first of the shortest rows
+        pc = min(prow)
+        piv = prow[pc]
+        rest = []
+        for row in rows:
+            if row is prow:
+                continue
+            f = row.pop(pc, 0)
+            if f:
+                # row <- piv*row - f*prow; scaling by a nonzero integer and
+                # adding a multiple of the pivot row preserves the row span.
+                for c in row:
+                    row[c] *= piv
+                for c, v in prow.items():
+                    if c != pc:
+                        nv = row.get(c, 0) - f * v
+                        if nv:
+                            row[c] = nv
+                        else:
+                            del row[c]
+                if not row:
                     continue
-                nv = row2.get(c2, 0) - f * v
-                if nv:
-                    row2[c2] = nv
-                    cols.setdefault(c2, set()).add(r2)
-                elif c2 in row2:
-                    del row2[c2]
-                    cols[c2].discard(r2)
-                    if not cols[c2]:
-                        del cols[c2]
-            if row2:
-                d = 0
-                for v in row2.values():
-                    d = gcd(d, v)
+                d = gcd(*row.values())
                 if d > 1:
-                    for c2 in row2:
-                        row2[c2] //= d
-            else:
-                del rows[r2]
-        if pc in cols:
-            del cols[pc]
+                    for c in row:
+                        row[c] //= d
+            rest.append(row)
+        rows = rest
         rk += 1
     return rk
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from confcoh import dga
 from confcoh.linalg import (
     SparseIntMatrix,
     kernel_dim,
@@ -70,6 +71,31 @@ def test_rank_matches_dense_reference_200():
     values = [0] * 12 + [1, -1, 2, -2]
     dense = _random_dense(rng, 200, 200, values)
     assert rank(SparseIntMatrix.from_dense(dense)) == rank_dense_bareiss(dense)
+
+
+# genus 0 in both models, model A at g = 1..5 and model B at g = 1..4
+DIFFERENTIAL_POINTS = (
+    [(0, 12, "A"), (0, 12, "B")]
+    + [(g, n, "A") for g, n in ((1, 24), (2, 10), (3, 8), (4, 7), (5, 6))]
+    + [(g, n, "B") for g, n in ((1, 16), (2, 8), (3, 6), (4, 5))]
+)
+
+
+def _dense(m):
+    return [[m.rows.get(r, {}).get(c, 0) for c in range(m.n_cols)] for r in range(m.n_rows)]
+
+
+def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
+    # every matrix the rank loop builds, not only random dense ones
+    built = []
+    monkeypatch.setattr(dga, "rank", lambda m: built.append(m) or 0)
+    for g, n, model in DIFFERENTIAL_POINTS:
+        dga._outgoing_ranks(g, n, model)
+    assert len(built) > 500
+    for m in built:
+        before = SparseIntMatrix(m.n_rows, m.n_cols, m.entries())
+        assert rank(m) == rank_dense_bareiss(_dense(m))
+        assert m == before  # rank leaves its argument unchanged
 
 
 def test_rank_transpose_and_bounds():

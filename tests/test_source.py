@@ -1,4 +1,6 @@
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "confcoh"
@@ -27,3 +29,13 @@ def test_no_warnings_import_in_package():
         or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
     ]
     assert found == []
+
+
+def test_package_doctests_pass():
+    attempted = 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "confcoh" if path.stem == "__init__" else f"confcoh.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted > 0
