@@ -7,13 +7,13 @@ k = t_exp + s_exp and weight h = t_exp + 2*s_exp, is the mixed table for n
 points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
-The bigraded Hilbert series P(t, s) (the build_P_* functions) are stored
-already substituted, t -> tu and s -> su: each is a TriSeries with
-u = t+s on every term, truncated at u^D, which is total degree D.  The
-master series is a bracket of such series times 1/(1-u), and 1/(1-u) is a
-running sum over u: the u^n coefficient at (t, s) is the sum of the
-bracket's (t, s) column over u <= n.  A table is the u^n coefficient of
-the master series truncated at u^n.
+The master series is a bracket times 1/(1-u).  The bracket's sums over
+the labels V(i, j) are t,s-series stored already substituted, t -> tu
+and s -> su: each is a TriSeries with u = t+s on every term, truncated
+at u^N, which is total degree N.  1/(1-u) is a running sum over u: the
+u^n coefficient at (t, s) is the sum of the bracket's (t, s) column over
+u <= n.  A table is the u^n coefficient of the master series truncated
+at u^n.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -21,21 +21,14 @@ requires g >= 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .reps import VirtualRep, rep_label
-from .series import TriSeries, geom_u
+from .series import TriSeries
 
 __all__ = [
-    "build_P_SV",
-    "build_P_ker_cap",
-    "build_P_ker_mod",
-    "build_P_quot",
-    "build_P_HA",
     "q_bracket",
     "build_Q",
-    "build_Q_assembled",
     "MixedTable",
     "mixed_table",
     "betti",
@@ -56,18 +49,8 @@ def _V(g, i, j):
     return VirtualRep.single(rep_label(g, i, j))
 
 
-def _ts(D, terms):
-    """The t,s-series sum c t^a s^b over (a, b, c), stored with u = a+b."""
-    return TriSeries(D, {(t, s, t + s): c for t, s, c in terms})
-
-
 def _tri(N, terms):
     return TriSeries(N, {(t, s, u): c for t, s, u, c in terms})
-
-
-def _geo_even(D, m):
-    """1 + t^2 + ... + t^(2(m-1)), the expanded (t^(2m) - 1)/(t^2 - 1)."""
-    return _ts(D, [(2 * k, 0, 1) for k in range(max(m, 0))])
 
 
 def _core(g, N, j):
@@ -85,83 +68,6 @@ def _tail(g, N, factor):
     )
 
 
-def _sum_core(g, D):
-    """sum over 1 <= j <= g, i >= 0 of [V(i, j)] t^(j+i) s^i, truncated."""
-    return _tail(g, D, lambda j: TriSeries.one(D))
-
-
-def build_P_SV(g, D):
-    """Bigraded Hilbert series of the exterior-times-symmetric algebra on
-    the standard representation: the coefficient at (j+i, i) is the class
-    of Lambda^j V tensor S^i V.  Stored with u = t+s, truncated at u^D."""
-    _check_genus(g)
-    out = _geo_even(D, g + 1) + _ts(D, [(2, 1, 1)]) * _geo_even(D, g)
-    pre = _ts(D, [(0, 0, 1), (0, 1, 1), (2, 1, 1), (2, 2, 1)])  # (1+s)(1+t^2 s)
-    return out + pre * _tail(g, D, lambda j: _geo_even(D, g - j + 1))
-
-
-def build_P_ker_cap(g, D):
-    """Series of the joint kernel of the Koszul differential and of
-    multiplication by the symplectic class:
-    t^(2g) + (1 + t^2 s) * sum [V(i,j)] t^(2g-j+i) s^i.
-    Stored with u = t+s, truncated at u^D."""
-    _check_genus(g)
-    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
-    tail = _tail(g, D, lambda j: _ts(D, [(2 * (g - j), 0, 1)]))
-    return _ts(D, [(2 * g, 0, 1)]) + pre * tail
-
-
-def build_P_ker_mod(g, D):
-    """Series of the Koszul kernel modulo the symplectic class:
-    1 + (1 + t^2 s) * sum [V(i,j)] t^(j+i) s^i.
-    Stored with u = t+s, truncated at u^D."""
-    _check_genus(g)
-    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
-    return TriSeries.one(D) + pre * _sum_core(g, D)
-
-
-def build_P_quot(g, D):
-    """Series of the quotient by the images of the symplectic class and of
-    the Koszul differential: (1 + t^2 s)(1 + s * sum [V(i,j)] t^(j+i) s^i).
-    Stored with u = t+s, truncated at u^D."""
-    _check_genus(g)
-    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
-    return pre * (TriSeries.one(D) + _ts(D, [(0, 1, 1)]) * _sum_core(g, D))
-
-
-def build_P_HA(g, D):
-    """Bigraded Hilbert series of the cohomology of the reduced model:
-
-        (1+t^2 s)(1 + t^2 + t^(2g) s)
-        + (1+t^2 s)^2 * sum [V(i,j)] t^(j+i) s^i (1 + t^(2(g-j)) s).
-
-    Stored with u = t+s, truncated at u^D.  The same series is assembled
-    from the three kernel/quotient series, and both constructions must
-    agree exactly.
-    """
-    _check_genus(g)
-    pre = _ts(D, [(0, 0, 1), (2, 1, 1)])
-    direct = pre * _ts(D, [(0, 0, 1), (2, 0, 1), (2 * g, 1, 1)])
-    tail = _tail(g, D, lambda j: _ts(D, [(0, 0, 1), (2 * (g - j), 1, 1)]))
-    direct = direct + pre * pre * tail
-
-    ker_cap = build_P_ker_cap(g, D)
-    assembled = (
-        _ts(D, [(0, 1, 1)]) * ker_cap
-        + _ts(D, [(2, 1, 1)])
-        + _ts(D, [(2, 2, 1)]) * ker_cap
-        + build_P_ker_mod(g, D)
-        + _ts(D, [(2, 0, 1)]) * build_P_quot(g, D)
-    )
-    if direct != assembled:
-        raise ArithmeticError(
-            f"the two constructions of P_H(A) disagree at g={g}, D={D}: "
-            f"the difference is {(direct - assembled).text()}"
-        )
-    return direct
-
-
-@lru_cache(maxsize=None)
 def q_bracket(g, N):
     """The bracket whose product with 1/(1-u) is the master series:
 
@@ -199,7 +105,6 @@ def q_bracket(g, N):
     return bracket
 
 
-@lru_cache(maxsize=None)
 def build_Q(g, N):
     """Master series truncated at u^N: the bracket times 1/(1-u), which is
     the running sum of each (t, s) column of the bracket over u."""
@@ -207,24 +112,6 @@ def build_Q(g, N):
     if N < 0:
         raise ValueError("truncation must be >= 0")
     return q_bracket(g, N).div_one_minus_u()
-
-
-def build_Q_assembled(g, N):
-    """Second route to the master series: assemble the kernel/quotient
-    series, already stored substituted (t -> tu, s -> su), with the stated
-    prefactors."""
-    _check_genus(g)
-    ker_cap = build_P_ker_cap(g, N)
-    ker_mod = build_P_ker_mod(g, N)
-    quot = build_P_quot(g, N)
-    bracket = (
-        _tri(N, [(0, 1, 2, 1)]) * ker_cap
-        + _tri(N, [(2, 1, 3, 1)])
-        + _tri(N, [(2, 2, 4, 1)]) * ker_cap
-        + ker_mod
-        + _tri(N, [(2, 0, 1, 1)]) * quot
-    )
-    return geom_u(N) * bracket
 
 
 # ---------------------------------------------------------------------------

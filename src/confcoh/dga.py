@@ -25,8 +25,7 @@ Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
 monomials are enumerated directly, coordinate by coordinate, never by
-filtering the whole basis; ``enumerate_basis`` serves the block dumps and
-the basis-count cross-check.
+filtering the whole basis; ``enumerate_basis`` serves the block dumps.
 """
 
 from __future__ import annotations
@@ -43,11 +42,8 @@ __all__ = [
     "Genus0N1Unsupported",
     "Monomial",
     "enumerate_basis",
-    "basis_count_series",
     "differential_monomial",
     "blocks",
-    "BlockMatrix",
-    "differential_block",
     "cohomology_dims",
     "cohomology_weights",
     "cohomology_reps",
@@ -140,29 +136,6 @@ def differential_monomial(g, model, m):
     return out
 
 
-def basis_count_series(g, model, n):
-    """[t^k] counts of the model by third degree, k <= n, via the product
-    of one generator factor each: (1 + t^deg3) for odd generators (and p in
-    model A, where p^2 = 0) and a truncated geometric series for even ones.
-    Independent of the basis enumeration; used to cross-check it."""
-    # (deg3, square_zero) of a_i, b_i, s1, p, [sp,] sa_i, sb_i
-    factors = [(1, True)] * (2 * g) + [(2, True), (1, model == "A")]
-    if model == "B":
-        factors.append((2, True))
-    factors += [(2, False)] * (2 * g)
-    poly = [1] + [0] * n
-    for d3, square_zero in factors:
-        new = [0] * (n + 1)
-        for e in (0, d3) if square_zero else range(0, n + 1, d3):
-            if e > n:
-                break
-            for k in range(n + 1 - e):
-                if poly[k]:
-                    new[k + e] += poly[k]
-        poly = new
-    return poly
-
-
 @lru_cache(maxsize=None)
 def _sym_exponents(length, budget):
     """All tuples of ``length`` nonnegative integers with sum <= budget."""
@@ -207,16 +180,6 @@ def blocks(g, n, model="A"):
     return by_block
 
 
-class BlockMatrix(NamedTuple):
-    """Differential restricted to one (deg1, deg2) block of F_n; the matrix
-    maps the source basis (columns) to the (deg1+2, deg2-1) target basis
-    (rows)."""
-
-    source: tuple
-    target: tuple
-    matrix: SparseIntMatrix
-
-
 def _matrix(g, model, source, target):
     """Matrix of d from the ``source`` monomials (columns) to the ``target``
     monomials (rows), which must hold every image."""
@@ -227,15 +190,6 @@ def _matrix(g, model, source, target):
         for coeff, image in differential_monomial(g, model, m)
     ]
     return SparseIntMatrix(len(target), len(source), entries)
-
-
-def differential_block(g, n, model, block):
-    """Matrix of d on the given (deg1, deg2) block of F_n."""
-    by_block = blocks(g, n, model)
-    d1, d2 = block
-    source = tuple(by_block.get(block, ()))
-    target = tuple(by_block.get((d1 + 2, d2 - 1), ()))
-    return BlockMatrix(source, target, _matrix(g, model, source, target))
 
 
 def _coordinate_states(n):

@@ -1,4 +1,4 @@
-"""Exact rank and kernel computation for sparse integer matrices.
+"""Exact rank of sparse integer matrices, and their Matrix Market output.
 
 Elimination is fraction-free, so every intermediate value is an integer
 and the result is exact.  Each step pivots on the lowest column of the
@@ -7,9 +7,6 @@ fill-in low on the sparse differential blocks.  Every other row with an
 entry in that column becomes piv*row - f*prow and is divided by its
 content, the gcd of its entries, so the entries stay small.  The order is
 deterministic; the rank does not depend on it.
-
-A dense Bareiss elimination is kept as an independent reference for
-small matrices.
 """
 
 from math import gcd
@@ -45,11 +42,6 @@ class SparseIntMatrix:
 
     def nnz(self):
         return sum(len(row) for row in self.rows.values())
-
-    def transpose(self):
-        return SparseIntMatrix(
-            self.n_cols, self.n_rows, ((c, r, v) for r, c, v in self.entries())
-        )
 
     @classmethod
     def from_dense(cls, dense):
@@ -120,42 +112,6 @@ def rank(m):
     return rk
 
 
-def kernel_dim(m):
-    """Dimension of the right kernel: n_cols - rank."""
-    return m.n_cols - rank(m)
-
-
-def rank_dense_bareiss(dense):
-    """Rank by dense fraction-free (Bareiss) elimination; reference path."""
-    a = [list(map(int, row)) for row in dense]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    prev = 1
-    rk = 0
-    r0 = 0
-    for c in range(n_cols):
-        if r0 >= n_rows:
-            break
-        pr = None
-        for r in range(r0, n_rows):
-            if a[r][c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[r0], a[pr] = a[pr], a[r0]
-        piv = a[r0][c]
-        for r in range(r0 + 1, n_rows):
-            f = a[r][c]
-            for c2 in range(c + 1, n_cols):
-                a[r][c2] = (piv * a[r][c2] - f * a[r0][c2]) // prev
-            a[r][c] = 0
-        prev = piv
-        rk += 1
-        r0 += 1
-    return rk
-
-
 def write_matrix_market(m, path):
     """Write ``m`` in Matrix Market coordinate integer format."""
     with open(path, "w") as f:
@@ -163,20 +119,3 @@ def write_matrix_market(m, path):
         f.write(f"{m.n_rows} {m.n_cols} {m.nnz()}\n")
         for r, c, v in m.entries():
             f.write(f"{r + 1} {c + 1} {v}\n")
-
-
-def read_matrix_market(path):
-    """Read a Matrix Market coordinate integer file."""
-    with open(path) as f:
-        header = f.readline()
-        if "coordinate" not in header:
-            raise ValueError("not a coordinate Matrix Market file")
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        n_rows, n_cols, nnz = map(int, line.split())
-        entries = []
-        for _ in range(nnz):
-            r, c, v = f.readline().split()
-            entries.append((int(r) - 1, int(c) - 1, int(v)))
-    return SparseIntMatrix(n_rows, n_cols, entries)

@@ -2,11 +2,10 @@
 
 Labels of the two-parameter highest-weight family i*w1 + w_j, their exact
 dimensions by two independent routes (a closed product formula and the
-Weyl dimension formula), characters as dominant-weight multiplicities via
-the Freudenthal recursion, and the decomposition rules consumed by the
-generating-series pipeline: exterior powers of the standard
-representation, sl(2g)-hooks restricted to sp(2g), and tensor products of
-a fundamental with a symmetric power.
+Weyl dimension formula), the virtual representations that label the
+closed-form series, and characters as dominant-weight multiplicities via
+the Freudenthal recursion, which the brute-force route peels back into
+irreducibles.
 
 A character is Weyl-invariant, so it is stored by its dominant weights
 only; the Weyl group enters solely through ``orbit_size``, the number of
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import NamedTuple
 
 __all__ = [
@@ -32,13 +31,8 @@ __all__ = [
     "NotACharacter",
     "weyl_dim",
     "dim_irrep",
-    "sl_hook_dim",
-    "ext_power_decomp",
-    "tensor_std_sym_decomp",
-    "branching_hook",
     "orbit_size",
     "irreducible_character",
-    "character_of",
     "peel_character",
 ]
 
@@ -334,142 +328,6 @@ def dim_irrep(g, label):
     return int(val)
 
 
-def sl_hook_dim(g, i, j):
-    """Dimension of the sl(2g) hook representation with arm i and leg j:
-    C(i+j-1, i) * C(i+2g, i+j), for 1 <= j <= 2g.
-
-    >>> sl_hook_dim(2, 1, 2)
-    20
-    """
-    _check_genus(g)
-    if not (1 <= j <= 2 * g) or i < 0:
-        raise ValueError(f"need 0 <= i and 1 <= j <= {2 * g}, got i={i}, j={j}")
-    return comb(i + j - 1, i) * comb(i + 2 * g, i + j)
-
-
-# ---------------------------------------------------------------------------
-# decomposition rules
-
-
-def ext_power_decomp(g, j):
-    """Decomposition of the j-th exterior power of the standard
-    representation: Lambda^j V = sum of V_{w_{j-2k}}, using
-    Lambda^j = Lambda^{2g-j} for j > g.
-
-    >>> ext_power_decomp(2, 2).text()
-    'V(0,2) + V(0,0)'
-    """
-    _check_genus(g)
-    if not (0 <= j <= 2 * g):
-        raise ValueError(f"need 0 <= j <= {2 * g}, got {j}")
-    if j > g:
-        j = 2 * g - j
-    return VirtualRep([(rep_label(g, 0, j - 2 * k), 1) for k in range(j // 2 + 1)])
-
-
-def tensor_std_sym_decomp(g, i, j):
-    """Decomposition of V_{w_j} tensor S^i V for i >= 1 and 1 <= j <= g:
-
-        V_{i w1 + w_j} + V_{(i-1) w1 + w_{j+1}}
-        + V_{(i-1) w1 + w_{j-1}} + V_{(i-2) w1 + w_j},
-
-    where non-dominant labels drop out as ZERO.  The decomposition is
-    multiplicity-free: at j = 1 the last two slots name the same
-    representation ((i-1)*w1 twice over) and merge to a single summand,
-    as the dimension identity demands.
-    """
-    _check_genus(g)
-    if i < 1 or not (1 <= j <= g):
-        raise ValueError(f"need i >= 1 and 1 <= j <= {g}, got i={i}, j={j}")
-    labels = {
-        rep_label(g, i, j),
-        rep_label(g, i - 1, j + 1),
-        rep_label(g, i - 1, j - 1),
-        rep_label(g, i - 2, j),
-    }
-    return VirtualRep([(label, 1) for label in labels])
-
-
-def _tensor_ext_sym(g, j, i):
-    """[Lambda^j V tensor S^i V] in the representation ring, via the
-    exterior-power decomposition and the fundamental-times-symmetric rule."""
-    lam = ext_power_decomp(g, j)
-    if i == 0:
-        return lam
-    out = VirtualRep()
-    for (li, lj), mult in lam.items():
-        if li != 0:
-            raise ArithmeticError(
-                f"exterior power {j} at genus {g} has constituent V({li},{lj})"
-            )
-        if lj == 0:
-            # trivial tensor S^i V: the symmetric power itself
-            out += VirtualRep.single(rep_label(g, i, 0), mult)
-        else:
-            out += tensor_std_sym_decomp(g, i, lj).scaled(mult)
-    return out
-
-
-def _branch_strip(g, i, j):
-    """Vertical-strip restriction rule for the hook with arm i, leg j <= g.
-
-    Removing an even column strip of the leg keeps the arm multiplicity,
-    removing a row-end box together with an odd column strip lowers it by
-    one, and for i = 0 with even j the whole column may be removed, which
-    contributes the trivial representation.
-    """
-    terms = []
-    b = j
-    while b >= 1:
-        terms.append((rep_label(g, i, b), 1))
-        b -= 2
-    if i == 0 and j % 2 == 0:
-        terms.append((TRIVIAL, 1))
-    if i >= 1:
-        b = j - 1
-        while b >= 1:
-            terms.append((rep_label(g, i - 1, b), 1))
-            b -= 2
-    return VirtualRep(terms)
-
-
-def _branch_series(g, i, j):
-    """Restriction of the hook via the alternating Koszul identity
-
-        [hook(i, j)] = sum_k (-1)^k [Lambda^{j+k} V tensor S^{i-k} V],
-
-    evaluated in the representation ring; exact for every 1 <= j <= 2g.
-    """
-    out = VirtualRep()
-    sign = 1
-    for k in range(i + 1):
-        jj = j + k
-        if jj > 2 * g:
-            break
-        out += _tensor_ext_sym(g, jj, i - k).scaled(sign)
-        sign = -sign
-    return out
-
-
-def branching_hook(g, i, j):
-    """Restriction of the sl(2g) hook with arm i and leg 1 <= j <= 2g to
-    sp(2g).  All coefficients are nonnegative and the dimensions add up to
-    ``sl_hook_dim(g, i, j)``.
-
-    >>> branching_hook(2, 1, 2).text()
-    'V(1,2) + V(0,1)'
-    """
-    _check_genus(g)
-    if not (1 <= j <= 2 * g) or i < 0:
-        raise ValueError(f"need 0 <= i and 1 <= j <= {2 * g}, got i={i}, j={j}")
-    out = _branch_strip(g, i, j) if j <= g else _branch_series(g, i, j)
-    if not out.is_effective():
-        raise ArithmeticError(
-            f"negative multiplicity in branching({g},{i},{j}): {out.text()}"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -606,14 +464,6 @@ def irreducible_character(g, label):
     if label == ZERO:
         raise ValueError("ZERO label has no character")
     return Character(_dominant_mults(g, highest_weight(g, label)))
-
-
-def character_of(g, vrep):
-    """Character of a virtual representation (sum of irreducible characters)."""
-    out = Character()
-    for label, m in vrep.items():
-        out += irreducible_character(g, label).scaled(m)
-    return out
 
 
 def _hook_label(w):

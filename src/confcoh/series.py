@@ -16,7 +16,6 @@ from .reps import VirtualRep
 
 __all__ = [
     "TriSeries",
-    "geom_u",
     "OutOfTruncation",
     "BothSidesVirtual",
 ]
@@ -247,8 +246,3 @@ class TriSeries:
 
     def __repr__(self):
         return f"TriSeries(u<={self.u_trunc}, {self.text()})"
-
-
-def geom_u(N):
-    """The truncated geometric series 1 + u + ... + u^N."""
-    return TriSeries(N, {(0, 0, n): 1 for n in range(N + 1)})

@@ -10,7 +10,6 @@ from math import comb
 
 from confcoh.closedform import (
     betti,
-    build_P_HA,
     build_Q,
     euler_binomials,
     euler_series,
@@ -19,7 +18,6 @@ from confcoh.closedform import (
     stabilization_bound,
 )
 from confcoh.dga import (
-    basis_count_series,
     cohomology_dims,
     cohomology_reps,
     differential_monomial,
@@ -29,13 +27,17 @@ from confcoh.dga import (
 from confcoh.reps import (
     RepLabel,
     VirtualRep,
-    branching_hook,
     dim_irrep,
     highest_weight,
     rep_label,
+    weyl_dim,
+)
+from reference import (
+    basis_count_series,
+    branching_hook,
+    build_P_HA,
     sl_hook_dim,
     tensor_std_sym_decomp,
-    weyl_dim,
 )
 
 DIMS_SWEEP = ((1, 24), (2, 12), (3, 10), (4, 9), (5, 7), (6, 7), (7, 6))

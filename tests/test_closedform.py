@@ -4,13 +4,7 @@ from confcoh import closedform
 from confcoh.closedform import (
     MixedTable,
     betti,
-    build_P_HA,
-    build_P_SV,
-    build_P_ker_cap,
-    build_P_ker_mod,
-    build_P_quot,
     build_Q,
-    build_Q_assembled,
     euler_binomials,
     euler_series,
     genus0_betti,
@@ -19,14 +13,19 @@ from confcoh.closedform import (
     q_bracket,
     stabilization_bound,
 )
-from confcoh.reps import (
-    RepLabel,
-    VirtualRep,
+from confcoh.reps import RepLabel, VirtualRep, rep_label
+from confcoh.series import TriSeries
+from reference import (
+    build_P_HA,
+    build_P_SV,
+    build_P_ker_cap,
+    build_P_ker_mod,
+    build_P_quot,
+    build_Q_assembled,
     ext_power_decomp,
-    rep_label,
+    geom_u,
     tensor_std_sym_decomp,
 )
-from confcoh.series import TriSeries, geom_u
 
 W1 = RepLabel(0, 1)
 
@@ -170,12 +169,8 @@ def bad_bracket_term(monkeypatch):
             "_core",
             lambda g, N, j: core(g, N, j) + TriSeries.term(N, t, s, u),
         )
-        closedform.q_bracket.cache_clear()
-        closedform.build_Q.cache_clear()
 
     yield inject
-    closedform.q_bracket.cache_clear()
-    closedform.build_Q.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -11,21 +11,23 @@ from confcoh.reps import (
     TRIVIAL,
     VirtualRep,
     ZERO,
-    _branch_series,
-    _branch_strip,
     _dominant_weights_below,
-    branching_hook,
-    character_of,
     dim_irrep,
-    ext_power_decomp,
     highest_weight,
     irreducible_character,
     orbit_size,
     peel_character,
     rep_label,
+    weyl_dim,
+)
+from reference import (
+    _branch_series,
+    _branch_strip,
+    branching_hook,
+    character_of,
+    ext_power_decomp,
     sl_hook_dim,
     tensor_std_sym_decomp,
-    weyl_dim,
 )
 
 

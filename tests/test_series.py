@@ -3,12 +3,8 @@ import random
 import pytest
 
 from confcoh.reps import RepLabel, VirtualRep
-from confcoh.series import (
-    BothSidesVirtual,
-    OutOfTruncation,
-    TriSeries,
-    geom_u,
-)
+from confcoh.series import BothSidesVirtual, OutOfTruncation, TriSeries
+from reference import geom_u
 
 W1 = RepLabel(0, 1)
 
