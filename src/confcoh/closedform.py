@@ -7,13 +7,11 @@ k = t_exp + s_exp and weight h = t_exp + 2*s_exp, is the mixed table for n
 points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
-The master series is a bracket times 1/(1-u).  The bracket's sums over
-the labels V(i, j) are t,s-series stored already substituted, t -> tu
-and s -> su: each is a TriSeries with u = t+s on every term, truncated
-at u^N, which is total degree N.  1/(1-u) is a running sum over u: the
-u^n coefficient at (t, s) is the sum of the bracket's (t, s) column over
-u <= n.  A table is the u^n coefficient of the master series truncated
-at u^n.
+The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
+sum over u.  A table is therefore the bracket, written term by term from
+its formula and truncated at u^n, with each (t, s) column summed over
+u <= n; no series is built for it.  ``build_Q`` forms the whole master
+series as a TriSeries, for the q-series and Euler characteristics.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .reps import VirtualRep, rep_label
+from .reps import TRIVIAL, VirtualRep, rep_label
 from .series import TriSeries
 
 __all__ = [
@@ -45,72 +43,65 @@ def _check_genus(g):
         raise ValueError("genus must be >= 1 here; genus 0 has its own closed form")
 
 
-def _V(g, i, j):
-    return VirtualRep.single(rep_label(g, i, j))
+def _bracket_terms(g, N):
+    """The bracket of ``q_bracket`` as (t, s, u) -> {label: mult} up to u^N.
+    Its scalar factors, expanded, give 8 shifts per j, and each label
+    V(i, j) is added once at each shift, so no multiplicity is zero."""
+    terms = {}
+
+    def add(t, s, u, label):
+        if u <= N:
+            cell = terms.setdefault((t, s, u), {})
+            cell[label] = cell.get(label, 0) + 1
+
+    # (1+t^2 s u^3)(1+t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2), expanded
+    scalar = [(0, 0, 0), (2, 0, 1), (2, 1, 3), (4, 1, 4)]
+    for t, s, u in scalar + [(2 * g, 1, 2 * g + 2), (2 * g + 2, 2, 2 * g + 4)]:
+        add(t, s, u, TRIVIAL)
+    pre = [(0, 0, 0), (2, 1, 2), (2, 1, 3), (4, 2, 5)]  # (1+t^2 s u^2)(1+t^2 s u^3)
+    for j in range(1, g + 1):
+        m = g - j
+        labels = [rep_label(g, i, j) for i in range((N - j) // 2 + 1)]
+        for dt, ds, du in pre + [(t + 2 * m, s + 1, u + 2 * m + 2) for t, s, u in pre]:
+            for i in range((N - du - j) // 2 + 1):
+                add(j + i + dt, i + ds, j + 2 * i + du, labels[i])
+    return terms
 
 
-def _tri(N, terms):
-    return TriSeries(N, {(t, s, u): c for t, s, u, c in terms})
-
-
-def _core(g, N, j):
-    """sum over i >= 0 of [V(i, j)] t^(j+i) s^i u^(j+2i), truncated at u^N;
-    every term has u = t+s."""
-    return TriSeries(
-        N, {(j + i, i, j + 2 * i): _V(g, i, j) for i in range((N - j) // 2 + 1)}
-    )
-
-
-def _tail(g, N, factor):
-    """sum over 1 <= j <= g of factor(j) * _core(g, N, j)."""
-    return sum(
-        (factor(j) * _core(g, N, j) for j in range(1, g + 1)), TriSeries.zero(N)
-    )
+def _bracket(g, N):
+    """The bracket's terms with its invariants checked: the u^0 coefficient
+    is 1, and every term has t <= u + 2g + 2 and u <= t + s + 1.  1/(1-u)
+    keeps the u^0 coefficient and only carries terms to higher u, so the
+    master series meets the first two as well."""
+    _check_genus(g)
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    terms = _bracket_terms(g, N)
+    u0 = {(t, s): VirtualRep(cell) for (t, s, u), cell in terms.items() if u == 0}
+    if u0 != {(0, 0): VirtualRep.unit()}:
+        raise ArithmeticError(f"u^0 coefficient must be 1 at g={g}, got {u0}")
+    for t, s, u in terms:
+        if t > u + 2 * g + 2 or u > t + s + 1:
+            bound = "u <= t + s + 1" if t <= u + 2 * g + 2 else "t <= u + 2g + 2"
+            raise ArithmeticError(
+                f"exponent bound {bound} violated at {(t, s, u)}, g={g}"
+            )
+    return terms
 
 
 def q_bracket(g, N):
-    """The bracket whose product with 1/(1-u) is the master series:
+    """The bracket whose product with 1/(1-u) is the master series, to u^N:
 
         (1+t^2 s u^3)(1 + t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2)
         + (1+t^2 s u^2)(1+t^2 s u^3)
           * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))).
-
-    Every path to a table goes through here, so the bracket's invariants
-    are checked here: its u^0 coefficient is 1, and every term has
-    t <= u + 2g + 2 and u <= t + s + 1.  1/(1-u) keeps the u^0 coefficient
-    and only carries terms to higher u, so the master series meets the
-    first two as well.
     """
-    _check_genus(g)
-    f3 = _tri(N, [(0, 0, 0, 1), (2, 1, 3, 1)])  # 1 + t^2 s u^3
-    f2 = _tri(N, [(0, 0, 0, 1), (2, 1, 2, 1)])  # 1 + t^2 s u^2
-    bracket = f3 * _tri(N, [(0, 0, 0, 1), (2, 0, 1, 1)])
-    bracket = bracket + f2 * _tri(N, [(2 * g, 1, 2 * (g + 1), 1)])
-    tail = _tail(
-        g, N, lambda j: _tri(N, [(0, 0, 0, 1), (2 * (g - j), 1, 2 * (g - j + 1), 1)])
-    )
-    bracket = bracket + f2 * f3 * tail
-    u0 = bracket.coeff_u(0)
-    if u0 != {(0, 0): VirtualRep.unit()}:
-        raise ArithmeticError(f"u^0 coefficient must be 1 at g={g}, got {u0}")
-    for (t, s, u), _ in bracket.coeffs():
-        if t > u + 2 * g + 2:
-            raise ArithmeticError(
-                f"exponent bound t <= u + 2g + 2 violated at {(t, s, u)}, g={g}"
-            )
-        if u > t + s + 1:
-            raise ArithmeticError(
-                f"exponent bound u <= t + s + 1 violated at {(t, s, u)}, g={g}"
-            )
-    return bracket
+    return TriSeries(N, {key: VirtualRep(cell) for key, cell in _bracket(g, N).items()})
 
 
 def build_Q(g, N):
     """Master series truncated at u^N: the bracket times 1/(1-u), which is
     the running sum of each (t, s) column of the bracket over u."""
-    _check_genus(g)
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
     return q_bracket(g, N).div_one_minus_u()
 
 
@@ -195,16 +186,25 @@ class MixedTable:
         return f"MixedTable(g={self.genus}, n={self.n}, {{{cells}}})"
 
 
+def _slice(g, n):
+    """The master series' u^n coefficient as (t, s) -> VirtualRep: each
+    (t, s) column of the bracket truncated at u^n, summed over u."""
+    columns = {}
+    for (t, s, _), cell in _bracket(g, n).items():
+        column = columns.setdefault((t, s), {})
+        for label, mult in cell.items():
+            column[label] = column.get(label, 0) + mult
+    return {ts: VirtualRep(column) for ts, column in columns.items()}
+
+
 def mixed_table(g, n):
     """Table of gr-pieces of H^*(UConf_n) for genus g >= 1: the u^n
-    coefficient of the master series, whose (t, s) entry is the bracket's
-    (t, s) column summed over u <= n; series key (t, s) becomes
-    (k, h) = (t+s, t+2s)."""
+    coefficient of the master series (``_slice``), whose series key (t, s)
+    becomes (k, h) = (t+s, t+2s)."""
     _check_genus(g)
     if n < 0:
         raise ValueError("n must be >= 0")
-    slice_n = build_Q(g, n).coeff_u(n)
-    entries = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
+    entries = {(t + s, t + 2 * s): rep for (t, s), rep in _slice(g, n).items()}
     return MixedTable(g, n, entries).validate()
 
 
@@ -234,9 +234,7 @@ def betti(g, n):
 
 def mixed_poincare(g, n):
     """Mixed Poincare polynomial as a map (t_exp, s_exp) -> dimension."""
-    _check_genus(g)
-    slice_n = build_Q(g, n).coeff_u(n)
-    return {ts: rep.dim(g) for ts, rep in sorted(slice_n.items())}
+    return {ts: rep.dim(g) for ts, rep in sorted(_slice(g, n).items())}
 
 
 def euler_binomials(g, N):
@@ -270,16 +268,11 @@ def stabilization_bound(g, k, h):
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
     largest u-exponent with which the bracket meets (k, h).  Every bracket
-    term satisfies u <= t + s + 1 (q_bracket checks it), so scanning up to
+    term satisfies u <= t + s + 1 (_bracket checks it), so scanning up to
     k + 2 is exhaustive.
     """
     _check_genus(g)
     t, s = 2 * k - h, h - k
     if t < 0 or s < 0:
         return 0
-    bracket = q_bracket(g, k + 2)
-    best = 0
-    for (tt, ss, u), _ in bracket.coeffs():
-        if (tt, ss) == (t, s) and u > best:
-            best = u
-    return best
+    return max((u for tt, ss, u in _bracket(g, k + 2) if (tt, ss) == (t, s)), default=0)

@@ -15,6 +15,9 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   (and so ``dga.dump_blocks``) writes.
 - ``geom_u``: the truncated geometric series, whose product checks the
   running sum ``series.TriSeries.div_one_minus_u``.
+- ``reference_q_bracket``: the bracket assembled by series products and
+  sums of its factors, which checks ``closedform.q_bracket``; that one
+  writes the bracket term by term from its formula.
 - ``build_P_*`` and ``build_Q_assembled``: the bigraded Hilbert series and
   the master series assembled from kernel/quotient pieces, which check
   ``closedform.build_Q``.
@@ -26,7 +29,7 @@ benchmark; each one checks a ``confcoh`` function by a second route:
 from math import comb
 
 from confcoh import reps
-from confcoh.closedform import _check_genus, _tail, _tri
+from confcoh.closedform import _check_genus
 from confcoh.dga import _matrix, blocks
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
@@ -240,6 +243,43 @@ def read_matrix_market(path):
 
 # ---------------------------------------------------------------------------
 # series
+
+
+def _tri(N, terms):
+    return TriSeries(N, {(t, s, u): c for t, s, u, c in terms})
+
+
+def _core(g, N, j):
+    """sum over i >= 0 of [V(i, j)] t^(j+i) s^i u^(j+2i), truncated at u^N;
+    every term has u = t+s."""
+    return TriSeries(
+        N,
+        {
+            (j + i, i, j + 2 * i): VirtualRep.single(rep_label(g, i, j))
+            for i in range((N - j) // 2 + 1)
+        },
+    )
+
+
+def _tail(g, N, factor):
+    """sum over 1 <= j <= g of factor(j) * _core(g, N, j)."""
+    return sum(
+        (factor(j) * _core(g, N, j) for j in range(1, g + 1)), TriSeries.zero(N)
+    )
+
+
+def reference_q_bracket(g, N):
+    """The bracket of ``closedform.q_bracket`` assembled by TriSeries
+    products and sums of its factors, unchecked."""
+    _check_genus(g)
+    f3 = _tri(N, [(0, 0, 0, 1), (2, 1, 3, 1)])  # 1 + t^2 s u^3
+    f2 = _tri(N, [(0, 0, 0, 1), (2, 1, 2, 1)])  # 1 + t^2 s u^2
+    bracket = f3 * _tri(N, [(0, 0, 0, 1), (2, 0, 1, 1)])
+    bracket = bracket + f2 * _tri(N, [(2 * g, 1, 2 * (g + 1), 1)])
+    tail = _tail(
+        g, N, lambda j: _tri(N, [(0, 0, 0, 1), (2 * (g - j), 1, 2 * (g - j + 1), 1)])
+    )
+    return bracket + f2 * f3 * tail
 
 
 def geom_u(N):

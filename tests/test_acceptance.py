@@ -247,3 +247,30 @@ def test_criterion_10_stabilization_bound():
         f"\n[criterion 10] PASS: brute-force entries are constant from "
         f"stabilization_bound on for {cells} cells, sharp on {sharp}"
     )
+
+
+def _differences(seq, order):
+    for _ in range(order):
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return seq
+
+
+def test_criterion_11_betti_growth_degree():
+    # the stable b_k (n >= k + 2, from the bracket bound u <= t + s + 1) are
+    # a polynomial of degree 2g - 1 in k on each parity class: the step-2
+    # (2g-1)-th difference is 2 C(2g, g) from every start k >= 5 (k >= 2 at
+    # g = 1), and the 2g-th difference is 0
+    K = 60
+    for g in range(1, 9):
+        b = mixed_table(g, K + 2).betti()
+        b = (b + (0,) * (K + 1))[: K + 1]
+        start = 2 if g == 1 else 5
+        for k0 in (start, start + 1):
+            seq = b[k0::2]
+            assert set(_differences(seq, 2 * g - 1)) == {2 * comb(2 * g, g)}, (g, k0)
+            assert set(_differences(seq, 2 * g)) == {0}, (g, k0)
+    print(
+        f"\n[criterion 11] PASS: for g <= 8 the stable Betti numbers b_k, "
+        f"k <= {K}, grow on each parity class as a polynomial of degree 2g-1 "
+        f"with step-2 leading difference 2·C(2g, g)"
+    )

@@ -13,7 +13,7 @@ from confcoh.closedform import (
     q_bracket,
     stabilization_bound,
 )
-from confcoh.reps import RepLabel, VirtualRep, rep_label
+from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, rep_label
 from confcoh.series import TriSeries
 from reference import (
     build_P_HA,
@@ -24,6 +24,7 @@ from reference import (
     build_Q_assembled,
     ext_power_decomp,
     geom_u,
+    reference_q_bracket,
     tensor_std_sym_decomp,
 )
 
@@ -158,17 +159,55 @@ def test_q_running_sum_matches_geometric_product():
             assert build_Q(g, N) == geom_u(N) * q_bracket(g, N), (g, N)
 
 
+def test_bracket_matches_series_route():
+    # the bracket written from its formula against the one assembled by
+    # TriSeries algebra, and each table against the u^n slice of the master
+    # series, over g <= 8 and n <= 24; truncating at u^24 and then at u^N
+    # is truncating at u^N, so each route is built once per genus
+    for g in range(1, 9):
+        bracket = reference_q_bracket(g, 24).coeffs()
+        q = build_Q(g, 24)
+        for N in range(25):
+            assert q_bracket(g, N) == TriSeries(N, bracket), (g, N)
+            want = {(t + s, t + 2 * s): rep for (t, s), rep in q.coeff_u(N).items()}
+            assert mixed_table(g, N).entries == want, (g, N)
+
+
+def test_tables_never_build_the_master_series(monkeypatch):
+    # the expected slices come from the series route before it is refused
+    want = {
+        (g, n): (geom_u(n) * reference_q_bracket(g, n)).coeff_u(n)
+        for g, n in [(1, 3), (2, 6), (3, 9), (8, 12)]
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table built the master series")
+
+    monkeypatch.setattr(closedform, "build_Q", refuse)
+    monkeypatch.setattr(closedform, "q_bracket", refuse)
+    monkeypatch.setattr(TriSeries, "div_one_minus_u", refuse)
+    assert mixed_table(1, 3).betti() == (1, 2, 3, 4, 2)
+    for (g, n), slice_n in want.items():
+        entries = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
+        assert mixed_table(g, n).entries == entries, (g, n)
+        dims = {ts: rep.dim(g) for ts, rep in slice_n.items()}
+        assert mixed_poincare(g, n) == dims, (g, n)
+
+
 @pytest.fixture
 def bad_bracket_term(monkeypatch):
-    """Adds one scalar term (t, s, u) to every _core, so to the bracket."""
+    """Adds one scalar term (t, s, u) to the bracket before its checks."""
 
     def inject(t, s, u):
-        core = closedform._core
-        monkeypatch.setattr(
-            closedform,
-            "_core",
-            lambda g, N, j: core(g, N, j) + TriSeries.term(N, t, s, u),
-        )
+        terms = closedform._bracket_terms
+
+        def with_term(g, N):
+            out = terms(g, N)
+            cell = out.setdefault((t, s, u), {})
+            cell[TRIVIAL] = cell.get(TRIVIAL, 0) + 1
+            return out
+
+        monkeypatch.setattr(closedform, "_bracket_terms", with_term)
 
     yield inject
 

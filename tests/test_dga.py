@@ -217,25 +217,30 @@ def test_d_preserves_torus_weight():
 
 
 def test_block_matrix_shift_and_composition():
-    g, n, model = 1, 4, "A"
-    for block in sorted(blocks(g, n, model)):
-        source, target, matrix = differential_block(g, n, model, block)
-        assert matrix.n_cols == len(source)
-        assert matrix.n_rows == len(target)
-        _, nxt_target, nxt_matrix = differential_block(
-            g, n, model, (block[0] + 2, block[1] - 1)
-        )
-        # compose: every column of d followed by d gives zero
-        index = {m: r for r, m in enumerate(nxt_target)}
-        for col, mono in enumerate(source):
-            acc = [0] * len(nxt_target)
-            for r, c, v in matrix.entries():
-                if c != col:
-                    continue
-                for r2, c2, v2 in nxt_matrix.entries():
-                    if c2 == r:
-                        acc[r2] += v2 * v
-            assert not any(acc)
+    # at g=1 n=4 in model A no entry of d meets one of the next block's d,
+    # so the points at g=2 and in model B are what make d∘d = 0 a check
+    products = 0
+    for g, n, model in ((1, 4, "A"), (2, 4, "A"), (1, 4, "B")):
+        for block in sorted(blocks(g, n, model)):
+            source, target, matrix = differential_block(g, n, model, block)
+            assert matrix.n_cols == len(source)
+            assert matrix.n_rows == len(target)
+            nxt_source, _, nxt_matrix = differential_block(
+                g, n, model, (block[0] + 2, block[1] - 1)
+            )
+            assert nxt_source == target
+            # compose through the row dicts: every column of d followed by d
+            # gives zero
+            composed = {}
+            for r2, nxt_row in nxt_matrix.rows.items():
+                for r, v2 in nxt_row.items():
+                    for col, v in matrix.rows.get(r, {}).items():
+                        column = composed.setdefault(col, {})
+                        column[r2] = column.get(r2, 0) + v2 * v
+                        products += 1
+            for col in range(len(source)):
+                assert not any(composed.get(col, {}).values())
+    assert products > 0
 
 
 # --- cohomology ---------------------------------------------------------------
