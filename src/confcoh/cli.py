@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import closedform, dga
+from .reps import ZERO, dim_irrep, rep_label
 from .series import TriSeries
 
 
@@ -18,119 +19,105 @@ def _progress(msg):
     print(msg, file=sys.stderr)
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+def _write(args, payload, csv, text):
+    """Write the result in the requested --format to --out or stdout,
+    newline-ended.  ``payload`` (the JSON value), ``csv`` (its lines) and
+    ``text`` are functions of no arguments, and only the requested one is
+    called; ``csv`` None renders CSV as text."""
+    fmt = getattr(args, "format", "text")
+    if fmt == "json":
+        out = json.dumps(payload(), sort_keys=True)
+    elif fmt == "csv" and csv is not None:
+        out = "\n".join(csv())
     else:
-        print(text)
+        out = text()
+    if args.out:
+        with open(args.out, "w") as f:
+            print(out, file=f)
+    else:
+        print(out)
 
 
-def _dims_series(q, g):
-    return TriSeries(
-        q.u_trunc, {key: rep.dim(g) for key, rep in q.coeffs()}
+def _write_sequence(args, payload, header, values):
+    """Write a sequence indexed from 0: space-separated as text, one
+    ``index,value`` row per entry as CSV."""
+    _write(
+        args,
+        lambda: payload,
+        lambda: [header] + [f"{i},{x}" for i, x in enumerate(values)],
+        lambda: " ".join(map(str, values)),
     )
 
 
-def _table_lines(table, reps):
-    lines = ["k h dim decomposition" if reps else "k h dim"]
-    for (k, h), rep in sorted(table.entries.items()):
-        row = f"{k} {h} {rep.dim(table.genus)}"
-        if reps:
-            row += f" {rep.text()}"
-        lines.append(row)
-    return "\n".join(lines)
+def _write_table(args, n, cells, payload):
+    """Write a table of (k, h) -> (dim, decomposition) cells; the text
+    shows the decompositions under --reps, the CSV never."""
+    rows = sorted(cells.items())
+
+    def text():
+        lines = ["k h dim decomposition" if args.reps else "k h dim"]
+        for (k, h), (d, rep) in rows:
+            lines.append(f"{k} {h} {d} {rep.text()}" if args.reps else f"{k} {h} {d}")
+        return "\n".join(lines)
+
+    csv = lambda: ["n,k,h,dim"] + [f"{n},{k},{h},{d}" for (k, h), (d, _) in rows]
+    _write(args, payload, csv, text)
 
 
-def _table_csv(table):
-    lines = ["n,k,h,dim"]
-    for (k, h), rep in sorted(table.entries.items()):
-        lines.append(f"{table.n},{k},{h},{rep.dim(table.genus)}")
-    return "\n".join(lines)
+def _write_mixed(args, table):
+    cells = {kh: (rep.dim(table.genus), rep) for kh, rep in table.entries.items()}
+    _write_table(args, table.n, cells, table.to_json)
 
 
-def _render_table(table, args):
-    if args.format == "json":
-        return json.dumps(table.to_json(), sort_keys=True)
-    if args.format == "csv":
-        return _table_csv(table)
-    return _table_lines(table, getattr(args, "reps", False))
+def _regrade(dims):
+    """Brute-force (deg1, deg2) -> dim as (k, h) = (deg1 + deg2, deg1 + 2*deg2)."""
+    return {(d1 + d2, d1 + 2 * d2): dim for (d1, d2), dim in dims.items()}
 
 
 def cmd_q_series(args, parser):
     if args.genus < 1:
         parser.error("q-series needs genus >= 1; use `betti --genus 0` instead")
-    q = closedform.build_Q(args.genus, args.max_n)
-    if args.format == "json":
-        payload = (
-            _dims_series(q, args.genus).to_json() if args.dims else q.to_json()
-        )
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    elif args.format == "csv":
-        lines = ["t,s,u,dim"]
-        for (t, s, u), rep in q.coeffs():
-            lines.append(f"{t},{s},{u},{rep.dim(args.genus)}")
-        _emit("\n".join(lines), args.out)
-    elif args.dims:
-        _emit(_dims_series(q, args.genus).grouped_u_text(), args.out)
-    else:
-        _emit(q.text(), args.out)
+    g = args.genus
+    q = closedform.build_Q(g, args.max_n)
+    shown = q
+    if args.dims:
+        shown = TriSeries(q.u_trunc, {key: rep.dim(g) for key, rep in q.coeffs()})
+    csv = lambda: ["t,s,u,dim"] + [
+        f"{t},{s},{u},{rep.dim(g)}" for (t, s, u), rep in q.coeffs()
+    ]
+    _write(args, shown.to_json, csv, shown.grouped_u_text if args.dims else q.text)
     return 0
 
 
 def cmd_table(args, parser):
     if args.genus < 1:
         parser.error("table needs genus >= 1; use `betti --genus 0` instead")
-    table = closedform.mixed_table(args.genus, args.n)
-    _emit(_render_table(table, args), args.out)
+    _write_mixed(args, closedform.mixed_table(args.genus, args.n))
     return 0
 
 
 def cmd_betti(args, parser):
     b = closedform.betti(args.genus, args.n)
-    if args.format == "json":
-        payload = {"genus": args.genus, "n": args.n, "betti": list(b)}
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    elif args.format == "csv":
-        lines = ["k,dim"] + [f"{k},{d}" for k, d in enumerate(b)]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(" ".join(map(str, b)), args.out)
+    payload = {"genus": args.genus, "n": args.n, "betti": list(b)}
+    _write_sequence(args, payload, "k,dim", b)
     return 0
 
 
 def cmd_dim(args, parser):
-    from .reps import dim_irrep, rep_label, ZERO
-
     if args.genus < 1:
         parser.error("dim needs genus >= 1")
     label = rep_label(args.genus, args.i, args.j)
     if label == ZERO:
         parser.error(f"label ({args.i}, {args.j}) is not dominant for genus {args.genus}")
     d = dim_irrep(args.genus, label)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"genus": args.genus, "i": args.i, "j": args.j, "dim": d},
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        _emit(str(d), args.out)
+    payload = {"genus": args.genus, "i": args.i, "j": args.j, "dim": d}
+    _write(args, lambda: payload, None, lambda: str(d))
     return 0
 
 
 def cmd_euler(args, parser):
     chi = closedform.euler_series(args.genus, args.max_n)
-    if args.format == "json":
-        payload = {"genus": args.genus, "euler": chi}
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    elif args.format == "csv":
-        lines = ["n,chi"] + [f"{n},{x}" for n, x in enumerate(chi)]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(" ".join(map(str, chi)), args.out)
+    _write_sequence(args, {"genus": args.genus, "euler": chi}, "n,chi", chi)
     return 0
 
 
@@ -159,106 +146,64 @@ def cmd_oracle(args, parser):
         _progress(f"wrote {len(written)} block matrices to {args.debug_dir}")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
-        table = dga.cohomology_reps(args.genus, args.n)
-        _emit(_render_table(table, args), args.out)
+        _write_mixed(args, dga.cohomology_reps(args.genus, args.n))
         return 0
-    dims = dga.cohomology_dims(args.genus, args.n, args.model)
-    regraded = {}
-    for (d1, d2), dim in dims.items():
-        regraded[(d1 + d2, d1 + 2 * d2)] = dim
-    if args.format == "json":
-        payload = {
-            "genus": args.genus,
-            "n": args.n,
-            "model": args.model,
-            "table": [
-                {"degree": k, "weight": h, "dim": d}
-                for (k, h), d in sorted(regraded.items())
-            ],
-        }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    elif args.format == "csv":
-        lines = ["n,k,h,dim"]
-        lines += [f"{args.n},{k},{h},{d}" for (k, h), d in sorted(regraded.items())]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = ["k h dim"] + [f"{k} {h} {d}" for (k, h), d in sorted(regraded.items())]
-        _emit("\n".join(lines), args.out)
+    dims = _regrade(dga.cohomology_dims(args.genus, args.n, args.model))
+    rows = [{"degree": k, "weight": h, "dim": d} for (k, h), d in sorted(dims.items())]
+    payload = {"genus": args.genus, "n": args.n, "model": args.model, "table": rows}
+    cells = {kh: (d, None) for kh, d in dims.items()}
+    _write_table(args, args.n, cells, lambda: payload)
     return 0
 
 
-def _verify_genus0(max_n, lines):
-    ok = True
-    for n in range(max_n + 1):
-        if n == 1:
-            continue  # outside the model's range; closed form covers it
-        _progress(f"verify: genus 0 n={n}")
-        dims = dga.cohomology_dims(0, n, "A")
-        got = {}
-        for (d1, d2), dim in dims.items():
-            k = d1 + d2
-            got[k] = got.get(k, 0) + dim
+def _mismatches(n, want, got, cell, show):
+    """One line per cell where the closed form ``want`` and the brute
+    force ``got`` differ; ``show`` renders a cell's value, and is given
+    None for an absent (zero) cell."""
+    return [
+        f"mismatch n={n} {cell(key)}: closed form {show(want.get(key))} "
+        f"!= brute force {show(got.get(key))}"
+        for key in sorted(want.keys() | got.keys())
+        if want.get(key) != got.get(key)
+    ]
+
+
+def _verify_point(g, n, reps):
+    """Mismatch lines for n points: dims, then, with ``reps`` and once the
+    dims agree, decompositions; genus 0 compares Betti numbers only."""
+    got = _regrade(dga.cohomology_dims(g, n, "A"))
+    count = lambda d: d or 0
+    if g == 0:
+        betti = {}
+        for (k, _), dim in got.items():
+            betti[k] = betti.get(k, 0) + dim
         want = {k: d for k, d in enumerate(closedform.genus0_betti(n)) if d}
-        if got != want:
-            ok = False
-            for k in sorted(set(got) | set(want)):
-                if got.get(k, 0) != want.get(k, 0):
-                    lines.append(
-                        f"mismatch n={n} k={k}: closed form {want.get(k, 0)} "
-                        f"!= brute force {got.get(k, 0)}"
-                    )
-    return ok
-
-
-def _verify_positive_genus(g, max_n, check_reps, lines):
-    ok = True
-    for n in range(max_n + 1):
-        _progress(f"verify: genus {g} n={n}")
-        table = closedform.mixed_table(g, n)
-        want = table.dims()
-        dims = dga.cohomology_dims(g, n, "A")
-        got = {(d1 + d2, d1 + 2 * d2): dim for (d1, d2), dim in dims.items()}
-        if got != want:
-            ok = False
-            for kh in sorted(set(got) | set(want)):
-                if got.get(kh, 0) != want.get(kh, 0):
-                    k, h = kh
-                    lines.append(
-                        f"mismatch n={n} k={k} h={h}: closed form "
-                        f"{want.get(kh, 0)} != brute force {got.get(kh, 0)}"
-                    )
-            continue
-        if check_reps:
-            oracle_table = dga.cohomology_reps(g, n)
-            if oracle_table.entries != table.entries:
-                ok = False
-                keys = set(oracle_table.entries) | set(table.entries)
-                for kh in sorted(keys):
-                    a = table.entries.get(kh)
-                    b = oracle_table.entries.get(kh)
-                    if a != b:
-                        k, h = kh
-                        lines.append(
-                            f"mismatch n={n} k={k} h={h}: closed form "
-                            f"{a.text() if a else '0'} != brute force "
-                            f"{b.text() if b else '0'}"
-                        )
-    return ok
+        return _mismatches(n, want, betti, lambda k: f"k={k}", count)
+    table = closedform.mixed_table(g, n)
+    cell = lambda kh: f"k={kh[0]} h={kh[1]}"
+    lines = _mismatches(n, table.dims(), got, cell, count)
+    if reps and not lines:
+        oracle = dga.cohomology_reps(g, n).entries
+        show = lambda rep: rep.text() if rep else "0"
+        lines = _mismatches(n, table.entries, oracle, cell, show)
+    return lines
 
 
 def cmd_verify(args, parser):
     _check_oracle_budget(args, parser, args.max_n)
     lines = []
-    if args.genus == 0:
-        ok = _verify_genus0(args.max_n, lines)
-    else:
-        ok = _verify_positive_genus(args.genus, args.max_n, args.reps, lines)
-    what = "dims and representations" if args.reps else "dims"
+    for n in range(args.max_n + 1):
+        if args.genus == 0 and n == 1:
+            continue  # outside the model's range; closed form covers it
+        _progress(f"verify: genus {args.genus} n={n}")
+        lines += _verify_point(args.genus, n, args.reps)
+    ok = not lines
     if ok:
+        what = "dims and representations" if args.reps else "dims"
         lines.append(
             f"verify: genus {args.genus} n <= {args.max_n}: all tables agree ({what})"
         )
-    _emit("\n".join(lines), args.out)
+    _write(args, None, None, lambda: "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -320,7 +265,7 @@ def build_parser():
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="closed form against brute force")
-    common(p, "max-n")
+    common(p, "max-n", fmt=False)
     p.add_argument("--reps", action="store_true", help="compare decompositions too")
     p.set_defaults(fn=cmd_verify)
 

@@ -11,7 +11,7 @@ The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
 sum over u.  A table is therefore the bracket, written term by term from
 its formula and truncated at u^n, with each (t, s) column summed over
 u <= n; no series is built for it.  ``build_Q`` forms the whole master
-series as a TriSeries, for the q-series and Euler characteristics.
+series as a TriSeries, for the q-series.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -19,9 +19,10 @@ requires g >= 1.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
-from .reps import TRIVIAL, VirtualRep, rep_label
+from .reps import TRIVIAL, VirtualRep, dim_irrep, rep_label
 from .series import TriSeries
 
 __all__ = [
@@ -247,20 +248,20 @@ def euler_binomials(g, N):
 
 
 def euler_series(g, N):
-    """Euler characteristics of UConf_n for n <= N, from the tables."""
+    """Euler characteristics of UConf_n for n <= N.  The master series is
+    the bracket times 1/(1-u), so each is a running sum over u of the
+    bracket's alternating dimensions, taken in one pass over its terms."""
     if g == 0:
         out = []
         for n in range(N + 1):
             b = genus0_betti(n)
             out.append(sum((-1) ** k * d for k, d in enumerate(b)))
         return out
-    q = build_Q(g, N)
-    out = []
-    for n in range(N + 1):
-        out.append(
-            sum((-1) ** (t + s) * rep.dim(g) for (t, s), rep in q.coeff_u(n).items())
-        )
-    return out
+    per_u = [0] * (N + 1)
+    for (t, s, u), cell in _bracket(g, N).items():
+        dim = sum(mult * dim_irrep(g, label) for label, mult in cell.items())
+        per_u[u] += (-1) ** (t + s) * dim
+    return list(accumulate(per_u))
 
 
 def stabilization_bound(g, k, h):

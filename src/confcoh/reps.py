@@ -174,9 +174,6 @@ class VirtualRep:
         """True when every coefficient is nonnegative."""
         return all(m >= 0 for m in self._terms.values())
 
-    def dominates(self, other):
-        return (self - other).is_effective()
-
     def dim(self, g):
         return sum(m * dim_irrep(g, l) for l, m in self._terms.items())
 
@@ -360,11 +357,6 @@ class Character:
 
     def get(self, w):
         return self._mult.get(tuple(w), 0)
-
-    def mass(self):
-        """Total multiplicity over every Weyl orbit; equals the dimension
-        for a genuine character."""
-        return sum(orbit_size(w) * m for w, m in self._mult.items())
 
     def __bool__(self):
         return bool(self._mult)

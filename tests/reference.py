@@ -9,6 +9,10 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   series (``closedform.q_bracket``).
 - ``character_of``: the character of a virtual representation, which
   ``reps.peel_character`` must decompose back into it.
+- ``character_mass``: the total multiplicity of a character over every
+  Weyl orbit, which checks ``reps.irreducible_character`` against
+  ``reps.dim_irrep`` and ``dga.cohomology_weights`` against
+  ``dga.cohomology_dims``.
 - ``rank_dense_bareiss`` and ``transpose``: dense fraction-free rank and the
   transposed matrix, which check ``linalg.rank``.
 - ``read_matrix_market``: reads back what ``linalg.write_matrix_market``
@@ -183,6 +187,12 @@ def character_of(g, vrep):
     for label, m in vrep.items():
         out += irreducible_character(g, label).scaled(m)
     return out
+
+
+def character_mass(char):
+    """Total multiplicity over every Weyl orbit; equals the dimension for a
+    genuine character."""
+    return sum(reps.orbit_size(w) * m for w, m in char.items())
 
 
 # ---------------------------------------------------------------------------

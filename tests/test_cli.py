@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from confcoh.cli import main
+from confcoh.closedform import MixedTable
 from confcoh.dga import ORACLE_BUDGET
+from confcoh.reps import VirtualRep
 
 
 def run(capsys, *argv):
@@ -89,7 +92,6 @@ def test_table_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["genus"] == 2 and payload["n"] == 2
     from confcoh.closedform import mixed_table
-    from confcoh.reps import VirtualRep
 
     want = mixed_table(2, 2)
     got = {
@@ -188,23 +190,64 @@ def test_oracle_reps(capsys):
     assert oracle_out == table_out
 
 
-def test_verify_reports_mismatch(capsys, monkeypatch):
-    # force a wrong brute-force answer to exercise the failure protocol
-    from confcoh import cli, dga
-
-    real = dga.cohomology_dims
-
+def _doctored_dims(real):
     def doctored(g, n, model="A"):
         dims = dict(real(g, n, model))
         if n == 2:
             dims[(0, 0)] = dims.get((0, 0), 0) + 1
         return dims
 
-    monkeypatch.setattr(cli.dga, "cohomology_dims", doctored)
-    code = main(["verify", "--genus", "1", "--max-n", "2"])
+    return doctored
+
+
+def _doctored_reps(real):
+    def doctored(g, n, max_genus=None):
+        table = real(g, n)
+        if n == 2:
+            entries = dict(table.entries)
+            entries[(0, 0)] = entries[(0, 0)] + VirtualRep.unit()
+            table = MixedTable(g, n, entries)
+        return table
+
+    return doctored
+
+
+@pytest.mark.parametrize(
+    "genus, flags, target, doctor, line",
+    [
+        pytest.param(
+            "0", (), "cohomology_dims", _doctored_dims,
+            "mismatch n=2 k=0: closed form 1 != brute force 2", id="genus0",
+        ),
+        pytest.param(
+            "1", (), "cohomology_dims", _doctored_dims,
+            "mismatch n=2 k=0 h=0: closed form 1 != brute force 2", id="dims",
+        ),
+        pytest.param(
+            "1", ("--reps",), "cohomology_reps", _doctored_reps,
+            "mismatch n=2 k=0 h=0: closed form V(0,0) != brute force 2·V(0,0)",
+            id="reps",
+        ),
+    ],
+)
+def test_verify_reports_mismatch(
+    capsys, monkeypatch, genus, flags, target, doctor, line
+):
+    # force a wrong brute-force answer to exercise the failure protocol
+    from confcoh import cli
+
+    monkeypatch.setattr(cli.dga, target, doctor(getattr(cli.dga, target)))
+    code = main(["verify", "--genus", genus, "--max-n", "2", *flags])
     out = capsys.readouterr().out
     assert code == 1
-    assert "mismatch n=2 k=0 h=0" in out
+    assert out.splitlines() == [line]
+
+
+def test_verify_takes_no_format(capsys):
+    argv = ("verify", "--genus", "1", "--max-n", "2", "--format", "json")
+    assert run_expect_exit(capsys, *argv) == 2
+    captured = capsys.readouterr()
+    assert "--format" in captured.err and captured.out == ""
 
 
 def test_out_file_and_determinism(capsys, tmp_path):
@@ -227,3 +270,147 @@ def test_out_file_and_determinism(capsys, tmp_path):
         assert code == 0
     capsys.readouterr()
     assert path1.read_bytes() == path2.read_bytes()
+
+
+# SHA-256 of stdout and the exit code for each command in each format,
+# plus usage errors, so a change to the command layer cannot change what it
+# prints unnoticed.  `verify` takes no --format: those lines are usage
+# errors with nothing on stdout.
+CLI_SHA256 = {
+    "q-series --genus 2 --max-n 3 --format text": (
+        "daac60e723d1488039356fa8893be64130fa260953dc1a4c51565bb835a8eded", 0
+    ),
+    "q-series --genus 2 --max-n 3 --format json": (
+        "e25ba140ff8801219ce6e6fafed0dd26e4eaa2d9a3c51ce988b58a61ddcc8ede", 0
+    ),
+    "q-series --genus 2 --max-n 3 --format csv": (
+        "d0cecd016495945ea39751a3e525f3e9d250da013b3f6cf5ab6a154b39cab0aa", 0
+    ),
+    "q-series --genus 2 --max-n 3 --dims --format text": (
+        "2f0eeed73a271c4a8bf10d46c38b9cd5888a1466cd420a42db67a4dac028dba4", 0
+    ),
+    "q-series --genus 2 --max-n 3 --dims --format json": (
+        "3c7a9c7a38117c4b722b89971988ee7d15dc8747dcc75fc73f99275ac33ec2b8", 0
+    ),
+    "q-series --genus 2 --max-n 3 --dims --format csv": (
+        "d0cecd016495945ea39751a3e525f3e9d250da013b3f6cf5ab6a154b39cab0aa", 0
+    ),
+    "table --genus 2 --n 3 --format text": (
+        "60416629e63b5d186aa5daaee90a29fdf475c040aef1fcd4be763d55b80b8fcd", 0
+    ),
+    "table --genus 2 --n 3 --format json": (
+        "219bcbd42313ab45cb7fe43c0a735155acdbe09d84ef4c028c21c651c256a4fd", 0
+    ),
+    "table --genus 2 --n 3 --format csv": (
+        "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
+    ),
+    "table --genus 2 --n 3 --reps --format text": (
+        "6429e4efc0be153be7bb2b616bebcd2ad08cb31517ad3160d6f991c12044d8bf", 0
+    ),
+    "table --genus 2 --n 3 --reps --format json": (
+        "219bcbd42313ab45cb7fe43c0a735155acdbe09d84ef4c028c21c651c256a4fd", 0
+    ),
+    "table --genus 2 --n 3 --reps --format csv": (
+        "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
+    ),
+    "betti --genus 0 --n 4 --format text": (
+        "5ef06e99a5fe8e0178dd8a13975736ba0eb6b0fc150a913d7816003d0e97b44e", 0
+    ),
+    "betti --genus 0 --n 4 --format json": (
+        "97383f43461c18506d8555a242aa286d1b5e984c53edfba1af88435107ef666b", 0
+    ),
+    "betti --genus 0 --n 4 --format csv": (
+        "33d8da301509cde1a129caa2813bfce0025ddf23601680d745d727a14d7b050f", 0
+    ),
+    "betti --genus 2 --n 3 --format text": (
+        "0332d6f924a488661bebcf6b6d107a577ccbcd91c4aa2f367f566b7d4bd5646b", 0
+    ),
+    "betti --genus 2 --n 3 --format json": (
+        "aed4880cabce9cc6ac20faeb2389a8d4a41468e7143c8c7748434c43a6bc5b44", 0
+    ),
+    "betti --genus 2 --n 3 --format csv": (
+        "7bacf84a076f56bf17d04f6350635899b4e757e3c87f874565b53429b90a4cc5", 0
+    ),
+    "dim --genus 2 --i 1 --j 2 --format text": (
+        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", 0
+    ),
+    "dim --genus 2 --i 1 --j 2 --format json": (
+        "5b906c33187702740ff72e31fa55b672c5de2faf4ef1d5e09ea8e5205a127a3c", 0
+    ),
+    "dim --genus 2 --i 1 --j 2 --format csv": (
+        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", 0
+    ),
+    "euler --genus 2 --max-n 5 --format text": (
+        "d46a1acf6578cd187aa17ffec628de5c4034730bb20204f202b39aa3009201a3", 0
+    ),
+    "euler --genus 2 --max-n 5 --format json": (
+        "afd5498735eec53b25792ce59cff1aefb3d1bbd7e515a905f5048a6b14eddee0", 0
+    ),
+    "euler --genus 2 --max-n 5 --format csv": (
+        "415d12b4b93e12ebad34e6722c4a74f60f2b1b1149563c42e6d643f99ffaefbd", 0
+    ),
+    "oracle --genus 1 --n 3 --format text": (
+        "6d2506097ac043e5a77da30c17deae3ab70f222297a52b88f23ce78859a28a8d", 0
+    ),
+    "oracle --genus 1 --n 3 --format json": (
+        "2e66b2f6fabd5ffa94861700e497bc048c834574f032b6ef3e7238c6fd408ef0", 0
+    ),
+    "oracle --genus 1 --n 3 --format csv": (
+        "5d9ea84fb0fbbd01484734050565a56917b266d5df0566cc4f5a63ff3225704e", 0
+    ),
+    "oracle --genus 2 --n 3 --model B --format text": (
+        "60416629e63b5d186aa5daaee90a29fdf475c040aef1fcd4be763d55b80b8fcd", 0
+    ),
+    "oracle --genus 2 --n 3 --model B --format json": (
+        "1cb06bb6c0b00a7ff2a2252fe34c8ee0c19fe0cbed7915e6b19250549746c145", 0
+    ),
+    "oracle --genus 2 --n 3 --model B --format csv": (
+        "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
+    ),
+    "oracle --genus 2 --n 3 --reps --format text": (
+        "6429e4efc0be153be7bb2b616bebcd2ad08cb31517ad3160d6f991c12044d8bf", 0
+    ),
+    "oracle --genus 2 --n 3 --reps --format json": (
+        "219bcbd42313ab45cb7fe43c0a735155acdbe09d84ef4c028c21c651c256a4fd", 0
+    ),
+    "oracle --genus 2 --n 3 --reps --format csv": (
+        "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
+    ),
+    "verify --genus 0 --max-n 4": (
+        "c113f869e35b43b1d6b1efa7879c4361f4d4ec7a0ff92a17675c91fab734fce1", 0
+    ),
+    "verify --genus 2 --max-n 3 --reps": (
+        "a72fb6579e16822f7a4bd3ede2f79a1ccebfd7800a91bcd54cd73fec967def10", 0
+    ),
+    "verify --genus 2 --max-n 3 --reps --format json": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "verify --genus 2 --max-n 3 --reps --format csv": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "q-series --genus 0 --max-n 2": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "dim --genus 2 --i 0 --j 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "oracle --genus 1 --n 99": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "oracle --genus 0 --n 3 --reps": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+    "betti --genus 1 --n -1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+    ),
+}
+
+
+def test_cli_bytes_unchanged(capsys):
+    for line, want in CLI_SHA256.items():
+        try:
+            code = main(line.split())
+        except SystemExit as exit_:
+            code = exit_.code
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == want, line

@@ -295,7 +295,7 @@ def test_table_monotone_in_n():
             small = mixed_table(g, n)
             large = mixed_table(g, n + 1)
             for kh, rep in small.entries.items():
-                assert large.entries.get(kh, VirtualRep.zero()).dominates(rep)
+                assert (large.entries.get(kh, VirtualRep.zero()) - rep).is_effective()
 
 
 def test_band_on_computed_tables():
@@ -331,8 +331,8 @@ def test_euler_series_matches_binomials():
     assert euler_series(1, 6) == [1, 0, 0, 0, 0, 0, 0]
     assert euler_series(2, 3) == [1, -2, 3, -4]
     assert euler_series(0, 4) == [1, 2, 1, 0, 0]
-    for g in range(0, 5):
-        assert euler_series(g, 12) == euler_binomials(g, 12)
+    for g in range(0, 9):
+        assert euler_series(g, 40) == euler_binomials(g, 40)
 
 
 def test_genus0_betti_table():
