@@ -23,11 +23,11 @@ def _write(args, payload, csv, text):
     """Write the result in the requested --format to --out or stdout,
     newline-ended.  ``payload`` (the JSON value), ``csv`` (its lines) and
     ``text`` are functions of no arguments, and only the requested one is
-    called; ``csv`` None renders CSV as text."""
+    called; a command without --format writes text."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         out = json.dumps(payload(), sort_keys=True)
-    elif fmt == "csv" and csv is not None:
+    elif fmt == "csv":
         out = "\n".join(csv())
     else:
         out = text()
@@ -64,9 +64,10 @@ def _write_table(args, n, cells, payload):
     _write(args, payload, csv, text)
 
 
-def _write_mixed(args, table):
+def _write_mixed(args, table, **extra):
+    """Write a MixedTable; ``extra`` keys join its JSON."""
     cells = {kh: (rep.dim(table.genus), rep) for kh, rep in table.entries.items()}
-    _write_table(args, table.n, cells, table.to_json)
+    _write_table(args, table.n, cells, lambda: {**table.to_json(), **extra})
 
 
 def _regrade(dims):
@@ -111,7 +112,8 @@ def cmd_dim(args, parser):
         parser.error(f"label ({args.i}, {args.j}) is not dominant for genus {args.genus}")
     d = dim_irrep(args.genus, label)
     payload = {"genus": args.genus, "i": args.i, "j": args.j, "dim": d}
-    _write(args, lambda: payload, None, lambda: str(d))
+    csv = lambda: ["genus,i,j,dim", f"{args.genus},{args.i},{args.j},{d}"]
+    _write(args, lambda: payload, csv, lambda: str(d))
     return 0
 
 
@@ -146,7 +148,7 @@ def cmd_oracle(args, parser):
         _progress(f"wrote {len(written)} block matrices to {args.debug_dir}")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
-        _write_mixed(args, dga.cohomology_reps(args.genus, args.n))
+        _write_mixed(args, dga.cohomology_reps(args.genus, args.n), model="A")
         return 0
     dims = _regrade(dga.cohomology_dims(args.genus, args.n, args.model))
     rows = [{"degree": k, "weight": h, "dim": d} for (k, h), d in sorted(dims.items())]

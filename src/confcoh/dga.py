@@ -17,7 +17,11 @@ cohomology gives the weight-graded cohomology of the n-point unordered
 configuration space after the regrading
 (k, h) = (deg1 + deg2, deg1 + 2*deg2).
 
-Monomials are stored packed (exterior bits, flags and exponents), and the
+A monomial is a plain 5-tuple (ext, s1, p, sp, sym): a bitmask of the
+exterior generators a_1..a_g, b_1..b_g, the s1 and sp flags, the p
+exponent, and the tuple of exponents of sa_1..sa_g, sb_1..sb_g.
+``Monomial`` names those fields; the rank loop builds plain tuples, which
+hash and compare equal to a ``Monomial`` with the same fields.  The
 differential is computed on those fields directly, its Koszul signs read
 off as parities of exterior bits.  Blocks are split by torus weight before
 the exact rank computation, which is valid because d preserves the weight.
@@ -69,7 +73,13 @@ class Genus0N1Unsupported(ValueError):
 
 class Monomial(NamedTuple):
     """Canonical monomial: exterior bits for a_1..a_g, b_1..b_g, flags for
-    s1 and sp, the p exponent, and the exponents of sa_1..sa_g, sb_1..sb_g."""
+    s1 and sp, the p exponent, and the exponents of sa_1..sa_g, sb_1..sb_g.
+
+    The layout of every monomial, named: ``differential_monomial`` and the
+    dominant-weight groups hold plain tuples in this field order, which
+    hash and compare equal to the ``Monomial`` with the same fields, so the
+    two mix freely as dict keys.  Read a monomial's fields by position.
+    """
 
     ext: int
     s1: int
@@ -80,30 +90,32 @@ class Monomial(NamedTuple):
 
 def mono_degrees(g, m):
     """(deg1, deg2, deg3) of a monomial."""
-    ext = m.ext.bit_count()
-    sym = sum(m.sym)
+    ext, s1, p, sp, sym = m
+    ext = ext.bit_count()
+    sym = sum(sym)
     return (
-        ext + 2 * m.p + 2 * m.sp + sym,
-        m.s1 + m.sp + sym,
-        ext + m.p + 2 * m.s1 + 2 * m.sp + 2 * sym,
+        ext + 2 * p + 2 * sp + sym,
+        s1 + sp + sym,
+        ext + p + 2 * s1 + 2 * sp + 2 * sym,
     )
 
 
 def mono_weight(g, m):
     """Torus weight as a g-tuple."""
+    ext, _, _, _, sym = m
     w = [0] * g
     for i in range(g):
-        if m.ext >> i & 1:
+        if ext >> i & 1:
             w[i] += 1
-        if m.ext >> (g + i) & 1:
+        if ext >> (g + i) & 1:
             w[i] -= 1
-        w[i] += m.sym[i] - m.sym[g + i]
+        w[i] += sym[i] - sym[g + i]
     return tuple(w)
 
 
 def differential_monomial(g, model, m):
     """d of a monomial of the model by the Leibniz rule, as a list of
-    (coeff, Monomial).
+    (coeff, image), each image a plain tuple in ``Monomial`` field order.
 
     In the canonical order a < b < s1 < p < sp < sa < sb each Koszul sign is
     a parity of exterior bits: d(s1) and d(sp) sit behind ext (and s1), and
@@ -117,22 +129,22 @@ def differential_monomial(g, model, m):
     out = []
     if s1:
         if raise_p:
-            out.append((sign, Monomial(ext, 0, p + 1, sp, sym)))
+            out.append((sign, (ext, 0, p + 1, sp, sym)))
         for i in range(g):
             pair = 1 << i | 1 << (g + i)
             if not ext & pair:
                 above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
                 coeff = sign if above & 1 else -sign
-                out.append((coeff, Monomial(ext | pair, 0, p, sp, sym)))
+                out.append((coeff, (ext | pair, 0, p, sp, sym)))
     if sp:
-        out.append((-sign if s1 else sign, Monomial(ext, s1, p + 2, 0, sym)))
+        out.append((-sign if s1 else sign, (ext, s1, p + 2, 0, sym)))
     if raise_p:
         for j, e in enumerate(sym):
             if e and not ext >> j & 1:
                 below = (ext & ((1 << j) - 1)).bit_count()
                 rest = sym[:j] + (e - 1,) + sym[j + 1:]
                 coeff = -e if below & 1 else e
-                out.append((coeff, Monomial(ext | 1 << j, s1, p + 1, sp, rest)))
+                out.append((coeff, (ext | 1 << j, s1, p + 1, sp, rest)))
     return out
 
 
@@ -182,14 +194,23 @@ def blocks(g, n, model="A"):
 
 def _matrix(g, model, source, target):
     """Matrix of d from the ``source`` monomials (columns) to the ``target``
-    monomials (rows), which must hold every image."""
-    row = {m: r for r, m in enumerate(target)}
-    entries = [
-        (row[image], col, coeff)
-        for col, m in enumerate(source)
-        for coeff, image in differential_monomial(g, model, m)
-    ]
-    return SparseIntMatrix(len(target), len(source), entries)
+    monomials (rows).
+
+    Each term is written straight into its target row.  An image missing
+    from ``target`` raises KeyError; ``SparseIntMatrix.from_rows`` rejects a
+    zero coefficient, and a duplicate term, which would overwrite an entry,
+    by comparing the entries written with the terms returned."""
+    slots = {m: {} for m in target}
+    if len(slots) != len(target):
+        raise ValueError("repeated target monomial")
+    terms = 0
+    for col, m in enumerate(source):
+        images = differential_monomial(g, model, m)
+        terms += len(images)
+        for coeff, image in images:
+            slots[image][col] = coeff
+    rows = enumerate(slots.values())
+    return SparseIntMatrix.from_rows(len(target), len(source), rows, terms)
 
 
 def _coordinate_states(n):
@@ -213,7 +234,8 @@ def _coordinate_states(n):
 
 def _dominant_groups(g, n, model):
     """The monomials of F_n whose torus weight is dominant, grouped by
-    ((deg1, deg2), weight), each group in basis order.
+    ((deg1, deg2), weight), each group in basis order; the members are
+    plain tuples in ``Monomial`` field order.
 
     Built one coordinate at a time: coordinate i takes a part of weight
     w_i <= w_(i-1) from ``_coordinate_states``, and s1, p and sp come last,
@@ -253,7 +275,7 @@ def _dominant_groups(g, n, model):
             if d3 + t3 > n:
                 break
             groups.setdefault(((d1 + t1, d2 + t2), w), []).append(
-                Monomial(ext, s1, p, sp, sym)
+                (ext, s1, p, sp, sym)
             )
     for members in groups.values():
         members.sort()

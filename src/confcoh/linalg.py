@@ -13,13 +13,18 @@ from math import gcd
 
 
 class SparseIntMatrix:
-    """Integer matrix stored as row -> {col: value}; zeros are never stored."""
+    """Integer matrix stored as row -> {col: value}; zeros and empty rows
+    are never stored.
+
+    Two constructors give the same matrix: ``SparseIntMatrix(n_rows,
+    n_cols, entries)`` checks each (row, col, value) triple in turn and
+    skips zeros, and ``from_rows`` takes rows that are already built.
+    """
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
     def __init__(self, n_rows, n_cols, entries=()):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("negative matrix dimensions")
+        _check_shape(n_rows, n_cols)
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.rows = {}
@@ -33,6 +38,33 @@ class SparseIntMatrix:
                 raise ValueError(f"duplicate entry at ({r}, {c})")
             row[c] = v
 
+    @classmethod
+    def from_rows(cls, n_rows, n_cols, rows, count):
+        """The matrix with the given rows, (row, {col: value}) pairs.
+
+        The dicts are taken over, not copied, and empty ones are dropped.
+        Raises ValueError on a row index outside the shape, on a zero value,
+        and unless the rows hold exactly ``count`` entries: a caller that
+        wrote ``count`` terms learns this way that two of them fell on one
+        (row, col), where the later one overwrote the earlier.  Column
+        indices are taken as given, so the caller must write them below
+        ``n_cols``.  Every check runs over whole rows, not entry by entry,
+        which is what makes this constructor cheaper than the other.
+        """
+        _check_shape(n_rows, n_cols)
+        self = cls.__new__(cls)
+        self.n_rows = n_rows
+        self.n_cols = n_cols
+        self.rows = rows = {r: row for r, row in rows if row}
+        if rows and not (0 <= min(rows) and max(rows) < n_rows):
+            raise ValueError(f"a row index falls outside {n_rows}x{n_cols}")
+        if not all(map(all, map(dict.values, rows.values()))):
+            raise ValueError("zero entry")
+        written = self.nnz()
+        if written != count:
+            raise ValueError(f"{written} entries written for {count} terms")
+        return self
+
     def entries(self):
         """Yield (row, col, value) sorted by (row, col)."""
         for r in sorted(self.rows):
@@ -41,7 +73,7 @@ class SparseIntMatrix:
                 yield r, c, row[c]
 
     def nnz(self):
-        return sum(len(row) for row in self.rows.values())
+        return sum(map(len, self.rows.values()))
 
     @classmethod
     def from_dense(cls, dense):
@@ -69,6 +101,11 @@ class SparseIntMatrix:
 
     def __repr__(self):
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
+
+
+def _check_shape(n_rows, n_cols):
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("negative matrix dimensions")
 
 
 def rank(m):

@@ -355,9 +355,6 @@ class Character:
     def items(self):
         return sorted(self._mult.items(), reverse=True)
 
-    def get(self, w):
-        return self._mult.get(tuple(w), 0)
-
     def __bool__(self):
         return bool(self._mult)
 
@@ -377,9 +374,6 @@ class Character:
         for w, m in other._mult.items():
             out[w] = out.get(w, 0) - m
         return Character(out)
-
-    def scaled(self, c):
-        return Character({w: c * m for w, m in self._mult.items()})
 
     def __repr__(self):
         return f"Character({self._mult!r})"
@@ -449,8 +443,12 @@ def _dominant_mults(g, lam):
     return tuple(sorted(mults.items()))
 
 
+@lru_cache(maxsize=None)
 def irreducible_character(g, label):
-    """Character of V_{i*w1 + w_j}: its dominant-weight multiplicities."""
+    """Character of V_{i*w1 + w_j}: its dominant-weight multiplicities.
+
+    Built and validated once per (g, label) and then shared, so the
+    returned Character must not be mutated; none of its methods does."""
     _check_genus(g)
     label = RepLabel(*label)
     if label == ZERO:

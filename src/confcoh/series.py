@@ -101,10 +101,6 @@ class TriSeries:
         self._c = {k: v for k, v in data.items() if v}
 
     @classmethod
-    def zero(cls, u_trunc):
-        return cls(u_trunc)
-
-    @classmethod
     def one(cls, u_trunc):
         return cls(u_trunc, {(0, 0, 0): 1})
 
@@ -115,9 +111,6 @@ class TriSeries:
     def coeffs(self):
         """Terms sorted lexicographically by (u, t, s)."""
         return sorted(self._c.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
-
-    def get(self, t, s, u):
-        return self._c.get((t, s, u), VirtualRep.zero())
 
     def __bool__(self):
         return bool(self._c)

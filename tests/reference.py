@@ -185,7 +185,7 @@ def character_of(g, vrep):
     """Character of a virtual representation (sum of irreducible characters)."""
     out = Character()
     for label, m in vrep.items():
-        out += irreducible_character(g, label).scaled(m)
+        out += Character({w: m * mm for w, mm in irreducible_character(g, label).items()})
     return out
 
 
@@ -255,6 +255,11 @@ def read_matrix_market(path):
 # series
 
 
+def coeff(q, t, s, u):
+    """The (t, s, u) coefficient of a TriSeries, zero where it has none."""
+    return dict(q.coeffs()).get((t, s, u), VirtualRep.zero())
+
+
 def _tri(N, terms):
     return TriSeries(N, {(t, s, u): c for t, s, u, c in terms})
 
@@ -274,7 +279,7 @@ def _core(g, N, j):
 def _tail(g, N, factor):
     """sum over 1 <= j <= g of factor(j) * _core(g, N, j)."""
     return sum(
-        (factor(j) * _core(g, N, j) for j in range(1, g + 1)), TriSeries.zero(N)
+        (factor(j) * _core(g, N, j) for j in range(1, g + 1)), TriSeries(N)
     )
 
 

@@ -67,6 +67,24 @@ def test_dim_command(capsys):
     assert out == "16"
 
 
+def test_dim_csv_has_a_header(capsys):
+    code, out = run(capsys, "dim", "--genus", "2", "--i", "1", "--j", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["genus,i,j,dim", "2,1,2,16"]
+
+
+def test_oracle_json_shapes_differ_only_by_decomposition(capsys):
+    argv = ("oracle", "--genus", "2", "--n", "3", "--format", "json")
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    code, reps = run(capsys, *argv, "--reps")
+    assert code == 0
+    plain, reps = json.loads(plain), json.loads(reps)
+    for row in reps["table"]:
+        assert row.pop("decomposition")
+    assert reps == plain
+
+
 def test_dim_rejects_non_dominant(capsys):
     assert run_expect_exit(capsys, "dim", "--genus", "2", "--i", "0", "--j", "3") == 2
 
@@ -338,7 +356,7 @@ CLI_SHA256 = {
         "5b906c33187702740ff72e31fa55b672c5de2faf4ef1d5e09ea8e5205a127a3c", 0
     ),
     "dim --genus 2 --i 1 --j 2 --format csv": (
-        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", 0
+        "a1abd54048fad2550c089f607d0ab399f530fbef779977f9c5fdc45bc0ec1fca", 0
     ),
     "euler --genus 2 --max-n 5 --format text": (
         "d46a1acf6578cd187aa17ffec628de5c4034730bb20204f202b39aa3009201a3", 0
@@ -371,7 +389,7 @@ CLI_SHA256 = {
         "6429e4efc0be153be7bb2b616bebcd2ad08cb31517ad3160d6f991c12044d8bf", 0
     ),
     "oracle --genus 2 --n 3 --reps --format json": (
-        "219bcbd42313ab45cb7fe43c0a735155acdbe09d84ef4c028c21c651c256a4fd", 0
+        "e5ae6e6b58aa4305c3be3d613c9078f98b190356b756ffb27ea54202b877a01b", 0
     ),
     "oracle --genus 2 --n 3 --reps --format csv": (
         "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0

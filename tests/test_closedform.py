@@ -16,6 +16,7 @@ from confcoh.closedform import (
 from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, rep_label
 from confcoh.series import TriSeries
 from reference import (
+    coeff,
     build_P_HA,
     build_P_SV,
     build_P_ker_cap,
@@ -40,9 +41,9 @@ def V(g, i, j, mult=1):
 
 def test_p_sv_low_order():
     p = build_P_SV(1, 4)
-    assert p.get(1, 0, 1) == VirtualRep.single(W1)
+    assert coeff(p, 1, 0, 1) == VirtualRep.single(W1)
     # coefficient at (2,1) collects the geometric factor and V tensor V
-    assert p.get(2, 1, 3) == VirtualRep.unit() + V(1, 1, 1)
+    assert coeff(p, 2, 1, 3) == VirtualRep.unit() + V(1, 1, 1)
 
 
 def test_p_sv_matches_direct_decomposition():
@@ -65,36 +66,36 @@ def test_p_sv_matches_direct_decomposition():
                             want += VirtualRep.single(rep_label(g, i, 0), m)
                         else:
                             want += tensor_std_sym_decomp(g, i, lj).scaled(m)
-                assert p.get(j + i, i, j + 2 * i) == want, (g, i, j)
+                assert coeff(p, j + i, i, j + 2 * i) == want, (g, i, j)
 
 
 def test_p_ker_cap_examples():
     p1 = build_P_ker_cap(1, 4)
-    assert p1.get(2, 0, 2) == VirtualRep.unit()  # the leading t^(2g)
-    assert p1.get(1, 0, 1) == VirtualRep.single(W1)
-    assert build_P_ker_cap(2, 1).get(1, 0, 1) == VirtualRep.zero()
+    assert coeff(p1, 2, 0, 2) == VirtualRep.unit()  # the leading t^(2g)
+    assert coeff(p1, 1, 0, 1) == VirtualRep.single(W1)
+    assert coeff(build_P_ker_cap(2, 1), 1, 0, 1) == VirtualRep.zero()
 
 
 def test_p_ker_mod_examples():
     assert build_P_ker_mod(1, 0) == TriSeries.one(0)
-    assert build_P_ker_mod(1, 1).get(1, 0, 1) == VirtualRep.single(W1)
-    assert build_P_ker_mod(2, 2).get(2, 0, 2) == V(2, 0, 2)
+    assert coeff(build_P_ker_mod(1, 1), 1, 0, 1) == VirtualRep.single(W1)
+    assert coeff(build_P_ker_mod(2, 2), 2, 0, 2) == V(2, 0, 2)
 
 
 def test_p_quot_examples():
     p = build_P_quot(1, 3)
-    assert p.get(0, 0, 0) == VirtualRep.unit()
-    assert p.get(2, 1, 3) == VirtualRep.unit()  # the t^2 s prefactor alone
-    assert p.get(1, 1, 2) == VirtualRep.single(W1)
+    assert coeff(p, 0, 0, 0) == VirtualRep.unit()
+    assert coeff(p, 2, 1, 3) == VirtualRep.unit()  # the t^2 s prefactor alone
+    assert coeff(p, 1, 1, 2) == VirtualRep.single(W1)
     # at higher genus the inner sum contributes at (2, 1) as well
-    assert build_P_quot(2, 3).get(2, 1, 3) == VirtualRep.unit() + V(2, 0, 2)
+    assert coeff(build_P_quot(2, 3), 2, 1, 3) == VirtualRep.unit() + V(2, 0, 2)
 
 
 def test_p_ha_examples():
     p = build_P_HA(1, 4)
-    assert p.get(0, 0, 0) == VirtualRep.unit()
-    assert p.get(1, 0, 1) == VirtualRep.single(W1)
-    assert p.get(2, 0, 2) == VirtualRep.unit()
+    assert coeff(p, 0, 0, 0) == VirtualRep.unit()
+    assert coeff(p, 1, 0, 1) == VirtualRep.single(W1)
+    assert coeff(p, 2, 0, 2) == VirtualRep.unit()
 
 
 def test_p_series_are_stored_with_u_equal_to_total_degree():

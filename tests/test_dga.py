@@ -19,7 +19,7 @@ from confcoh.dga import (
     mono_degrees,
     mono_weight,
 )
-from confcoh.linalg import rank
+from confcoh.linalg import SparseIntMatrix, rank
 from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep, _is_dominant
 from reference import (
     basis_count_series,
@@ -364,7 +364,7 @@ def test_cohomology_characters_are_weyl_invariant():
             weights = cohomology_weights(g, n)
             mass = Counter()
             for (block, w), dim in reference_cohomology_by_weight(g, n).items():
-                got = weights.get(block, Character()).get(_dom_rep(w))
+                got = dict(weights.get(block, Character()).items()).get(_dom_rep(w))
                 assert got == dim, (g, n, block, w)
                 mass[block] += dim
             assert {block: character_mass(char) for block, char in weights.items()} == mass
@@ -407,6 +407,48 @@ def test_empty_target_groups_have_no_differential():
                     assert differential_monomial(g, model, m) == [], (g, n, model, m)
                 skipped += 1
     assert skipped
+
+
+def test_matrix_matches_the_checked_constructor():
+    # the row writer against the constructor that checks entry by entry,
+    # on every group the rank loop ranks
+    ranked = 0
+    for g, n, model in sweep_points():
+        groups = dga._dominant_groups(g, n, model)
+        for ((d1, d2), w), source in groups.items():
+            target = groups.get(((d1 + 2, d2 - 1), w))
+            if not target:
+                continue
+            row = {m: r for r, m in enumerate(target)}
+            entries = [
+                (row[image], col, coeff)
+                for col, m in enumerate(source)
+                for coeff, image in differential_monomial(g, model, m)
+            ]
+            want = SparseIntMatrix(len(target), len(source), entries)
+            got = dga._matrix(g, model, source, target)
+            assert got == want, (g, n, model, (d1, d2), w)
+            ranked += 1
+    assert ranked > 1000
+
+
+SOURCE = Monomial(0, 0, 0, 0, (1, 0))
+IMAGE = Monomial(1, 0, 1, 0, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "terms, target, error",
+    [
+        pytest.param([(0, IMAGE)], [IMAGE], ValueError, id="zero"),
+        pytest.param([(1, IMAGE), (2, IMAGE)], [IMAGE], ValueError, id="duplicate"),
+        pytest.param([(1, IMAGE)], [one(1)], KeyError, id="row-outside-target"),
+        pytest.param([(1, IMAGE)], [IMAGE, IMAGE], ValueError, id="repeated-target"),
+    ],
+)
+def test_matrix_rejects_bad_terms(monkeypatch, terms, target, error):
+    monkeypatch.setattr(dga, "differential_monomial", lambda g, model, m: terms)
+    with pytest.raises(error):
+        dga._matrix(1, "A", [SOURCE], target)
 
 
 def test_genus0_builds_no_coordinate_table(monkeypatch):

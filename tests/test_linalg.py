@@ -38,6 +38,33 @@ def test_zero_entries_not_stored():
     assert m.nnz() == 1
 
 
+def test_from_rows_matches_the_checked_constructor():
+    m = SparseIntMatrix.from_rows(3, 4, [(0, {1: 5}), (1, {}), (2, {3: -7, 0: 1})], 3)
+    assert m == SparseIntMatrix(3, 4, [(0, 1, 5), (2, 3, -7), (2, 0, 1)])
+    assert sorted(m.rows) == [0, 2]  # the empty row is not stored
+
+
+@pytest.mark.parametrize(
+    "rows, count, match",
+    [
+        pytest.param([(0, {0: 0})], 1, "zero", id="zero"),
+        # the second write to (0, 0) overwrote the first
+        pytest.param([(0, {0: 2, 1: 1})], 3, "written", id="duplicate"),
+        pytest.param([(0, {0: 1}), (0, {1: 1})], 2, "written", id="duplicate-row"),
+        pytest.param([(2, {0: 1})], 1, "row", id="row-past-the-end"),
+        pytest.param([(-1, {0: 1})], 1, "row", id="negative-row"),
+    ],
+)
+def test_from_rows_rejects(rows, count, match):
+    with pytest.raises(ValueError, match=match):
+        SparseIntMatrix.from_rows(2, 2, rows, count)
+
+
+def test_from_rows_rejects_negative_dimensions():
+    with pytest.raises(ValueError, match="negative"):
+        SparseIntMatrix.from_rows(-1, 2, [], 0)
+
+
 def _random_dense(rng, n_rows, n_cols, values):
     return [[rng.choice(values) for _ in range(n_cols)] for _ in range(n_rows)]
 

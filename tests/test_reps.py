@@ -221,6 +221,11 @@ def test_character_second_fundamental():
     assert char == Character({(1, 1): 1, (0, 0): 1})
 
 
+def test_character_built_once_per_label():
+    # peel_character asks for the same characters at every step
+    assert irreducible_character(3, RepLabel(1, 2)) is irreducible_character(3, (1, 2))
+
+
 def test_character_trivial():
     for g in (1, 2, 3):
         assert irreducible_character(g, TRIVIAL) == Character({(0,) * g: 1})

@@ -1,6 +1,7 @@
 import ast
 import doctest
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import confcoh
@@ -66,55 +67,113 @@ NO_CALLER_NEEDED = {
 }
 
 
-def _referenced_names(node):
-    names = set()
+# Method names that a builtin container also defines: a call such as
+# ``x.get(...)`` may be a dict's, so it vouches for no method of that name.
+CONTAINER_METHODS = {
+    name for kind in (dict, list, tuple) for name in dir(kind) if not name.startswith("__")
+}
+
+
+# Methods whose name another class or a builtin container also defines,
+# called on an instance whose class the guard cannot see; each names its
+# caller.
+CALLED_THROUGH_AN_INSTANCE = {
+    "MixedTable.to_json": "cli._write_mixed writes table.to_json()",
+    "VirtualRep.to_json": "MixedTable.to_json writes rep.to_json() per cell",
+    "TriSeries.to_json": "cli.cmd_q_series writes shown.to_json()",
+    "Character.items": "reps.peel_character reads char.items()",
+}
+
+
+def _referenced_names(node, cls, classes):
+    """(names, qualified): every name and attribute ``node`` mentions, and
+    the (class, method) pairs it reaches through ``self.``, ``cls.`` inside
+    class ``cls`` or through a class of ``classes`` by name."""
+    names, qualified = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
+            owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+            if cls and owner in ("self", "cls"):
+                qualified.add((cls, sub.attr))
+            elif owner in classes:
+                qualified.add((owner, sub.attr))
         elif isinstance(sub, ast.alias):
             names.add(sub.name)
-    return names
+    return names, qualified
 
 
-def _definitions(body, prefix=""):
-    """(qualified name, name, referenced names) for each function, class
-    and non-dunder method in ``body``, and the names its other statements
-    reference; a definition's own name is not a caller of itself."""
-    defs, referenced = [], set()
+def _definitions(body, classes, cls=None):
+    """(qualified name, class, name) for each function, class and
+    non-dunder method in ``body``, with the names and (class, method) pairs
+    the code references; a definition's own name is not a caller of
+    itself."""
+    defs, names, qualified = [], set(), set()
     for node in body:
         if isinstance(node, ast.ClassDef):
-            inner, inner_refs = _definitions(node.body, f"{node.name}.")
-            defs.append((prefix + node.name, node.name))
+            inner, inner_names, inner_qualified = _definitions(node.body, classes, node.name)
+            defs.append((node.name, None, node.name))
             defs += inner
             for sub in node.bases + node.decorator_list:
-                inner_refs |= _referenced_names(sub)
-            referenced |= inner_refs - {node.name}
+                sub_names, sub_qualified = _referenced_names(sub, None, classes)
+                inner_names |= sub_names
+                inner_qualified |= sub_qualified
+            names |= inner_names - {node.name}
+            qualified |= inner_qualified
         elif isinstance(node, ast.FunctionDef):
             name = node.name
-            if not (prefix and name.startswith("__") and name.endswith("__")):
-                defs.append((prefix + name, name))
-            referenced |= _referenced_names(node) - {name}
+            if not (cls and name.startswith("__") and name.endswith("__")):
+                defs.append((f"{cls}.{name}" if cls else name, cls, name))
+            sub_names, sub_qualified = _referenced_names(node, cls, classes)
+            names |= sub_names - {name}
+            qualified |= sub_qualified - {(cls, name)}
         else:
-            referenced |= _referenced_names(node)
-    return defs, referenced
+            sub_names, sub_qualified = _referenced_names(node, cls, classes)
+            names |= sub_names
+            qualified |= sub_qualified
+    return defs, names, qualified
 
 
 def test_src_definitions_have_a_product_caller():
-    # a definition that only tests call belongs in tests/reference.py
-    defined = []
-    referenced = set()
-    for path in sorted(SRC.glob("*.py")):
-        defs, refs = _definitions(ast.parse(path.read_text(), filename=str(path)).body)
-        defined += [(path.name, qualname, name) for qualname, name in defs]
-        referenced |= refs
-    assert any("." in qualname for _, qualname, _ in defined)
+    # a definition that only tests call belongs in tests/reference.py.  A
+    # method whose name another src class or a builtin container also
+    # defines counts as called only when reached through self., cls. or its
+    # class name, since a bare ``x.name(...)`` may be the other one's.
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    classes = {
+        node.name for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    defined, names, qualified = [], set(), set()
+    for file, tree in trees.items():
+        defs, file_names, file_qualified = _definitions(tree.body, classes)
+        defined += [(file, *d) for d in defs]
+        names |= file_names
+        qualified |= file_qualified
+    methods = [(cls, name) for _, _, cls, name in defined if cls]
+    assert methods
+    shared = CONTAINER_METHODS | {
+        name for name, count in Counter(name for _, name in methods).items() if count > 1
+    }
+
+    def called(cls, name):
+        if cls is None:
+            return name in names
+        return (cls, name) in qualified or (name not in shared and name in names)
+
     orphans = sorted(
         f"{file}:{qualname}"
-        for file, qualname, name in defined
-        if name not in referenced
+        for file, qualname, cls, name in defined
+        if not called(cls, name)
         and name not in confcoh.__all__
         and qualname not in NO_CALLER_NEEDED
+        and qualname not in CALLED_THROUGH_AN_INSTANCE
     )
     assert orphans == []
+    # an entry whose name nothing in src/ mentions any more is stale
+    assert [q for q in CALLED_THROUGH_AN_INSTANCE if q.split(".")[1] not in names] == []
