@@ -66,7 +66,7 @@ def _write_table(args, n, cells, payload):
 
 def _write_mixed(args, table, **extra):
     """Write a MixedTable; ``extra`` keys join its JSON."""
-    cells = {kh: (rep.dim(table.genus), rep) for kh, rep in table.entries.items()}
+    cells = {kh: (dim, table.entries[kh]) for kh, dim in table.dims().items()}
     _write_table(args, table.n, cells, lambda: {**table.to_json(), **extra})
 
 

@@ -8,10 +8,13 @@ points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
 The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
-sum over u.  A table is therefore the bracket, written term by term from
-its formula and truncated at u^n, with each (t, s) column summed over
-u <= n; no series is built for it.  ``build_Q`` forms the whole master
-series as a TriSeries, for the q-series.
+sum over u.  The bracket is written from its formula, truncated at u^n,
+as a flat list of (t, s, u, label) terms of multiplicity one, and each
+consumer aggregates the list as it needs: a table sums each (t, s) column
+over u <= n, and no series is built for it; ``q_bracket`` groups it by
+(t, s, u), and ``build_Q`` forms the whole master series from that as a
+TriSeries, for the q-series; ``euler_series`` sums alternating
+dimensions per u.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from types import MappingProxyType
 
 from .reps import TRIVIAL, VirtualRep, dim_irrep, rep_label
 from .series import TriSeries
@@ -45,27 +49,25 @@ def _check_genus(g):
 
 
 def _bracket_terms(g, N):
-    """The bracket of ``q_bracket`` as (t, s, u) -> {label: mult} up to u^N.
-    Its scalar factors, expanded, give 8 shifts per j, and each label
-    V(i, j) is added once at each shift, so no multiplicity is zero."""
-    terms = {}
-
-    def add(t, s, u, label):
-        if u <= N:
-            cell = terms.setdefault((t, s, u), {})
-            cell[label] = cell.get(label, 0) + 1
-
+    """The bracket of ``q_bracket`` up to u^N as a flat list of
+    (t, s, u, label) terms, each of multiplicity one; a label that occurs
+    twice at one (t, s, u) is listed twice.  Its scalar factors, expanded,
+    give 8 shifts per j, and each label V(i, j) is listed once at each
+    shift.  Labels come from ``rep_label`` or are TRIVIAL, never ZERO.
+    Consumers aggregate the list as they need it."""
     # (1+t^2 s u^3)(1+t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2), expanded
     scalar = [(0, 0, 0), (2, 0, 1), (2, 1, 3), (4, 1, 4)]
-    for t, s, u in scalar + [(2 * g, 1, 2 * g + 2), (2 * g + 2, 2, 2 * g + 4)]:
-        add(t, s, u, TRIVIAL)
+    scalar += [(2 * g, 1, 2 * g + 2), (2 * g + 2, 2, 2 * g + 4)]
+    terms = [(t, s, u, TRIVIAL) for t, s, u in scalar if u <= N]
     pre = [(0, 0, 0), (2, 1, 2), (2, 1, 3), (4, 2, 5)]  # (1+t^2 s u^2)(1+t^2 s u^3)
     for j in range(1, g + 1):
         m = g - j
         labels = [rep_label(g, i, j) for i in range((N - j) // 2 + 1)]
         for dt, ds, du in pre + [(t + 2 * m, s + 1, u + 2 * m + 2) for t, s, u in pre]:
-            for i in range((N - du - j) // 2 + 1):
-                add(j + i + dt, i + ds, j + 2 * i + du, labels[i])
+            terms += [
+                (j + i + dt, i + ds, j + 2 * i + du, labels[i])
+                for i in range((N - du - j) // 2 + 1)
+            ]
     return terms
 
 
@@ -78,10 +80,12 @@ def _bracket(g, N):
     if N < 0:
         raise ValueError("truncation must be >= 0")
     terms = _bracket_terms(g, N)
-    u0 = {(t, s): VirtualRep(cell) for (t, s, u), cell in terms.items() if u == 0}
-    if u0 != {(0, 0): VirtualRep.unit()}:
-        raise ArithmeticError(f"u^0 coefficient must be 1 at g={g}, got {u0}")
-    for t, s, u in terms:
+    u0 = [(t, s, label) for t, s, u, label in terms if u == 0]
+    if u0 != [(0, 0, TRIVIAL)]:
+        raise ArithmeticError(
+            f"u^0 coefficient must be 1 at g={g}, got the (t, s, label) terms {u0}"
+        )
+    for t, s, u, _ in terms:
         if t > u + 2 * g + 2 or u > t + s + 1:
             bound = "u <= t + s + 1" if t <= u + 2 * g + 2 else "t <= u + 2g + 2"
             raise ArithmeticError(
@@ -97,7 +101,10 @@ def q_bracket(g, N):
         + (1+t^2 s u^2)(1+t^2 s u^3)
           * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))).
     """
-    return TriSeries(N, {key: VirtualRep(cell) for key, cell in _bracket(g, N).items()})
+    cells = {}
+    for t, s, u, label in _bracket(g, N):
+        cells.setdefault((t, s, u), []).append((label, 1))
+    return TriSeries(N, {key: VirtualRep(cell) for key, cell in cells.items()})
 
 
 def build_Q(g, N):
@@ -114,15 +121,21 @@ class MixedTable:
     """Per-(degree, weight) decomposition of the cohomology of UConf_n.
 
     ``entries`` maps (k, h) to an effective VirtualRep; k is the
-    cohomological degree and h the weight.
+    cohomological degree and h the weight.  Each cell's dimension is
+    computed once, at construction, and every method that reports a
+    dimension reads it from there; so that it cannot go stale, ``entries``
+    is a read-only mapping (``dict(table.entries)`` gives a copy to edit
+    and build a new table from).
     """
 
-    __slots__ = ("genus", "n", "entries")
+    __slots__ = ("genus", "n", "entries", "_dims")
 
     def __init__(self, genus, n, entries):
         self.genus = genus
         self.n = n
-        self.entries = {k: v for k, v in entries.items() if v}
+        kept = {k: v for k, v in entries.items() if v}
+        self.entries = MappingProxyType(kept)
+        self._dims = {kh: rep.dim(genus) for kh, rep in kept.items()}
 
     def validate(self):
         g, n = self.genus, self.n
@@ -140,21 +153,19 @@ class MixedTable:
         return self
 
     def dims(self):
-        return {kh: rep.dim(self.genus) for kh, rep in sorted(self.entries.items())}
+        return dict(sorted(self._dims.items()))
 
     def max_degree(self):
         return max((k for k, _ in self.entries), default=0)
 
     def betti(self):
         b = [0] * (self.max_degree() + 1)
-        for (k, _), rep in self.entries.items():
-            b[k] += rep.dim(self.genus)
+        for (k, _), dim in self._dims.items():
+            b[k] += dim
         return tuple(b)
 
     def euler(self):
-        return sum(
-            (-1) ** k * rep.dim(self.genus) for (k, _), rep in self.entries.items()
-        )
+        return sum((-1) ** k * dim for (k, _), dim in self._dims.items())
 
     def __eq__(self, other):
         if not isinstance(other, MixedTable):
@@ -173,7 +184,7 @@ class MixedTable:
                 {
                     "degree": k,
                     "weight": h,
-                    "dim": rep.dim(self.genus),
+                    "dim": self._dims[(k, h)],
                     "decomposition": rep.to_json(),
                 }
                 for (k, h), rep in sorted(self.entries.items())
@@ -191,11 +202,10 @@ def _slice(g, n):
     """The master series' u^n coefficient as (t, s) -> VirtualRep: each
     (t, s) column of the bracket truncated at u^n, summed over u."""
     columns = {}
-    for (t, s, _), cell in _bracket(g, n).items():
+    for t, s, _, label in _bracket(g, n):
         column = columns.setdefault((t, s), {})
-        for label, mult in cell.items():
-            column[label] = column.get(label, 0) + mult
-    return {ts: VirtualRep(column) for ts, column in columns.items()}
+        column[label] = column.get(label, 0) + 1
+    return {ts: VirtualRep.from_counts(column) for ts, column in columns.items()}
 
 
 def mixed_table(g, n):
@@ -258,9 +268,8 @@ def euler_series(g, N):
             out.append(sum((-1) ** k * d for k, d in enumerate(b)))
         return out
     per_u = [0] * (N + 1)
-    for (t, s, u), cell in _bracket(g, N).items():
-        dim = sum(mult * dim_irrep(g, label) for label, mult in cell.items())
-        per_u[u] += (-1) ** (t + s) * dim
+    for t, s, u, label in _bracket(g, N):
+        per_u[u] += (-1) ** (t + s) * dim_irrep(g, label)
     return list(accumulate(per_u))
 
 
@@ -276,4 +285,5 @@ def stabilization_bound(g, k, h):
     t, s = 2 * k - h, h - k
     if t < 0 or s < 0:
         return 0
-    return max((u for tt, ss, u in _bracket(g, k + 2) if (tt, ss) == (t, s)), default=0)
+    terms = _bracket(g, k + 2)
+    return max((u for tt, ss, u, _ in terms if (tt, ss) == (t, s)), default=0)

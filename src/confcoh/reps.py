@@ -89,6 +89,11 @@ class VirtualRep:
 
     Only the additive structure of the representation ring is used.
 
+    Two constructors give the same object: ``VirtualRep(terms)`` takes
+    (label, mult) pairs or a dict, normalises each label, drops ZERO labels
+    and zero multiplicities and adds up repeated labels; ``from_counts``
+    takes over a {label: mult} dict whose labels are already normalised.
+
     >>> v = VirtualRep.single(RepLabel(1, 2), 3) + VirtualRep.unit()
     >>> v.text()
     '3·V(1,2) + V(0,0)'
@@ -108,6 +113,23 @@ class VirtualRep:
                     label = RepLabel(label.i - 1, 1)  # i*w1 = (i-1)*w1 + w1
                 data[label] = data.get(label, 0) + mult
         self._terms = {l: m for l, m in data.items() if m}
+
+    @classmethod
+    def from_counts(cls, counts):
+        """The combination with the given {label: mult} dict, which is taken
+        over, not copied, so the caller must not change it afterwards.
+
+        Its labels must already be normalised: each comes from ``rep_label``
+        or is TRIVIAL, and none is ZERO.  They are taken as given, which is
+        what makes this constructor cheaper than the other.  Raises
+        ValueError on a zero multiplicity, checked over the whole dict at
+        once.
+        """
+        if not all(counts.values()):
+            raise ValueError("zero multiplicity")
+        self = cls.__new__(cls)
+        self._terms = counts
+        return self
 
     @classmethod
     def zero(cls):

@@ -25,6 +25,9 @@ benchmark; each one checks a ``confcoh`` function by a second route:
 - ``build_P_*`` and ``build_Q_assembled``: the bigraded Hilbert series and
   the master series assembled from kernel/quotient pieces, which check
   ``closedform.build_Q``.
+- ``per_cell_dims``: a table's dimensions, Betti numbers and Euler
+  characteristic recomputed cell by cell, which check the dimensions that
+  ``closedform.MixedTable`` stores at construction.
 - ``basis_count_series`` and ``differential_block``: generating-function
   basis counts and one whole differential block, which check
   ``dga.enumerate_basis`` and ``dga.differential_monomial``.
@@ -404,6 +407,19 @@ def build_Q_assembled(g, N):
         + _tri(N, [(2, 0, 1, 1)]) * quot
     )
     return geom_u(N) * bracket
+
+
+def per_cell_dims(table):
+    """(dims, betti, euler, json_dims) of a MixedTable, each recomputed from
+    its cells' VirtualRep.dim: the sorted (k, h) -> dim items, the Betti
+    numbers, the Euler characteristic and the "dim" field of each row of
+    its JSON, in row order."""
+    dims = [(kh, rep.dim(table.genus)) for kh, rep in sorted(table.entries.items())]
+    betti = [0] * (max((k for (k, _), _ in dims), default=0) + 1)
+    for (k, _), d in dims:
+        betti[k] += d
+    euler = sum((-1) ** k * d for (k, _), d in dims)
+    return dims, tuple(betti), euler, [d for _, d in dims]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,31 @@ def test_table_json_round_trip(capsys):
     )
 
 
+def test_each_cell_dim_is_computed_once(capsys, monkeypatch):
+    # a table computes each cell's dim at construction, and nothing that
+    # reports dims, the table command in every format included, computes
+    # it again
+    from confcoh.closedform import mixed_table
+
+    calls = []
+    dim = VirtualRep.dim
+
+    def counted(self, g):
+        calls.append(g)
+        return dim(self, g)
+
+    monkeypatch.setattr(VirtualRep, "dim", counted)
+    table = mixed_table(3, 7)
+    cells = len(table.entries)
+    assert cells > 10 and len(calls) == cells
+    table.dims(), table.betti(), table.euler(), table.to_json()
+    assert len(calls) == cells
+    for fmt in ("text", "json", "csv"):
+        calls.clear()
+        code, _ = run(capsys, "table", "--genus", "3", "--n", "7", "--format", fmt)
+        assert code == 0 and len(calls) == cells, fmt
+
+
 def test_oracle_matches_table(capsys):
     code, table_out = run(capsys, "table", "--genus", "1", "--n", "4")
     assert code == 0

@@ -25,6 +25,7 @@ from reference import (
     build_Q_assembled,
     ext_power_decomp,
     geom_u,
+    per_cell_dims,
     reference_q_bracket,
     tensor_std_sym_decomp,
 )
@@ -203,10 +204,7 @@ def bad_bracket_term(monkeypatch):
         terms = closedform._bracket_terms
 
         def with_term(g, N):
-            out = terms(g, N)
-            cell = out.setdefault((t, s, u), {})
-            cell[TRIVIAL] = cell.get(TRIVIAL, 0) + 1
-            return out
+            return terms(g, N) + [(t, s, u, TRIVIAL)]
 
         monkeypatch.setattr(closedform, "_bracket_terms", with_term)
 
@@ -227,6 +225,26 @@ def test_bracket_invariants_raise(bad_bracket_term, term, message):
         mixed_table(1, 4)
     with pytest.raises(ArithmeticError, match=message):
         build_Q(1, 4)
+    with pytest.raises(ArithmeticError, match=message):
+        euler_series(1, 4)
+
+
+def test_slice_matches_the_checked_constructor():
+    # each column that _slice takes over against the same column rebuilt
+    # from the bracket's terms through the constructor that normalises
+    for g in range(1, 9):
+        for n in range(25):
+            columns = {}
+            for t, s, _, label in closedform._bracket(g, n):
+                columns.setdefault((t, s), []).append((label, 1))
+            want = {ts: VirtualRep(column) for ts, column in columns.items()}
+            assert closedform._slice(g, n) == want, (g, n)
+
+
+@pytest.mark.parametrize("counts", [{TRIVIAL: 0}, {W1: 2, TRIVIAL: 0}])
+def test_from_counts_rejects_a_zero_multiplicity(counts):
+    with pytest.raises(ValueError, match="zero multiplicity"):
+        VirtualRep.from_counts(counts)
 
 
 def test_q_rejects_genus_zero():
@@ -280,6 +298,29 @@ def test_tables_are_one_u_column_of_the_master_series():
             assert mixed_table(g, n).entries == want, (g, n)
             dims = {ts: rep.dim(g) for ts, rep in slice_n.items()}
             assert mixed_poincare(g, n) == dims, (g, n)
+
+
+def reported_dims(table):
+    """What the table reports, in the shape of ``per_cell_dims``."""
+    json_dims = [row["dim"] for row in table.to_json()["table"]]
+    return list(table.dims().items()), table.betti(), table.euler(), json_dims
+
+
+def test_stored_dims_are_right():
+    for g in range(1, 9):
+        for n in range(25):
+            table = mixed_table(g, n)
+            assert reported_dims(table) == per_cell_dims(table), (g, n)
+
+
+def test_entries_are_read_only():
+    table = mixed_table(1, 3)
+    with pytest.raises(TypeError):
+        table.entries[(0, 0)] = VirtualRep.unit(2)
+    with pytest.raises(TypeError):
+        table.entries[(9, 9)] = VirtualRep.unit()
+    assert table.entries == dict(table.entries)
+    assert table.dims()[(0, 0)] == 1
 
 
 def test_weight_band_violation_raises():

@@ -25,6 +25,7 @@ from reference import (
     basis_count_series,
     character_mass,
     differential_block,
+    per_cell_dims,
     read_matrix_market,
 )
 
@@ -328,6 +329,17 @@ def test_cohomology_reps_torus():
 def test_cohomology_reps_match_closed_form():
     for g, n in ((1, 3), (1, 5), (2, 2), (2, 4), (3, 2), (3, 3)):
         assert cohomology_reps(g, n) == mixed_table(g, n), (g, n)
+
+
+def test_cohomology_reps_store_the_right_dims():
+    # the dims a brute-force table stores at construction against each
+    # cell's VirtualRep.dim, recomputed
+    for g, n, model in sweep_points():
+        if g >= 1 and model == "A":
+            table = cohomology_reps(g, n)
+            json_dims = [row["dim"] for row in table.to_json()["table"]]
+            got = list(table.dims().items()), table.betti(), table.euler(), json_dims
+            assert got == per_cell_dims(table), (g, n)
 
 
 def test_reps_cross_check_u_slice():
