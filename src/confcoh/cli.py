@@ -145,7 +145,7 @@ def cmd_oracle(args, parser):
         parser.error("--reps requires model A")
     if args.debug_dir:
         written = dga.dump_blocks(args.genus, args.n, args.model, args.debug_dir)
-        _progress(f"wrote {len(written)} block matrices to {args.debug_dir}")
+        _progress(f"wrote {len(written)} ranked group matrices to {args.debug_dir}")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
         _write_mixed(args, dga.cohomology_reps(args.genus, args.n), model="A")
@@ -263,7 +263,7 @@ def build_parser():
     common(p, "n")
     p.add_argument("--model", choices=("A", "B"), default="A")
     p.add_argument("--reps", action="store_true", help="include decompositions")
-    p.add_argument("--debug-dir", default=None, help="dump block matrices here")
+    p.add_argument("--debug-dir", default=None, help="write the ranked matrices here")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="closed form against brute force")

@@ -35,7 +35,6 @@ __all__ = [
     "MixedTable",
     "mixed_table",
     "betti",
-    "mixed_poincare",
     "euler_series",
     "euler_binomials",
     "genus0_betti",
@@ -241,11 +240,6 @@ def betti(g, n):
     if g == 0:
         return genus0_betti(n)
     return mixed_table(g, n).betti()
-
-
-def mixed_poincare(g, n):
-    """Mixed Poincare polynomial as a map (t_exp, s_exp) -> dimension."""
-    return {ts: rep.dim(g) for ts, rep in sorted(_slice(g, n).items())}
 
 
 def euler_binomials(g, N):

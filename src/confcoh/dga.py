@@ -29,7 +29,7 @@ Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
 monomials are enumerated directly, coordinate by coordinate, never by
-filtering the whole basis; ``enumerate_basis`` serves the block dumps.
+filtering the whole basis; ``dump_blocks`` writes the matrices ranked.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "Monomial",
     "enumerate_basis",
     "differential_monomial",
-    "blocks",
     "cohomology_dims",
     "cohomology_weights",
     "cohomology_reps",
@@ -59,10 +58,10 @@ __all__ = [
 #: (``cohomology_reps``; ``cohomology_dims`` at genus 0, which has none) and
 #: one model B point (``cohomology_dims(g, n, "B")``) each took at most 1 s,
 #: timed in fresh processes on a 2-core x86 box.  The budget covers the
-#: computation only: ``oracle --debug-dir`` also writes one file per block
-#: of the whole basis, and a whole such run at the budget, model B, took
-#: 1.5-3.6 s at 1 <= g <= 6, 8.2 s at g = 7 and 4.6 s (68 998 files) at
-#: genus 0.
+#: computation only: a whole ``oracle --model B --debug-dir`` run at the
+#: budget (3 fresh processes) took 0.4-0.7 s at 3 <= g <= 7, 1.2-1.3 s at
+#: g = 2, and was bound by file creation at g = 1 (3.1-6.0 s, 10 595 files)
+#: and genus 0 (7.6-18.9 s, 45 997 files).
 ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
 
 
@@ -183,15 +182,6 @@ def enumerate_basis(g, n, model="A"):
     return tuple(out)
 
 
-def blocks(g, n, model="A"):
-    """Basis monomials grouped by (deg1, deg2)."""
-    by_block = {}
-    for m in enumerate_basis(g, n, model):
-        d1, d2, _ = mono_degrees(g, m)
-        by_block.setdefault((d1, d2), []).append(m)
-    return by_block
-
-
 def _matrix(g, model, source, target):
     """Matrix of d from the ``source`` monomials (columns) to the ``target``
     monomials (rows).
@@ -282,18 +272,22 @@ def _dominant_groups(g, n, model):
     return groups
 
 
-def _outgoing_ranks(g, n, model):
-    """The dominant-weight monomials grouped by ((deg1, deg2), torus
-    weight), and the exact rank of d on every group that has a target; d
-    preserves the weight, so the groups split it, and a group with no
-    target has rank 0."""
-    groups = _dominant_groups(g, n, model)
-    ranks = {}
+def _differentials(g, model, groups):
+    """(key, matrix) of d for every ((deg1, deg2), weight) group of
+    ``groups`` that has a target, in the order of ``groups``: d preserves
+    the weight, so it maps the group into the ((deg1 + 2, deg2 - 1),
+    weight) group, and a group with no target has rank 0."""
     for ((d1, d2), w), source in groups.items():
         target = groups.get(((d1 + 2, d2 - 1), w))
         if target:
-            ranks[(d1, d2), w] = rank(_matrix(g, model, source, target))
-    return groups, ranks
+            yield ((d1, d2), w), _matrix(g, model, source, target)
+
+
+def _outgoing_ranks(g, n, model):
+    """The dominant-weight monomials grouped by ((deg1, deg2), torus
+    weight), and the exact rank of d on every group that has a target."""
+    groups = _dominant_groups(g, n, model)
+    return groups, {key: rank(m) for key, m in _differentials(g, model, groups)}
 
 
 @lru_cache(maxsize=None)
@@ -357,13 +351,17 @@ def cohomology_reps(g, n, max_genus=None):
 
 
 def dump_blocks(g, n, model, dirpath):
-    """Write every differential block of F_n in Matrix Market format."""
+    """Write the matrix of d on every group the rank loop ranks, one Matrix
+    Market file per ((deg1, deg2), dominant weight) group with a target,
+    named ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``; a dominant
+    weight's matrix stands for its whole Weyl orbit.  Returns the paths
+    written, in key order."""
     os.makedirs(dirpath, exist_ok=True)
-    by_block = blocks(g, n, model)
+    groups = dict(sorted(_dominant_groups(g, n, model).items()))
     written = []
-    for (d1, d2), source in sorted(by_block.items()):
-        target = by_block.get((d1 + 2, d2 - 1), ())
-        path = os.path.join(dirpath, f"g{g}_n{n}_{model}_d{d1}_{d2}.mtx")
-        write_matrix_market(_matrix(g, model, source, target), path)
+    for ((d1, d2), w), matrix in _differentials(g, model, groups):
+        weight = ".".join(map(str, w))
+        path = os.path.join(dirpath, f"g{g}_n{n}_{model}_d{d1}_{d2}_w{weight}.mtx")
+        write_matrix_market(matrix, path)
         written.append(path)
     return written

@@ -16,7 +16,7 @@ benchmark; each one checks a ``confcoh`` function by a second route:
 - ``rank_dense_bareiss`` and ``transpose``: dense fraction-free rank and the
   transposed matrix, which check ``linalg.rank``.
 - ``read_matrix_market``: reads back what ``linalg.write_matrix_market``
-  (and so ``dga.dump_blocks``) writes.
+  writes, and so the per-group matrices of ``dga.dump_blocks``.
 - ``geom_u``: the truncated geometric series, whose product checks the
   running sum ``series.TriSeries.div_one_minus_u``.
 - ``reference_q_bracket``: the bracket assembled by series products and
@@ -28,16 +28,18 @@ benchmark; each one checks a ``confcoh`` function by a second route:
 - ``per_cell_dims``: a table's dimensions, Betti numbers and Euler
   characteristic recomputed cell by cell, which check the dimensions that
   ``closedform.MixedTable`` stores at construction.
-- ``basis_count_series`` and ``differential_block``: generating-function
-  basis counts and one whole differential block, which check
-  ``dga.enumerate_basis`` and ``dga.differential_monomial``.
+- ``basis_count_series``, ``blocks`` and ``differential_block``:
+  generating-function basis counts, the whole basis grouped by (deg1,
+  deg2) and one whole differential block, which check
+  ``dga.enumerate_basis``, ``dga.differential_monomial`` and, restricted
+  to one weight, the matrices of ``dga.dump_blocks``.
 """
 
 from math import comb
 
 from confcoh import reps
 from confcoh.closedform import _check_genus
-from confcoh.dga import _matrix, blocks
+from confcoh.dga import _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
     TRIVIAL,
@@ -447,6 +449,15 @@ def basis_count_series(g, model, n):
                     new[k + e] += poly[k]
         poly = new
     return poly
+
+
+def blocks(g, n, model="A"):
+    """Basis monomials grouped by (deg1, deg2)."""
+    by_block = {}
+    for m in enumerate_basis(g, n, model):
+        d1, d2, _ = mono_degrees(g, m)
+        by_block.setdefault((d1, d2), []).append(m)
+    return by_block
 
 
 def differential_block(g, n, model, block):

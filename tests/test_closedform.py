@@ -8,7 +8,6 @@ from confcoh.closedform import (
     euler_binomials,
     euler_series,
     genus0_betti,
-    mixed_poincare,
     mixed_table,
     q_bracket,
     stabilization_bound,
@@ -192,8 +191,6 @@ def test_tables_never_build_the_master_series(monkeypatch):
     for (g, n), slice_n in want.items():
         entries = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
         assert mixed_table(g, n).entries == entries, (g, n)
-        dims = {ts: rep.dim(g) for ts, rep in slice_n.items()}
-        assert mixed_poincare(g, n) == dims, (g, n)
 
 
 @pytest.fixture
@@ -278,13 +275,6 @@ def test_betti_examples():
         assert betti(g, 0) == (1,)
 
 
-def test_mixed_poincare():
-    mp = mixed_poincare(1, 2)
-    assert mp == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-    with pytest.raises(ValueError):
-        mixed_poincare(1, -1)
-
-
 def test_tables_are_one_u_column_of_the_master_series():
     # the u^n slice at (t, s) is the bracket's (t, s) column summed over u <= n
     for g in range(1, 6):
@@ -296,8 +286,6 @@ def test_tables_are_one_u_column_of_the_master_series():
             slice_n = {ts: rep for ts, rep in slice_n.items() if rep}
             want = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
             assert mixed_table(g, n).entries == want, (g, n)
-            dims = {ts: rep.dim(g) for ts, rep in slice_n.items()}
-            assert mixed_poincare(g, n) == dims, (g, n)
 
 
 def reported_dims(table):

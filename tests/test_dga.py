@@ -9,7 +9,6 @@ from confcoh.closedform import build_Q, mixed_table
 from confcoh.dga import (
     Genus0N1Unsupported,
     Monomial,
-    blocks,
     cohomology_dims,
     cohomology_reps,
     cohomology_weights,
@@ -23,6 +22,7 @@ from confcoh.linalg import SparseIntMatrix, rank
 from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep, _is_dominant
 from reference import (
     basis_count_series,
+    blocks,
     character_mass,
     differential_block,
     per_cell_dims,
@@ -469,9 +469,10 @@ def test_genus0_builds_no_coordinate_table(monkeypatch):
     assert dga._dominant_groups(0, 50, "B")
 
 
-def test_rank_loop_does_not_enumerate_the_basis(monkeypatch):
+def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
+    # nor does the dump, which writes what the rank loop ranks
     def whole_basis(*args):
-        raise AssertionError("the rank loop enumerated the whole basis")
+        raise AssertionError("the rank loop or the dump enumerated the whole basis")
 
     want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
     monkeypatch.setattr(dga, "enumerate_basis", whole_basis)
@@ -481,6 +482,7 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch):
     finally:
         dga._cohomology_by_weight.cache_clear()
     assert got == want
+    assert dump_blocks(2, 5, "B", tmp_path)
 
 
 def test_negative_dimension_raises(monkeypatch):
@@ -494,23 +496,47 @@ def test_negative_dimension_raises(monkeypatch):
         dga._cohomology_by_weight.cache_clear()
 
 
+def _restrict(matrix, rows, cols):
+    """The submatrix on the given rows and columns, renumbered in order."""
+    row_at = {r: i for i, r in enumerate(rows)}
+    col_at = {c: i for i, c in enumerate(cols)}
+    return SparseIntMatrix(len(rows), len(cols), [
+        (row_at[r], col_at[c], v)
+        for r, c, v in matrix.entries()
+        if r in row_at and c in col_at
+    ])
+
+
 def test_dump_blocks(tmp_path):
-    written = dump_blocks(1, 2, "A", tmp_path)
-    assert written
-    for path in written:
-        read_matrix_market(path)  # parses back
-    _, _, matrix = differential_block(1, 2, "A", (0, 1))
-    again = read_matrix_market(
-        tmp_path / "g1_n2_A_d0_1.mtx"
-    )
-    assert again == matrix
+    # one file per group the rank loop ranks, in key order; each is the
+    # whole-basis block restricted to the group's weight, and has its rank
+    for g, n, model in ((1, 4, "A"), (2, 3, "A"), (1, 4, "B"), (0, 6, "B"),
+                        (2, 5, "B"), (3, 4, "A")):
+        _, ranks = dga._outgoing_ranks(g, n, model)
+        keys = sorted(ranks)
+        written = dump_blocks(g, n, model, tmp_path / f"g{g}_n{n}_{model}")
+        assert [os.path.basename(path) for path in written] == [
+            f"g{g}_n{n}_{model}_d{d1}_{d2}_w{'.'.join(map(str, w))}.mtx"
+            for (d1, d2), w in keys
+        ]
+        whole = {}
+        for path, (block, w) in zip(written, keys):
+            if block not in whole:
+                whole[block] = differential_block(g, n, model, block)
+            source, target, matrix = whole[block]
+            cols = [c for c, m in enumerate(source) if mono_weight(g, m) == w]
+            rows = [r for r, m in enumerate(target) if mono_weight(g, m) == w]
+            dumped = read_matrix_market(path)
+            assert dumped == _restrict(matrix, rows, cols), (g, n, model, block, w)
+            assert rank(dumped) == ranks[block, w], (g, n, model, block, w)
 
 
-# sha256 over each file name and its bytes, in name order; recorded from the
-# earlier implementation that resorted generator words for every term
+# sha256 over each file name and its bytes, in name order: the per-group
+# matrices that the rank loop ranks, so any change to their assembly, to
+# the order of their rows or columns or to the file format shows here
 DUMP_SHA256 = {
-    (2, 3, "A"): "af63cc65427d2c2c985b033869a68611afebc37d046ffb18ad4bd3f704da1eb9",
-    (1, 4, "B"): "0fd1403cda7ad288732af5de7a077708a5ebd87b9f3be94a86a29dca7e45d42c",
+    (2, 3, "A"): "f5d9b019484fd27948fccc48754e544fd3607cc3825242a4426dcc86a235709e",
+    (1, 4, "B"): "9307f6ca99aa570f8834b3898009d4bb283fc5ab7117d4e20a8903e850b3d101",
 }
 
 

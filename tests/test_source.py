@@ -54,8 +54,9 @@ def test_reference_doctests_pass():
 # Definitions kept in the package with no caller there, each for a reason;
 # a method is named with its class.
 NO_CALLER_NEEDED = {
-    "mixed_poincare": "the mixed Hodge numbers the paper's abstract states",
     "stabilization_bound": "library API, checked by acceptance criterion 10",
+    "enumerate_basis": "the bench tracer wraps it; it leaves with the next benchmark change",
+    "mono_degrees": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_weight": "the bench tracer wraps it; it leaves with the next benchmark change",
     "SparseIntMatrix.from_dense": "small matrices for the rank doctest and the tests",
     "VirtualRep.single": "one labelled term, for the class doctest and tests",
@@ -63,7 +64,6 @@ NO_CALLER_NEEDED = {
     "TriSeries.term": "one monomial, for building series by hand in tests",
     "TriSeries.coeff_u": "reads one u^n slice of build_Q, which the tests compare",
     "TriSeries.from_json": "reads back the q-series JSON; the tests round-trip it",
-    "VirtualRep.from_json": "reads back a decomposition's JSON, for round trips",
 }
 
 
@@ -175,5 +175,8 @@ def test_src_definitions_have_a_product_caller():
         and qualname not in CALLED_THROUGH_AN_INSTANCE
     )
     assert orphans == []
+    # an exemption for a definition that is gone or has a caller is stale
+    found = {qualname: (cls, name) for _, qualname, cls, name in defined}
+    assert [q for q in NO_CALLER_NEEDED if q not in found or called(*found[q])] == []
     # an entry whose name nothing in src/ mentions any more is stale
     assert [q for q in CALLED_THROUGH_AN_INSTANCE if q.split(".")[1] not in names] == []
