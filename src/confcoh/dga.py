@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .closedform import MixedTable
 from .linalg import SparseIntMatrix, rank, write_matrix_market
-from .reps import Character, orbit_size, peel_character
+from .reps import orbit_size, peel_character
 
 __all__ = [
     "Genus0N1Unsupported",
@@ -187,9 +187,10 @@ def _matrix(g, model, source, target):
     monomials (rows).
 
     Each term is written straight into its target row.  An image missing
-    from ``target`` raises KeyError; ``SparseIntMatrix.from_rows`` rejects a
-    zero coefficient, and a duplicate term, which would overwrite an entry,
-    by comparing the entries written with the terms returned."""
+    from ``target`` raises KeyError, and ``SparseIntMatrix`` rejects a zero
+    coefficient.  A duplicate term overwrites an entry, so it raises
+    ValueError here, where the entries kept are compared with the terms
+    written."""
     slots = {m: {} for m in target}
     if len(slots) != len(target):
         raise ValueError("repeated target monomial")
@@ -199,8 +200,10 @@ def _matrix(g, model, source, target):
         terms += len(images)
         for coeff, image in images:
             slots[image][col] = coeff
-    rows = enumerate(slots.values())
-    return SparseIntMatrix.from_rows(len(target), len(source), rows, terms)
+    matrix = SparseIntMatrix(len(target), len(source), dict(enumerate(slots.values())))
+    if matrix.nnz() != terms:
+        raise ValueError(f"{matrix.nnz()} entries written for {terms} terms")
+    return matrix
 
 
 def _coordinate_states(n):
@@ -326,14 +329,15 @@ def cohomology_dims(g, n, model="A"):
 
 
 def cohomology_weights(g, n):
-    """Per-block characters of the cohomology of F_n (model A), each the
-    dominant part of the block's torus character."""
+    """Per-block characters of the cohomology of F_n (model A): each block's
+    torus character as a {dominant weight: dim} dict, the dominant part
+    that stands for every weight of its Weyl orbit."""
     if g < 1:
         raise ValueError("weights require genus >= 1")
     out = {}
     for (block, w), dim in _cohomology_by_weight(g, n, "A").items():
         out.setdefault(block, {})[w] = dim
-    return {block: Character(mult) for block, mult in sorted(out.items())}
+    return dict(sorted(out.items()))
 
 
 def cohomology_reps(g, n, max_genus=None):

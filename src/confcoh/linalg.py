@@ -16,54 +16,28 @@ class SparseIntMatrix:
     """Integer matrix stored as row -> {col: value}; zeros and empty rows
     are never stored.
 
-    Two constructors give the same matrix: ``SparseIntMatrix(n_rows,
-    n_cols, entries)`` checks each (row, col, value) triple in turn and
-    skips zeros, and ``from_rows`` takes rows that are already built.
+    ``SparseIntMatrix(n_rows, n_cols, rows)`` takes a {row: {col: value}}
+    dict and takes its row dicts over, not copied, dropping the empty ones.
+    It raises ValueError on a negative shape, a row index outside it or a
+    zero value, each checked over whole rows at once.  Column indices are
+    taken as given, so the caller must write them below ``n_cols``: the
+    program's one writer, ``dga._matrix``, numbers its columns by
+    enumerating its source, and a bound check on every row measurably slows
+    the brute force on model B.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
-    def __init__(self, n_rows, n_cols, entries=()):
-        _check_shape(n_rows, n_cols)
+    def __init__(self, n_rows, n_cols, rows=None):
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("negative matrix dimensions")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.rows = {}
-        for r, c, v in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r}, {c}) outside {n_rows}x{n_cols}")
-            if v == 0:
-                continue
-            row = self.rows.setdefault(r, {})
-            if c in row:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            row[c] = v
-
-    @classmethod
-    def from_rows(cls, n_rows, n_cols, rows, count):
-        """The matrix with the given rows, (row, {col: value}) pairs.
-
-        The dicts are taken over, not copied, and empty ones are dropped.
-        Raises ValueError on a row index outside the shape, on a zero value,
-        and unless the rows hold exactly ``count`` entries: a caller that
-        wrote ``count`` terms learns this way that two of them fell on one
-        (row, col), where the later one overwrote the earlier.  Column
-        indices are taken as given, so the caller must write them below
-        ``n_cols``.  Every check runs over whole rows, not entry by entry,
-        which is what makes this constructor cheaper than the other.
-        """
-        _check_shape(n_rows, n_cols)
-        self = cls.__new__(cls)
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.rows = rows = {r: row for r, row in rows if row}
+        self.rows = rows = {r: row for r, row in rows.items() if row} if rows else {}
         if rows and not (0 <= min(rows) and max(rows) < n_rows):
             raise ValueError(f"a row index falls outside {n_rows}x{n_cols}")
         if not all(map(all, map(dict.values, rows.values()))):
             raise ValueError("zero entry")
-        written = self.nnz()
-        if written != count:
-            raise ValueError(f"{written} entries written for {count} terms")
-        return self
 
     def entries(self):
         """Yield (row, col, value) sorted by (row, col)."""
@@ -79,16 +53,8 @@ class SparseIntMatrix:
     def from_dense(cls, dense):
         n_rows = len(dense)
         n_cols = len(dense[0]) if n_rows else 0
-        return cls(
-            n_rows,
-            n_cols,
-            (
-                (r, c, v)
-                for r, row in enumerate(dense)
-                for c, v in enumerate(row)
-                if v
-            ),
-        )
+        rows = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(dense)}
+        return cls(n_rows, n_cols, rows)
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
@@ -101,11 +67,6 @@ class SparseIntMatrix:
 
     def __repr__(self):
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
-
-
-def _check_shape(n_rows, n_cols):
-    if n_rows < 0 or n_cols < 0:
-        raise ValueError("negative matrix dimensions")
 
 
 def rank(m):

@@ -3,22 +3,24 @@
 Labels of the two-parameter highest-weight family i*w1 + w_j, their exact
 dimensions by two independent routes (a closed product formula and the
 Weyl dimension formula), the virtual representations that label the
-closed-form series, and characters as dominant-weight multiplicities via
-the Freudenthal recursion, which the brute-force route peels back into
+closed-form series, and the characters of the irreducibles via the
+Freudenthal recursion, which the brute-force route peels back into
 irreducibles.
 
-A character is Weyl-invariant, so it is stored by its dominant weights
-only; the Weyl group enters solely through ``orbit_size``, the number of
-weights a dominant weight stands for.
+A character is Weyl-invariant, so it is a plain {dominant weight: mult}
+mapping, one integer g-tuple per Weyl orbit; the Weyl group enters solely
+through ``orbit_size``, the number of weights a dominant weight stands for.
+Dominance is checked in one place, when ``peel_character`` reads a highest
+weight: every weight that is not dominant is left over there and rejected.
 
 All arithmetic is exact; there is no floating point in this module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "TRIVIAL",
     "rep_label",
     "VirtualRep",
-    "Character",
     "NotACharacter",
     "weyl_dim",
     "dim_irrep",
@@ -69,6 +70,11 @@ def rep_label(g, i, j):
     """
     if i < 0 or j < 0 or j > g:
         return ZERO
+    return _normal(i, j)
+
+
+def _normal(i, j):
+    """The label i*w1 + w_j in its normal form: i*w1 = (i-1)*w1 + w1."""
     if j == 0 and i >= 1:
         return RepLabel(i - 1, 1)
     return RepLabel(i, j)
@@ -106,11 +112,9 @@ class VirtualRep:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for label, mult in items:
-                label = RepLabel(*label)
+                label = _normal(*label)
                 if mult == 0 or label == ZERO:
                     continue
-                if label.j == 0 and label.i >= 1:
-                    label = RepLabel(label.i - 1, 1)  # i*w1 = (i-1)*w1 + w1
                 data[label] = data.get(label, 0) + mult
         self._terms = {l: m for l, m in data.items() if m}
 
@@ -334,71 +338,19 @@ def dim_irrep(g, label):
     multinomial = factorial(2 * g + i + 1) // (
         factorial(i) * factorial(j) * factorial(2 * g + 1 - j)
     )
-    val = (
-        Fraction(multinomial)
-        * Fraction(2 * g + 2 - 2 * j, 2 * g + 2 + i - j)
-        * Fraction(j, i + j)
-    )
-    if val.denominator != 1 or val <= 0:
+    num = multinomial * (2 * g + 2 - 2 * j) * j
+    den = (2 * g + 2 + i - j) * (i + j)
+    d, r = divmod(num, den)
+    if r or d <= 0:
         raise ArithmeticError(
-            f"hook formula gives {val} for {label} at genus {g}, "
+            f"hook formula gives {num}/{den} for {label} at genus {g}, "
             "not a positive integer"
         )
-    return int(val)
+    return d
 
 
 # ---------------------------------------------------------------------------
 # characters
-
-
-class Character:
-    """Weyl-invariant torus character of sp(2g), stored as the
-    multiplicities of its dominant weights; every weight of an orbit has the
-    multiplicity of the orbit's dominant member.
-
-    Weights are integer g-tuples in e_1..e_g coordinates.  A non-dominant
-    weight raises ValueError.
-    """
-
-    __slots__ = ("_mult",)
-
-    def __init__(self, mult=None):
-        data = {}
-        if mult:
-            items = mult.items() if isinstance(mult, dict) else mult
-            for w, m in items:
-                if m:
-                    w = tuple(w)
-                    if not _is_dominant(w):
-                        raise ValueError(f"weight {w} is not dominant")
-                    data[w] = data.get(w, 0) + m
-        self._mult = {w: m for w, m in data.items() if m}
-
-    def items(self):
-        return sorted(self._mult.items(), reverse=True)
-
-    def __bool__(self):
-        return bool(self._mult)
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __add__(self, other):
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            out[w] = out.get(w, 0) + m
-        return Character(out)
-
-    def __sub__(self, other):
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            out[w] = out.get(w, 0) - m
-        return Character(out)
-
-    def __repr__(self):
-        return f"Character({self._mult!r})"
 
 
 def _height2(g, v):
@@ -467,41 +419,42 @@ def _dominant_mults(g, lam):
 
 @lru_cache(maxsize=None)
 def irreducible_character(g, label):
-    """Character of V_{i*w1 + w_j}: its dominant-weight multiplicities.
+    """Character of V_{i*w1 + w_j}: a read-only {dominant weight: mult}
+    mapping.
 
-    Built and validated once per (g, label) and then shared, so the
-    returned Character must not be mutated; none of its methods does."""
+    Built once per (g, label) by the Freudenthal recursion, which makes
+    only dominant weights, and then shared, hence read-only."""
     _check_genus(g)
     label = RepLabel(*label)
     if label == ZERO:
         raise ValueError("ZERO label has no character")
-    return Character(_dominant_mults(g, highest_weight(g, label)))
+    return MappingProxyType(dict(_dominant_mults(g, highest_weight(g, label))))
 
 
-def _hook_label(w):
-    """RepLabel for a dominant weight of hook shape, else None."""
-    nonzero = [x for x in w if x]
-    if not nonzero:
-        return TRIVIAL
-    if any(x != 1 for x in nonzero[1:]):
-        return None
-    j = len(nonzero)
-    if j == 1:
-        # a single row is (i+1) w1 = label (c1 - 1, 1)
-        return RepLabel(nonzero[0] - 1, 1)
-    return RepLabel(nonzero[0] - 1, j)
+def _hook_label(g, w):
+    """The label whose highest weight is ``w``, or None when ``w`` is not
+    the highest weight of an i*w1 + w_j: not dominant, of the wrong length
+    or outside the family."""
+    label = rep_label(g, w[0] - 1, len(w) - w.count(0)) if any(w) else TRIVIAL
+    if label != ZERO and highest_weight(g, label) == w:
+        return label
+    return None
 
 
 def peel_character(g, char):
-    """Decompose a genuine character into irreducibles of the hook family
-    by repeatedly subtracting the character of a maximal dominant weight.
+    """Decompose a character, any {weight: mult} mapping, into irreducibles
+    of the hook family by repeatedly subtracting the character of a maximal
+    weight.
 
     Raises NotACharacter when a multiplicity goes negative or a highest
-    weight falls outside the i*w1 + w_j family; either signals an upstream
-    bug, since everything this artifact peels lies in that family.
+    weight is not that of an i*w1 + w_j; either signals an upstream bug,
+    since everything this artifact peels lies in that family.  This is the
+    one dominance check a character gets: irreducible characters hold only
+    dominant weights, so a weight that is not dominant is never cancelled,
+    becomes the maximum in the end and is rejected here.
     """
     _check_genus(g)
-    work = {w: m for w, m in char.items()}
+    work = dict(char)
     out = []
     while any(work.values()):
         # lexicographic max is maximal in dominance order
@@ -509,7 +462,7 @@ def peel_character(g, char):
         m = work[mu]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at weight {mu}")
-        label = _hook_label(mu)
+        label = _hook_label(g, mu)
         if label is None:
             raise NotACharacter(f"highest weight {mu} is not of hook form")
         for w, mm in irreducible_character(g, label).items():

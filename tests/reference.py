@@ -7,12 +7,16 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``branching_hook``: dimension and decomposition rules of sp(2g), which
   check ``reps.dim_irrep`` and the representation labels of the master
   series (``closedform.q_bracket``).
-- ``character_of``: the character of a virtual representation, which
-  ``reps.peel_character`` must decompose back into it.
+- ``character_of``: the character of a virtual representation, as a
+  {dominant weight: mult} dict, which ``reps.peel_character`` must
+  decompose back into it.
 - ``character_mass``: the total multiplicity of a character over every
   Weyl orbit, which checks ``reps.irreducible_character`` against
   ``reps.dim_irrep`` and ``dga.cohomology_weights`` against
   ``dga.cohomology_dims``.
+- ``from_entries``: a ``linalg.SparseIntMatrix`` built from (row, col,
+  value) triples, each checked in turn for a duplicate and for its bounds,
+  which checks the matrices ``dga._matrix`` writes row by row.
 - ``rank_dense_bareiss`` and ``transpose``: dense fraction-free rank and the
   transposed matrix, which check ``linalg.rank``.
 - ``read_matrix_market``: reads back what ``linalg.write_matrix_market``
@@ -43,7 +47,6 @@ from confcoh.dga import _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
     TRIVIAL,
-    Character,
     VirtualRep,
     irreducible_character,
     rep_label,
@@ -187,11 +190,13 @@ def branching_hook(g, i, j):
 
 
 def character_of(g, vrep):
-    """Character of a virtual representation (sum of irreducible characters)."""
-    out = Character()
+    """Character of a virtual representation, the sum of its irreducible
+    characters, as a {dominant weight: mult} dict without zeros."""
+    out = {}
     for label, m in vrep.items():
-        out += Character({w: m * mm for w, mm in irreducible_character(g, label).items()})
-    return out
+        for w, mm in irreducible_character(g, label).items():
+            out[w] = out.get(w, 0) + m * mm
+    return {w: m for w, m in out.items() if m}
 
 
 def character_mass(char):
@@ -204,8 +209,23 @@ def character_mass(char):
 # exact linear algebra
 
 
+def from_entries(n_rows, n_cols, triples):
+    """The matrix with the given (row, col, value) triples.  Raises
+    ValueError on a triple outside the shape or on a second triple at one
+    (row, col); the constructor rejects a zero value."""
+    rows = {}
+    for r, c, v in triples:
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise ValueError(f"entry ({r}, {c}) outside {n_rows}x{n_cols}")
+        row = rows.setdefault(r, {})
+        if c in row:
+            raise ValueError(f"duplicate entry at ({r}, {c})")
+        row[c] = v
+    return SparseIntMatrix(n_rows, n_cols, rows)
+
+
 def transpose(m):
-    return SparseIntMatrix(m.n_cols, m.n_rows, ((c, r, v) for r, c, v in m.entries()))
+    return from_entries(m.n_cols, m.n_rows, ((c, r, v) for r, c, v in m.entries()))
 
 
 def rank_dense_bareiss(dense):
@@ -253,7 +273,7 @@ def read_matrix_market(path):
         for _ in range(nnz):
             r, c, v = f.readline().split()
             entries.append((int(r) - 1, int(c) - 1, int(v)))
-    return SparseIntMatrix(n_rows, n_cols, entries)
+    return from_entries(n_rows, n_cols, entries)
 
 
 # ---------------------------------------------------------------------------

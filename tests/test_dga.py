@@ -18,13 +18,14 @@ from confcoh.dga import (
     mono_degrees,
     mono_weight,
 )
-from confcoh.linalg import SparseIntMatrix, rank
-from confcoh.reps import Character, RepLabel, VirtualRep, _dom_rep, _is_dominant
+from confcoh.linalg import rank
+from confcoh.reps import RepLabel, VirtualRep, _dom_rep, _is_dominant
 from reference import (
     basis_count_series,
     blocks,
     character_mass,
     differential_block,
+    from_entries,
     per_cell_dims,
     read_matrix_market,
 )
@@ -304,8 +305,8 @@ def test_euler_bookkeeping():
 
 def test_cohomology_weights_torus():
     weights = cohomology_weights(1, 1)
-    assert weights[(1, 0)] == Character({(1,): 1})
-    assert weights[(0, 0)] == Character({(0,): 1})
+    assert weights[(1, 0)] == {(1,): 1}
+    assert weights[(0, 0)] == {(0,): 1}
 
 
 def test_weights_mass_matches_dims():
@@ -376,7 +377,7 @@ def test_cohomology_characters_are_weyl_invariant():
             weights = cohomology_weights(g, n)
             mass = Counter()
             for (block, w), dim in reference_cohomology_by_weight(g, n).items():
-                got = dict(weights.get(block, Character()).items()).get(_dom_rep(w))
+                got = weights.get(block, {}).get(_dom_rep(w))
                 assert got == dim, (g, n, block, w)
                 mass[block] += dim
             assert {block: character_mass(char) for block, char in weights.items()} == mass
@@ -422,7 +423,7 @@ def test_empty_target_groups_have_no_differential():
 
 
 def test_matrix_matches_the_checked_constructor():
-    # the row writer against the constructor that checks entry by entry,
+    # the row writer against from_entries, which checks entry by entry,
     # on every group the rank loop ranks
     ranked = 0
     for g, n, model in sweep_points():
@@ -437,7 +438,7 @@ def test_matrix_matches_the_checked_constructor():
                 for col, m in enumerate(source)
                 for coeff, image in differential_monomial(g, model, m)
             ]
-            want = SparseIntMatrix(len(target), len(source), entries)
+            want = from_entries(len(target), len(source), entries)
             got = dga._matrix(g, model, source, target)
             assert got == want, (g, n, model, (d1, d2), w)
             ranked += 1
@@ -500,7 +501,7 @@ def _restrict(matrix, rows, cols):
     """The submatrix on the given rows and columns, renumbered in order."""
     row_at = {r: i for i, r in enumerate(rows)}
     col_at = {c: i for i, c in enumerate(cols)}
-    return SparseIntMatrix(len(rows), len(cols), [
+    return from_entries(len(rows), len(cols), [
         (row_at[r], col_at[c], v)
         for r, c, v in matrix.entries()
         if r in row_at and c in col_at

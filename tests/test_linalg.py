@@ -4,7 +4,7 @@ import pytest
 
 from confcoh import dga
 from confcoh.linalg import SparseIntMatrix, rank, write_matrix_market
-from reference import rank_dense_bareiss, read_matrix_market, transpose
+from reference import from_entries, rank_dense_bareiss, read_matrix_market, transpose
 
 
 def test_identity_rank():
@@ -29,40 +29,55 @@ def test_identity_kernel():
 
 
 def test_duplicate_entry_rejected():
-    with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
+    with pytest.raises(ValueError, match="duplicate"):
+        from_entries(2, 2, [(0, 0, 1), (0, 0, 2)])
 
 
 def test_zero_entries_not_stored():
-    m = SparseIntMatrix(2, 2, [(0, 0, 0), (1, 1, 3)])
+    m = SparseIntMatrix.from_dense([[0, 0], [0, 3]])
     assert m.nnz() == 1
+    assert m.rows == {1: {1: 3}}
 
 
-def test_from_rows_matches_the_checked_constructor():
-    m = SparseIntMatrix.from_rows(3, 4, [(0, {1: 5}), (1, {}), (2, {3: -7, 0: 1})], 3)
-    assert m == SparseIntMatrix(3, 4, [(0, 1, 5), (2, 3, -7), (2, 0, 1)])
+def test_constructor_drops_empty_rows():
+    rows = {0: {1: 5}, 1: {}, 2: {3: -7, 0: 1}}
+    m = SparseIntMatrix(3, 4, rows)
+    assert m == from_entries(3, 4, [(0, 1, 5), (2, 3, -7), (2, 0, 1)])
     assert sorted(m.rows) == [0, 2]  # the empty row is not stored
+    assert m.rows[2] is rows[2]  # the row dicts are taken over
 
 
 @pytest.mark.parametrize(
-    "rows, count, match",
+    "rows, match",
     [
-        pytest.param([(0, {0: 0})], 1, "zero", id="zero"),
-        # the second write to (0, 0) overwrote the first
-        pytest.param([(0, {0: 2, 1: 1})], 3, "written", id="duplicate"),
-        pytest.param([(0, {0: 1}), (0, {1: 1})], 2, "written", id="duplicate-row"),
-        pytest.param([(2, {0: 1})], 1, "row", id="row-past-the-end"),
-        pytest.param([(-1, {0: 1})], 1, "row", id="negative-row"),
+        pytest.param({0: {0: 0}}, "zero", id="zero"),
+        pytest.param({2: {0: 1}}, "row", id="row-past-the-end"),
+        pytest.param({-1: {0: 1}}, "row", id="negative-row"),
     ],
 )
-def test_from_rows_rejects(rows, count, match):
+def test_constructor_rejects(rows, match):
     with pytest.raises(ValueError, match=match):
-        SparseIntMatrix.from_rows(2, 2, rows, count)
+        SparseIntMatrix(2, 2, rows)
 
 
-def test_from_rows_rejects_negative_dimensions():
-    with pytest.raises(ValueError, match="negative"):
-        SparseIntMatrix.from_rows(-1, 2, [], 0)
+def test_constructor_rejects_negative_shape():
+    for shape in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            SparseIntMatrix(*shape)
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        pytest.param([(2, 0, 1)], id="row-out-of-range"),
+        pytest.param([(-1, 0, 1)], id="negative-row"),
+        pytest.param([(0, 2, 1)], id="col-out-of-range"),
+        pytest.param([(0, -1, 1)], id="negative-col"),
+    ],
+)
+def test_from_entries_rejects(triples):
+    with pytest.raises(ValueError):
+        from_entries(2, 2, triples)
 
 
 def _random_dense(rng, n_rows, n_cols, values):
@@ -114,7 +129,7 @@ def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
         dga._outgoing_ranks(g, n, model)
     assert len(built) > 500
     for m in built:
-        before = SparseIntMatrix(m.n_rows, m.n_cols, m.entries())
+        before = from_entries(m.n_rows, m.n_cols, m.entries())
         assert rank(m) == rank_dense_bareiss(_dense(m))
         assert m == before  # rank leaves its argument unchanged
 
@@ -132,7 +147,7 @@ def test_rank_transpose_and_bounds():
 
 
 def test_matrix_market_round_trip(tmp_path):
-    m = SparseIntMatrix(3, 4, [(0, 1, 5), (2, 3, -7), (1, 0, 2)])
+    m = from_entries(3, 4, [(0, 1, 5), (2, 3, -7), (1, 0, 2)])
     path = tmp_path / "block.mtx"
     write_matrix_market(m, path)
     assert read_matrix_market(path) == m

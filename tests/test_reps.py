@@ -5,13 +5,13 @@ from math import comb
 import pytest
 
 from confcoh.reps import (
-    Character,
     NotACharacter,
     RepLabel,
     TRIVIAL,
     VirtualRep,
     ZERO,
     _dominant_weights_below,
+    _hook_label,
     dim_irrep,
     highest_weight,
     irreducible_character,
@@ -213,22 +213,25 @@ def test_branching_full_column_hook():
 
 def test_character_standard():
     char = irreducible_character(1, RepLabel(0, 1))
-    assert char == Character({(1,): 1})
+    assert char == {(1,): 1}
 
 
 def test_character_second_fundamental():
     char = irreducible_character(2, RepLabel(0, 2))
-    assert char == Character({(1, 1): 1, (0, 0): 1})
+    assert char == {(1, 1): 1, (0, 0): 1}
 
 
 def test_character_built_once_per_label():
     # peel_character asks for the same characters at every step
-    assert irreducible_character(3, RepLabel(1, 2)) is irreducible_character(3, (1, 2))
+    char = irreducible_character(3, RepLabel(1, 2))
+    assert char is irreducible_character(3, (1, 2))
+    with pytest.raises(TypeError):  # shared, so read-only
+        char[(0, 0, 0)] = 0
 
 
 def test_character_trivial():
     for g in (1, 2, 3):
-        assert irreducible_character(g, TRIVIAL) == Character({(0,) * g: 1})
+        assert irreducible_character(g, TRIVIAL) == {(0,) * g: 1}
 
 
 def test_character_mass_is_dimension():
@@ -259,9 +262,30 @@ def test_orbit_size_matches_signed_permutations():
                 assert orbit_size(w) == len(_orbit(w)), w
 
 
-def test_character_rejects_non_dominant_weight():
-    with pytest.raises(ValueError):
-        Character({(1, -1): 1})
+@pytest.mark.parametrize(
+    "g, char",
+    [
+        pytest.param(2, {(1, -1): 1}, id="negative-coordinate"),
+        pytest.param(2, {(0, 1): 1}, id="increasing"),
+        # V(0,2) peels off first and leaves (0, 1) as the highest weight
+        pytest.param(
+            2, {**irreducible_character(2, RepLabel(0, 2)), (0, 1): 1}, id="left-over"
+        ),
+        pytest.param(1, {(1, 1): 1}, id="wrong-length"),
+    ],
+)
+def test_peel_rejects_non_dominant_weight(g, char):
+    with pytest.raises(NotACharacter, match="not of hook form"):
+        peel_character(g, char)
+
+
+def test_hook_label_inverts_highest_weight():
+    for g in range(1, 6):
+        for i in range(7):
+            for j in range(g + 1):
+                label = rep_label(g, i, j)
+                if label != ZERO:
+                    assert _hook_label(g, highest_weight(g, label)) == label
 
 
 def test_peel_irreducible():
@@ -272,7 +296,7 @@ def test_peel_irreducible():
 
 
 def test_peel_empty():
-    assert peel_character(2, Character()) == VirtualRep.zero()
+    assert peel_character(2, {}) == VirtualRep.zero()
 
 
 def test_peel_exterior_square():
@@ -309,9 +333,9 @@ def test_peel_rejects_non_character():
     # (1, 0) is not a weight of V(1,1) = S^2 V at g=2 (its weights have even
     # coordinate sum), so peeling V(1,1) leaves multiplicity -1 there
     char = irreducible_character(2, RepLabel(1, 1))
-    broken = char - Character({(1, 0): 1})
+    broken = {**char, (1, 0): -1}
     with pytest.raises(NotACharacter, match="negative multiplicity"):
         peel_character(2, broken)
     # 2w1 + 2w2 is dominant but outside the i*w1 + w_j family
     with pytest.raises(NotACharacter, match="not of hook form"):
-        peel_character(2, Character({(2, 2): 1}))
+        peel_character(2, {(2, 2): 1})
