@@ -464,6 +464,15 @@ def test_matrix_rejects_bad_terms(monkeypatch, terms, target, error):
         dga._matrix(1, "A", [SOURCE], target)
 
 
+def test_matrix_reports_overwritten_terms(monkeypatch):
+    # the second column writes IMAGE twice: one of its three terms is lost,
+    # while the first column's term in the same row is kept
+    columns = iter([[(1, IMAGE)], [(1, IMAGE), (2, one(1)), (-1, IMAGE)]])
+    monkeypatch.setattr(dga, "differential_monomial", lambda g, model, m: next(columns))
+    with pytest.raises(ValueError, match="3 entries written for 4 terms"):
+        dga._matrix(1, "A", [SOURCE, SOURCE], [IMAGE, one(1)])
+
+
 def test_genus0_builds_no_coordinate_table(monkeypatch):
     # the table grows as n^2, and genus 0 is budgeted to large n
     monkeypatch.setattr(dga, "_coordinate_states", None)
