@@ -121,7 +121,8 @@ class MixedTable:
 
     ``entries`` maps (k, h) to an effective VirtualRep; k is the
     cohomological degree and h the weight.  Each cell's dimension is
-    computed once, at construction, and every method that reports a
+    computed once, at construction, in the same pass that rejects a
+    negative multiplicity (ValueError), and every method that reports a
     dimension reads it from there; so that it cannot go stale, ``entries``
     is a read-only mapping (``dict(table.entries)`` gives a copy to edit
     and build a new table from).
@@ -134,13 +135,16 @@ class MixedTable:
         self.n = n
         kept = {k: v for k, v in entries.items() if v}
         self.entries = MappingProxyType(kept)
-        self._dims = {kh: rep.dim(genus) for kh, rep in kept.items()}
+        self._dims = {}
+        for (k, h), rep in kept.items():
+            dim = rep.effective_dim(genus)
+            if dim is None:
+                raise ValueError(f"negative multiplicity at (k={k}, h={h})")
+            self._dims[(k, h)] = dim
 
     def validate(self):
         g, n = self.genus, self.n
-        for (k, h), rep in self.entries.items():
-            if not rep.is_effective():
-                raise ValueError(f"negative multiplicity at (k={k}, h={h})")
+        for k, h in self._dims:
             if not (h >= k and 0 <= 3 * k - 2 * h <= 2 * g + 2):
                 raise ArithmeticError(
                     f"weight band violated at genus {g}, n={n}, (k={k}, h={h})"

@@ -30,6 +30,14 @@ every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
 monomials are enumerated directly, coordinate by coordinate, never by
 filtering the whole basis; ``dump_blocks`` writes the matrices ranked.
+
+A monomial of weight h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym|,
+which is >= 0, so the weight-h piece of F_n is the same for every n >= h,
+and d preserves h.  The rank loop therefore keeps one store per genus and
+model that holds the cohomology of every piece with h <= H, where H is the
+largest n whose groups were all ranked.  A call at n takes the pieces with
+h <= min(n, H) from the store, ranks the groups of every other piece, and,
+when n > H, stores the pieces with H < h <= n and sets H = n.
 """
 
 from __future__ import annotations
@@ -286,24 +294,46 @@ def _differentials(g, model, groups):
             yield ((d1, d2), w), _matrix(g, model, source, target)
 
 
-def _outgoing_ranks(g, n, model):
-    """The dominant-weight monomials grouped by ((deg1, deg2), torus
-    weight), and the exact rank of d on every group that has a target."""
-    groups = _dominant_groups(g, n, model)
-    return groups, {key: rank(m) for key, m in _differentials(g, model, groups)}
+@lru_cache(maxsize=None)
+def _stable_pieces(g, model):
+    """The store of one genus and model: a list whose entry h holds the
+    nonzero {((deg1, deg2), dominant weight): dim} cells of the weight-h
+    piece of the cohomology.  It holds every h <= H, where H = len - 1 is
+    the largest n whose groups were all ranked, and it grows only by
+    appending, so it never has a gap."""
+    return []
 
 
 @lru_cache(maxsize=None)
 def _cohomology_by_weight(g, n, model="A"):
     """dim H per ((deg1, deg2), dominant weight): kernel minus incoming
-    rank."""
+    rank.
+
+    A monomial of weight h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym|
+    >= 0, so for n >= h the weight-h groups of F_n hold every monomial of
+    weight h, the same at every such n; d preserves h, so the cohomology of
+    the weight-h piece is the same too.  The pieces with h <= min(n, H)
+    come from the ``_stable_pieces`` store; every other group is ranked,
+    and all its targets lie in its own piece.  A call at n > H stores the
+    pieces with H < h <= n and sets H = n, so the store never has a gap: a
+    piece with h > n at this n may still change at a larger n."""
     if g == 0 and n == 1:
         raise Genus0N1Unsupported(
             "genus 0 with one point is served by the genus-0 closed form"
         )
-    groups, ranks = _outgoing_ranks(g, n, model)
+    groups = _dominant_groups(g, n, model)
+    pieces = _stable_pieces(g, model)
+    served = min(n, len(pieces) - 1)
     out = {}
-    for (block, w), monos in groups.items():
+    for piece in pieces[:served + 1]:
+        out.update(piece)
+    fresh = {
+        (block, w): monos for (block, w), monos in groups.items()
+        if block[0] + 2 * block[1] > served
+    }
+    ranks = {key: rank(matrix) for key, matrix in _differentials(g, model, fresh)}
+    grown = [{} for _ in range(served + 1, n + 1)]
+    for (block, w), monos in fresh.items():
         d1, d2 = block
         dim = (
             len(monos)
@@ -317,14 +347,21 @@ def _cohomology_by_weight(g, n, model="A"):
             )
         if dim:
             out[(block, w)] = dim
+            h = d1 + 2 * d2
+            if h <= n:
+                grown[h - served - 1][(block, w)] = dim
+    pieces += grown
     return out
 
 
 def cohomology_dims(g, n, model="A"):
     """Bigraded cohomology dimensions of F_n as a map (deg1, deg2) -> dim."""
-    out = {}
+    out, sizes = {}, {}
     for (block, w), dim in _cohomology_by_weight(g, n, model).items():
-        out[block] = out.get(block, 0) + orbit_size(w) * dim
+        size = sizes.get(w)
+        if size is None:
+            size = sizes[w] = orbit_size(w)
+        out[block] = out.get(block, 0) + size * dim
     return dict(sorted(out.items()))
 
 
@@ -358,8 +395,10 @@ def dump_blocks(g, n, model, dirpath):
     """Write the matrix of d on every group the rank loop ranks, one Matrix
     Market file per ((deg1, deg2), dominant weight) group with a target,
     named ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``; a dominant
-    weight's matrix stands for its whole Weyl orbit.  Returns the paths
-    written, in key order."""
+    weight's matrix stands for its whole Weyl orbit.  A group of weight
+    h <= n has the same matrix at every n >= h, so the rank loop may have
+    ranked it at an earlier n and served its piece from the store; it is
+    written all the same.  Returns the paths written, in key order."""
     os.makedirs(dirpath, exist_ok=True)
     groups = dict(sorted(_dominant_groups(g, n, model).items()))
     written = []

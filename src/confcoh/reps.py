@@ -196,12 +196,18 @@ class VirtualRep:
             raise ValueError(f"not a scalar: {self.text()}")
         return self._terms.get(TRIVIAL, 0)
 
-    def is_effective(self):
-        """True when every coefficient is nonnegative."""
-        return all(m >= 0 for m in self._terms.values())
-
     def dim(self, g):
         return sum(m * dim_irrep(g, l) for l, m in self._terms.items())
+
+    def effective_dim(self, g):
+        """The dimension, or None when a coefficient is negative: the sign
+        check and the dimension of an actual representation in one pass."""
+        dim = 0
+        for l, m in self._terms.items():
+            if m < 0:
+                return None
+            dim += m * dim_irrep(g, l)
+        return dim
 
     def text(self):
         if not self._terms:
@@ -454,11 +460,11 @@ def peel_character(g, char):
     becomes the maximum in the end and is rejected here.
     """
     _check_genus(g)
-    work = dict(char)
+    work = {w: m for w, m in char.items() if m}
     out = []
-    while any(work.values()):
+    while work:
         # lexicographic max is maximal in dominance order
-        mu = max(w for w, m in work.items() if m)
+        mu = max(work)
         m = work[mu]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at weight {mu}")
@@ -466,6 +472,8 @@ def peel_character(g, char):
         if label is None:
             raise NotACharacter(f"highest weight {mu} is not of hook form")
         for w, mm in irreducible_character(g, label).items():
-            work[w] = work.get(w, 0) - m * mm
+            left = work.pop(w, 0) - m * mm
+            if left:
+                work[w] = left
         out.append((label, m))
     return VirtualRep(out)

@@ -182,7 +182,7 @@ def branching_hook(g, i, j):
     if not (1 <= j <= 2 * g) or i < 0:
         raise ValueError(f"need 0 <= i and 1 <= j <= {2 * g}, got i={i}, j={j}")
     out = _branch_strip(g, i, j) if j <= g else _branch_series(g, i, j)
-    if not out.is_effective():
+    if out.effective_dim(g) is None:
         raise ArithmeticError(
             f"negative multiplicity in branching({g},{i},{j}): {out.text()}"
         )

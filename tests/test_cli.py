@@ -126,17 +126,20 @@ def test_table_json_round_trip(capsys):
 def test_each_cell_dim_is_computed_once(capsys, monkeypatch):
     # a table computes each cell's dim at construction, and nothing that
     # reports dims, the table command in every format included, computes
-    # it again
+    # it again, by either method
     from confcoh.closedform import mixed_table
 
     calls = []
-    dim = VirtualRep.dim
 
-    def counted(self, g):
-        calls.append(g)
-        return dim(self, g)
+    def counted(method):
+        def wrapper(self, g):
+            calls.append(g)
+            return method(self, g)
 
-    monkeypatch.setattr(VirtualRep, "dim", counted)
+        return wrapper
+
+    for name in ("dim", "effective_dim"):
+        monkeypatch.setattr(VirtualRep, name, counted(getattr(VirtualRep, name)))
     table = mixed_table(3, 7)
     cells = len(table.entries)
     assert cells > 10 and len(calls) == cells

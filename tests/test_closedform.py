@@ -319,13 +319,22 @@ def test_weight_band_violation_raises():
             table.validate()
 
 
+def test_negative_cell_rejected_at_construction():
+    # the sign, not the dim: V(1,1) - V(0,0) has dim 1 at genus 1
+    virtual = VirtualRep.single(rep_label(1, 1, 1)) - VirtualRep.unit()
+    for cell in (VirtualRep.unit(-1), virtual):
+        with pytest.raises(ValueError, match=r"negative multiplicity at \(k=1, h=2\)"):
+            MixedTable(1, 1, {(0, 0): VirtualRep.unit(), (1, 2): cell})
+
+
 def test_table_monotone_in_n():
     for g in (1, 2):
         for n in range(0, 6):
             small = mixed_table(g, n)
             large = mixed_table(g, n + 1)
             for kh, rep in small.entries.items():
-                assert (large.entries.get(kh, VirtualRep.zero()) - rep).is_effective()
+                grown = large.entries.get(kh, VirtualRep.zero()) - rep
+                assert grown.effective_dim(g) is not None
 
 
 def test_band_on_computed_tables():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -486,11 +487,11 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
 
     want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
     monkeypatch.setattr(dga, "enumerate_basis", whole_basis)
-    dga._cohomology_by_weight.cache_clear()
+    _clear_stores()
     try:
         got = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
     finally:
-        dga._cohomology_by_weight.cache_clear()
+        _clear_stores()
     assert got == want
     assert dump_blocks(2, 5, "B", tmp_path)
 
@@ -498,12 +499,79 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
 def test_negative_dimension_raises(monkeypatch):
     # a rank above the group size is caught even under python -O
     monkeypatch.setattr(dga, "rank", lambda matrix: matrix.n_cols + 1)
-    dga._cohomology_by_weight.cache_clear()
+    _clear_stores()
     try:
         with pytest.raises(ArithmeticError, match=r"\(block, weight\)"):
             cohomology_dims(1, 2)
     finally:
-        dga._cohomology_by_weight.cache_clear()
+        _clear_stores()
+
+
+def _clear_stores():
+    """Forget every computed point and every stored stable piece."""
+    dga._cohomology_by_weight.cache_clear()
+    dga._stable_pieces.cache_clear()
+
+
+# every (g, model) with g <= 3, and genus 0 up to n = 12, both models
+STORE_SWEEPS = [
+    (0, 12, "A"), (0, 12, "B"), (1, 14, "A"), (1, 12, "B"),
+    (2, 8, "A"), (2, 7, "B"), (3, 6, "A"), (3, 5, "B"),
+]
+
+
+def _point(g, n, model):
+    """The point's cells, or the exception class it raises."""
+    try:
+        return dict(dga._cohomology_by_weight(g, n, model))
+    except Genus0N1Unsupported as exc:
+        return type(exc)
+
+
+def test_store_served_points_equal_fresh_recomputation():
+    # ascending, descending and shuffled sweeps, each from an empty store,
+    # against each point computed alone from an empty store
+    rng = random.Random(5)
+    try:
+        for g, top, model in STORE_SWEEPS:
+            fresh = {}
+            for n in range(top + 1):
+                _clear_stores()
+                fresh[n] = _point(g, n, model)
+            shuffled = list(range(top + 1))
+            rng.shuffle(shuffled)
+            for order in (range(top + 1), range(top, -1, -1), shuffled):
+                _clear_stores()
+                for n in order:
+                    assert _point(g, n, model) == fresh[n], (g, model, list(order), n)
+            assert (fresh[1] is Genus0N1Unsupported) == (g == 0)
+    finally:
+        _clear_stores()
+
+
+def test_store_spares_the_ranks_of_stable_pieces(monkeypatch):
+    # a call on an empty store ranks every group that has a target; after
+    # a call at (g, N), a call at n < N ranks only those of weight h > n
+    ranked = []
+    monkeypatch.setattr(dga, "rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+    try:
+        for g, top, model in STORE_SWEEPS:
+            for n in range(top, -1, -1):
+                if g == 0 and n == 1:
+                    continue
+                if n == top:
+                    _clear_stores()
+                groups = dga._dominant_groups(g, n, model)
+                want = [
+                    key for key in groups
+                    if ((key[0][0] + 2, key[0][1] - 1), key[1]) in groups
+                    and (n == top or key[0][0] + 2 * key[0][1] > n)
+                ]
+                ranked.clear()
+                dga._cohomology_by_weight(g, n, model)
+                assert len(ranked) == len(want), (g, model, n)
+    finally:
+        _clear_stores()
 
 
 def _restrict(matrix, rows, cols):
@@ -522,7 +590,8 @@ def test_dump_blocks(tmp_path):
     # whole-basis block restricted to the group's weight, and has its rank
     for g, n, model in ((1, 4, "A"), (2, 3, "A"), (1, 4, "B"), (0, 6, "B"),
                         (2, 5, "B"), (3, 4, "A")):
-        _, ranks = dga._outgoing_ranks(g, n, model)
+        groups = dga._dominant_groups(g, n, model)
+        ranks = {key: rank(m) for key, m in dga._differentials(g, model, groups)}
         keys = sorted(ranks)
         written = dump_blocks(g, n, model, tmp_path / f"g{g}_n{n}_{model}")
         assert [os.path.basename(path) for path in written] == [

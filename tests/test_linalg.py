@@ -121,12 +121,14 @@ def _dense(m):
     return [[m.rows.get(r, {}).get(c, 0) for c in range(m.n_cols)] for r in range(m.n_rows)]
 
 
-def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
-    # every matrix the rank loop builds, not only random dense ones
-    built = []
-    monkeypatch.setattr(dga, "rank", lambda m: built.append(m) or 0)
-    for g, n, model in DIFFERENTIAL_POINTS:
-        dga._outgoing_ranks(g, n, model)
+def test_rank_matches_dense_reference_on_differential_blocks():
+    # every matrix the rank loop ranks at these points on an empty store,
+    # not only random dense ones
+    built = [
+        m
+        for g, n, model in DIFFERENTIAL_POINTS
+        for _, m in dga._differentials(g, model, dga._dominant_groups(g, n, model))
+    ]
     assert len(built) > 500
     for m in built:
         before = from_entries(m.n_rows, m.n_cols, m.entries())

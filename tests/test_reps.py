@@ -144,8 +144,7 @@ def test_ext_power_dimension_and_duality():
     for g in range(1, 5):
         for j in range(0, 2 * g + 1):
             dec = ext_power_decomp(g, j)
-            assert dec.is_effective()
-            assert dec.dim(g) == comb(2 * g, j)
+            assert dec.effective_dim(g) == comb(2 * g, j)
             assert dec == ext_power_decomp(g, 2 * g - j)
 
 
@@ -180,8 +179,7 @@ def test_branching_dimension_identity():
         for i in range(0, 10):
             for j in range(1, 2 * g + 1):
                 dec = branching_hook(g, i, j)
-                assert dec.is_effective()
-                assert dec.dim(g) == sl_hook_dim(g, i, j)
+                assert dec.effective_dim(g) == sl_hook_dim(g, i, j)
 
 
 def test_branching_at_i0_is_exterior_power():
