@@ -11,8 +11,7 @@ import json
 import sys
 
 from . import closedform, dga
-from .reps import ZERO, dim_irrep, rep_label
-from .series import TriSeries
+from .reps import ZERO, VirtualRep, dim_irrep, rep_label
 
 
 def _progress(msg):
@@ -75,18 +74,69 @@ def _regrade(dims):
     return {(d1 + d2, d1 + 2 * d2): dim for (d1, d2), dim in dims.items()}
 
 
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _power(var, e):
+    if e == 0:
+        return ""
+    return var if e == 1 else var + str(e).translate(_SUPERSCRIPT)
+
+
+def _term_text(rep, t, s, u=0):
+    """One term of a q-series, like ``2t·u`` or ``[V(1,1)]·t²s·u³``: a
+    scalar coefficient written as a number, any other in brackets.  Every
+    coefficient of the master series is a genuine representation, so none
+    is negative, and only its u^0 term, which is 1, has no monomial."""
+    ts, up = _power("t", t) + _power("s", s), _power("u", u)
+    mono = f"{ts}·{up}" if ts and up else ts or up
+    if not rep.is_scalar():
+        return f"[{rep.text()}]·{mono}"
+    c = rep.scalar_value()
+    if not mono:
+        return str(c)
+    return mono if c == 1 else f"{c}{mono}"
+
+
+def _series_text(terms):
+    """The (key, rep) terms, sorted by (u, t, s), as one sum."""
+    return " + ".join(_term_text(rep, t, s, u) for (t, s, u), rep in terms)
+
+
+def _grouped_u_text(terms):
+    """Scalar (key, rep) terms, sorted by (u, t, s), with the u-slices
+    grouped, e.g. ``1 + (1 + 2t + t²)u``."""
+    groups = {}
+    for (t, s, u), rep in terms:
+        groups.setdefault(u, []).append(_term_text(rep, t, s))
+    parts = []
+    for u, group in groups.items():
+        inner, up = " + ".join(group), _power("u", u)
+        if not up:
+            parts.append(inner)
+        elif len(group) > 1:
+            parts.append(f"({inner}){up}")
+        else:
+            parts.append(up if inner == "1" else f"{inner}{up}")
+    return " + ".join(parts)
+
+
 def cmd_q_series(args, parser):
     if args.genus < 1:
         parser.error("q-series needs genus >= 1; use `betti --genus 0` instead")
     g = args.genus
-    q = closedform.build_Q(g, args.max_n)
-    shown = q
+    q = closedform.build_Q(g, args.max_n).items()
+    terms = sorted(q, key=lambda item: (item[0][2], item[0][:2]))  # by (u, t, s)
     if args.dims:
-        shown = TriSeries(q.u_trunc, {key: rep.dim(g) for key, rep in q.coeffs()})
-    csv = lambda: ["t,s,u,dim"] + [
-        f"{t},{s},{u},{rep.dim(g)}" for (t, s, u), rep in q.coeffs()
+        terms = [(key, VirtualRep.unit(rep.dim(g))) for key, rep in terms]
+    payload = lambda: [
+        {"t": t, "s": s, "u": u, "rep": rep.to_json()} for (t, s, u), rep in terms
     ]
-    _write(args, shown.to_json, csv, shown.grouped_u_text if args.dims else q.text)
+    csv = lambda: ["t,s,u,dim"] + [
+        f"{t},{s},{u},{rep.dim(g)}" for (t, s, u), rep in terms
+    ]
+    text = _grouped_u_text if args.dims else _series_text
+    _write(args, payload, csv, lambda: text(terms))
     return 0
 
 

@@ -8,13 +8,12 @@ points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
 The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
-sum over u.  The bracket is written from its formula, truncated at u^n,
-as a flat list of (t, s, u, label) terms of multiplicity one, and each
-consumer aggregates the list as it needs: a table sums each (t, s) column
-over u <= n, and no series is built for it; ``q_bracket`` groups it by
-(t, s, u), and ``build_Q`` forms the whole master series from that as a
-TriSeries, for the q-series; ``euler_series`` sums alternating
-dimensions per u.
+sum over u.  ``q_bracket`` writes the bracket from its formula, truncated
+at u^n, as one checked flat list of (t, s, u, label) terms of multiplicity
+one, and each consumer aggregates that list as it needs: a table sums each
+(t, s) column over u <= n, and builds no series; ``build_Q`` keeps the
+running sum of each column at every u, as a {(t, s, u): VirtualRep} dict,
+for the q-series; ``euler_series`` sums alternating dimensions per u.
 
 Genus 0 is served by its own closed form; the symplectic machinery
 requires g >= 1.
@@ -27,7 +26,6 @@ from math import comb
 from types import MappingProxyType
 
 from .reps import TRIVIAL, VirtualRep, dim_irrep, rep_label
-from .series import TriSeries
 
 __all__ = [
     "q_bracket",
@@ -48,12 +46,9 @@ def _check_genus(g):
 
 
 def _bracket_terms(g, N):
-    """The bracket of ``q_bracket`` up to u^N as a flat list of
-    (t, s, u, label) terms, each of multiplicity one; a label that occurs
-    twice at one (t, s, u) is listed twice.  Its scalar factors, expanded,
-    give 8 shifts per j, and each label V(i, j) is listed once at each
-    shift.  Labels come from ``rep_label`` or are TRIVIAL, never ZERO.
-    Consumers aggregate the list as they need it."""
+    """The bracket of ``q_bracket`` up to u^N, unchecked.  Its scalar
+    factors, expanded, give 8 shifts per j, and each label V(i, j) is
+    listed once at each shift."""
     # (1+t^2 s u^3)(1+t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2), expanded
     scalar = [(0, 0, 0), (2, 0, 1), (2, 1, 3), (4, 1, 4)]
     scalar += [(2 * g, 1, 2 * g + 2), (2 * g + 2, 2, 2 * g + 4)]
@@ -70,11 +65,23 @@ def _bracket_terms(g, N):
     return terms
 
 
-def _bracket(g, N):
-    """The bracket's terms with its invariants checked: the u^0 coefficient
-    is 1, and every term has t <= u + 2g + 2 and u <= t + s + 1.  1/(1-u)
-    keeps the u^0 coefficient and only carries terms to higher u, so the
-    master series meets the first two as well."""
+def q_bracket(g, N):
+    """The bracket whose product with 1/(1-u) is the master series, to u^N:
+
+        (1+t^2 s u^3)(1 + t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2)
+        + (1+t^2 s u^2)(1+t^2 s u^3)
+          * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))),
+
+    as a flat list of (t, s, u, label) terms, each of multiplicity one; a
+    label that occurs twice at one (t, s, u) is listed twice.  Labels come
+    from ``rep_label`` or are TRIVIAL, never ZERO.
+
+    Its invariants are checked: the u^0 coefficient is 1, and every term
+    has t <= u + 2g + 2, u <= t + s + 1 and u <= t + 2s, the last two in
+    one test, u <= t + s + min(s, 1).  1/(1-u) keeps the u^0 coefficient
+    and only carries terms to higher u, so the master series meets the
+    first two as well.
+    """
     _check_genus(g)
     if N < 0:
         raise ValueError("truncation must be >= 0")
@@ -84,32 +91,40 @@ def _bracket(g, N):
         raise ArithmeticError(
             f"u^0 coefficient must be 1 at g={g}, got the (t, s, label) terms {u0}"
         )
+    top = 2 * g + 2
     for t, s, u, _ in terms:
-        if t > u + 2 * g + 2 or u > t + s + 1:
-            bound = "u <= t + s + 1" if t <= u + 2 * g + 2 else "t <= u + 2g + 2"
+        if t > u + top or u > t + s + (s > 0):  # s > 0 is min(s, 1), for s >= 0
+            if t > u + top:
+                bound = "t <= u + 2g + 2"
+            else:
+                bound = "u <= t + s + 1" if u > t + s + 1 else "u <= t + 2s"
             raise ArithmeticError(
                 f"exponent bound {bound} violated at {(t, s, u)}, g={g}"
             )
     return terms
 
 
-def q_bracket(g, N):
-    """The bracket whose product with 1/(1-u) is the master series, to u^N:
-
-        (1+t^2 s u^3)(1 + t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2)
-        + (1+t^2 s u^2)(1+t^2 s u^3)
-          * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))).
-    """
-    cells = {}
-    for t, s, u, label in _bracket(g, N):
-        cells.setdefault((t, s, u), []).append((label, 1))
-    return TriSeries(N, {key: VirtualRep(cell) for key, cell in cells.items()})
-
-
 def build_Q(g, N):
-    """Master series truncated at u^N: the bracket times 1/(1-u), which is
-    the running sum of each (t, s) column of the bracket over u."""
-    return q_bracket(g, N).div_one_minus_u()
+    """Master series truncated at u^N, as {(t, s, u): VirtualRep}: the
+    bracket times 1/(1-u), which is the running sum of each (t, s) column
+    of the bracket over u.  Every coefficient is nonzero, and one that does
+    not change from u to u+1 is the same (immutable) VirtualRep."""
+    columns = {}
+    for t, s, u, label in q_bracket(g, N):
+        columns.setdefault((t, s), []).append((u, label))
+    series = {}
+    for (t, s), column in columns.items():
+        column.sort()
+        ends = [u for u, _ in column[1:]] + [N + 1]
+        counts = {}
+        for (u, label), end in zip(column, ends):
+            counts[label] = counts.get(label, 0) + 1
+            if end > u:
+                rep = VirtualRep.from_counts(counts)
+                counts = dict(counts)
+                for v in range(u, end):
+                    series[(t, s, v)] = rep
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +220,7 @@ def _slice(g, n):
     """The master series' u^n coefficient as (t, s) -> VirtualRep: each
     (t, s) column of the bracket truncated at u^n, summed over u."""
     columns = {}
-    for t, s, _, label in _bracket(g, n):
+    for t, s, _, label in q_bracket(g, n):
         column = columns.setdefault((t, s), {})
         column[label] = column.get(label, 0) + 1
     return {ts: VirtualRep.from_counts(column) for ts, column in columns.items()}
@@ -266,7 +281,7 @@ def euler_series(g, N):
             out.append(sum((-1) ** k * d for k, d in enumerate(b)))
         return out
     per_u = [0] * (N + 1)
-    for t, s, u, label in _bracket(g, N):
+    for t, s, u, label in q_bracket(g, N):
         per_u[u] += (-1) ** (t + s) * dim_irrep(g, label)
     return list(accumulate(per_u))
 
@@ -276,12 +291,13 @@ def stabilization_bound(g, k, h):
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
     largest u-exponent with which the bracket meets (k, h).  Every bracket
-    term satisfies u <= t + s + 1 (_bracket checks it), so scanning up to
-    k + 2 is exhaustive.
+    term satisfies u <= t + s + 1 = k + 1 and u <= t + 2s = h (q_bracket
+    checks both), so scanning up to k + 2 is exhaustive and the bound is at
+    most h.
     """
     _check_genus(g)
     t, s = 2 * k - h, h - k
     if t < 0 or s < 0:
         return 0
-    terms = _bracket(g, k + 2)
+    terms = q_bracket(g, k + 2)
     return max((u for tt, ss, u, _ in terms if (tt, ss) == (t, s)), default=0)

@@ -10,19 +10,20 @@ one factor carries non-scalar coefficients, because the representation
 ring is used additively.
 
 All values are immutable and every operation is pure.
+
+The package itself does not use this algebra: its master series is the
+column running sums of ``closedform.build_Q``.  The slow routes of the
+tests (``tests/reference.py``) build their series with it, and it stays in
+the package while the benchmark's tracer wraps ``TriSeries.__mul__`` and
+``__add__``.
 """
 
 from .reps import VirtualRep
 
 __all__ = [
     "TriSeries",
-    "OutOfTruncation",
     "BothSidesVirtual",
 ]
-
-
-class OutOfTruncation(ValueError):
-    """A coefficient beyond the series truncation was requested."""
 
 
 class BothSidesVirtual(ValueError):
@@ -35,40 +36,6 @@ def _as_rep(c):
     if isinstance(c, int):
         return VirtualRep.unit(c)
     raise TypeError(f"coefficient must be int or VirtualRep, got {type(c)!r}")
-
-
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def _pow(sym, e):
-    if e == 0:
-        return ""
-    if e == 1:
-        return sym
-    return sym + str(e).translate(_SUP)
-
-
-def _mono_text(t, s, u=0):
-    ts = _pow("t", t) + _pow("s", s)
-    up = _pow("u", u)
-    if ts and up:
-        return f"{ts}·{up}"
-    return ts or up
-
-
-def _term_text(coeff, mono):
-    if coeff.is_scalar():
-        c = coeff.scalar_value()
-        if not mono:
-            return str(c)
-        if c == 1:
-            return mono
-        if c == -1:
-            return f"-{mono}"
-        return f"{c}{mono}"
-    if not mono:
-        return f"[{coeff.text()}]"
-    return f"[{coeff.text()}]·{mono}"
 
 
 class TriSeries:
@@ -162,80 +129,5 @@ class TriSeries:
                 out[key] = prev + c if prev is not None else c
         return TriSeries(trunc, out)
 
-    def div_one_minus_u(self):
-        """This series times 1/(1-u) = 1 + u + u^2 + ..., at the same
-        truncation: the u^n coefficient at (t, s) is the running sum of the
-        (t, s) column over u <= n.  Zero sums are not stored."""
-        columns = {}
-        for (t, s, u), c in self._c.items():
-            columns.setdefault((t, s), []).append((u, c))
-        out = {}
-        for (t, s), column in columns.items():
-            column.sort()  # u is unique in a column, so no rep is compared
-            ends = [u for u, _ in column[1:]] + [self.u_trunc + 1]
-            total = VirtualRep.zero()
-            for (u, c), end in zip(column, ends):
-                total = total + c
-                if total:
-                    for v in range(u, end):
-                        out[(t, s, v)] = total
-        return TriSeries(self.u_trunc, out)
-
-    def coeff_u(self, n):
-        """The u^n slice as a map (t_exp, s_exp) -> VirtualRep."""
-        if n > self.u_trunc:
-            raise OutOfTruncation(f"u^{n} beyond truncation {self.u_trunc}")
-        if n < 0:
-            raise ValueError("negative u exponent")
-        return {(t, s): c for (t, s, u), c in self._c.items() if u == n}
-
-    def text(self):
-        """Rendering like ``[V(1,1)]·t²s·u³`` with lexicographic term order."""
-        if not self._c:
-            return "0"
-        parts = [_term_text(c, _mono_text(t, s, u)) for (t, s, u), c in self.coeffs()]
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def grouped_u_text(self):
-        """Scalar series rendered with the u-slices grouped, e.g.
-        ``1 + (1 + 2t + t²)u``."""
-        if not self._c:
-            return "0"
-        groups = {}
-        for (t, s, u), c in self._c.items():
-            groups.setdefault(u, {})[(t, s)] = c.scalar_value()
-        parts = []
-        for u in sorted(groups):
-            terms = sorted(groups[u].items())
-            inner = " + ".join(
-                _term_text(VirtualRep.unit(c), _mono_text(t, s)) for (t, s), c in terms
-            ).replace("+ -", "- ")
-            up = _pow("u", u)
-            if not up:
-                parts.append(inner)
-            elif len(terms) > 1:
-                parts.append(f"({inner}){up}")
-            elif inner == "1":
-                parts.append(up)
-            else:
-                parts.append(f"{inner}{up}")
-        return " + ".join(parts)
-
-    def to_json(self):
-        return [
-            {"t": t, "s": s, "u": u, "rep": c.to_json()}
-            for (t, s, u), c in self.coeffs()
-        ]
-
-    @classmethod
-    def from_json(cls, records, u_trunc):
-        return cls(
-            u_trunc,
-            {
-                (r["t"], r["s"], r["u"]): VirtualRep.from_json(r["rep"])
-                for r in records
-            },
-        )
-
     def __repr__(self):
-        return f"TriSeries(u<={self.u_trunc}, {self.text()})"
+        return f"TriSeries(u<={self.u_trunc}, {dict(self.coeffs())})"

@@ -3,10 +3,15 @@
 None of these is called by the package, its command line or the
 benchmark; each one checks a ``confcoh`` function by a second route:
 
+- ``weyl_dim``: the Weyl dimension formula for a dominant weight (checked
+  for dominance by ``is_dominant``), which checks the product formula of
+  ``reps.dim_irrep``.
 - ``sl_hook_dim``, ``ext_power_decomp``, ``tensor_std_sym_decomp`` and
   ``branching_hook``: dimension and decomposition rules of sp(2g), which
   check ``reps.dim_irrep`` and the representation labels of the master
   series (``closedform.q_bracket``).
+- ``rep_from_json``: reads back ``reps.VirtualRep.to_json``, and so the
+  decompositions in the JSON of the command line.
 - ``character_of``: the character of a virtual representation, as a
   {dominant weight: mult} dict, which ``reps.peel_character`` must
   decompose back into it.
@@ -21,14 +26,17 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   transposed matrix, which check ``linalg.rank``.
 - ``read_matrix_market``: reads back what ``linalg.write_matrix_market``
   writes, and so the per-group matrices of ``dga.dump_blocks``.
-- ``geom_u``: the truncated geometric series, whose product checks the
-  running sum ``series.TriSeries.div_one_minus_u``.
+- ``geom_u``: the truncated geometric series; its product with
+  ``reference_q_bracket`` checks the column running sums of
+  ``closedform.build_Q``.
 - ``reference_q_bracket``: the bracket assembled by series products and
-  sums of its factors, which checks ``closedform.q_bracket``; that one
-  writes the bracket term by term from its formula.
+  sums of its factors, which checks the terms of ``closedform.q_bracket``;
+  that one writes the bracket term by term from its formula.
 - ``build_P_*`` and ``build_Q_assembled``: the bigraded Hilbert series and
   the master series assembled from kernel/quotient pieces, which check
   ``closedform.build_Q``.
+- ``u_slice``: the u^n coefficient of ``closedform.build_Q``'s dict, which
+  the tests compare with the tables.
 - ``per_cell_dims``: a table's dimensions, Betti numbers and Euler
   characteristic recomputed cell by cell, which check the dimensions that
   ``closedform.MixedTable`` stores at construction.
@@ -39,6 +47,7 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   to one weight, the matrices of ``dga.dump_blocks``.
 """
 
+from functools import lru_cache
 from math import comb
 
 from confcoh import reps
@@ -47,6 +56,7 @@ from confcoh.dga import _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
     TRIVIAL,
+    RepLabel,
     VirtualRep,
     irreducible_character,
     rep_label,
@@ -55,6 +65,42 @@ from confcoh.series import TriSeries
 
 # ---------------------------------------------------------------------------
 # representations of sp(2g)
+
+
+def is_dominant(w):
+    """True for a dominant weight (also the empty weight of genus 0)."""
+    return reps._dom_rep(w) == tuple(w)
+
+
+@lru_cache(maxsize=None)
+def weyl_dim(g, weight):
+    """Weyl dimension formula for a dominant weight of sp(2g).
+
+    >>> weyl_dim(2, (1, 1))
+    5
+    """
+    reps._check_genus(g)
+    weight = tuple(weight)
+    if len(weight) != g or not is_dominant(weight):
+        raise ValueError(f"weight {weight} is not dominant for sp({2 * g})")
+    rho = reps._rho(g)
+    lam_rho = tuple(a + b for a, b in zip(weight, rho))
+    num = 1
+    den = 1
+    for alpha in reps._positive_roots(g):
+        num *= reps._dot(lam_rho, alpha)
+        den *= reps._dot(rho, alpha)
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise ArithmeticError(
+            f"Weyl dimension {num}/{den} of {weight} is not a positive integer"
+        )
+    return d
+
+
+def rep_from_json(records):
+    """The VirtualRep whose ``to_json`` is ``records``."""
+    return VirtualRep([(RepLabel(r["i"], r["j"]), r["mult"]) for r in records])
 
 
 def sl_hook_dim(g, i, j):
@@ -285,6 +331,12 @@ def coeff(q, t, s, u):
     return dict(q.coeffs()).get((t, s, u), VirtualRep.zero())
 
 
+def u_slice(q, n):
+    """The u^n coefficient of a {(t, s, u): VirtualRep} master series, as
+    {(t, s): VirtualRep}."""
+    return {(t, s): rep for (t, s, u), rep in q.items() if u == n}
+
+
 def _tri(N, terms):
     return TriSeries(N, {(t, s, u): c for t, s, u, c in terms})
 
@@ -408,7 +460,7 @@ def build_P_HA(g, D):
     if direct != assembled:
         raise ArithmeticError(
             f"the two constructions of P_H(A) disagree at g={g}, D={D}: "
-            f"the difference is {(direct - assembled).text()}"
+            f"the difference is {dict((direct - assembled).coeffs())}"
         )
     return direct
 

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from confcoh.cli import main
+from confcoh.cli import _grouped_u_text, _series_text, main
 from confcoh.closedform import MixedTable
 from confcoh.dga import ORACLE_BUDGET
-from confcoh.reps import VirtualRep
+from confcoh.reps import RepLabel, VirtualRep
+from reference import rep_from_json
 
 
 def run(capsys, *argv):
@@ -43,10 +44,29 @@ def test_q_series_json_round_trip(capsys):
     code, out = run(capsys, "q-series", "--genus", "2", "--max-n", "3", "--format", "json")
     assert code == 0
     records = json.loads(out)
-    from confcoh.series import TriSeries
     from confcoh.closedform import build_Q
 
-    assert TriSeries.from_json(records, 3) == build_Q(2, 3)
+    got = {(r["t"], r["s"], r["u"]): rep_from_json(r["rep"]) for r in records}
+    assert got == build_Q(2, 3)
+    keys = [(r["u"], r["t"], r["s"]) for r in records]
+    assert keys == sorted(keys)
+
+
+def test_q_series_text_rendering():
+    terms = [
+        ((0, 0, 0), VirtualRep.unit()),
+        ((1, 0, 1), VirtualRep.unit(2)),
+        ((2, 1, 3), VirtualRep.single(RepLabel(1, 1))),
+    ]
+    assert _series_text(terms) == "1 + 2t·u + [V(1,1)]·t²s·u³"
+
+
+def test_q_series_grouped_u_text():
+    one = VirtualRep.unit()
+    terms = [((0, 0, 0), one), ((0, 0, 1), one), ((1, 0, 1), VirtualRep.unit(2))]
+    terms += [((2, 0, 1), one), ((0, 0, 2), one), ((1, 0, 3), VirtualRep.unit(3))]
+    assert _grouped_u_text(terms) == "1 + (1 + 2t + t²)u + u² + 3tu³"
+    assert _grouped_u_text(terms[:1]) == "1"
 
 
 def test_betti_genus0(capsys):
@@ -113,7 +133,7 @@ def test_table_json_round_trip(capsys):
 
     want = mixed_table(2, 2)
     got = {
-        (row["degree"], row["weight"]): VirtualRep.from_json(row["decomposition"])
+        (row["degree"], row["weight"]): rep_from_json(row["decomposition"])
         for row in payload["table"]
     }
     assert got == want.entries

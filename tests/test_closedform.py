@@ -27,6 +27,7 @@ from reference import (
     per_cell_dims,
     reference_q_bracket,
     tensor_std_sym_decomp,
+    u_slice,
 )
 
 W1 = RepLabel(0, 1)
@@ -121,7 +122,7 @@ def test_p_ha_assembly_identity():
 
 def test_q_u0_is_one():
     for g in (1, 2, 3):
-        assert build_Q(g, 4).coeff_u(0) == {(0, 0): VirtualRep.unit()}
+        assert u_slice(build_Q(g, 4), 0) == {(0, 0): VirtualRep.unit()}
 
 
 def test_q_u1_is_surface_cohomology():
@@ -131,7 +132,7 @@ def test_q_u1_is_surface_cohomology():
             (1, 0): VirtualRep.single(W1),
             (2, 0): VirtualRep.unit(),
         }
-        assert build_Q(g, 3).coeff_u(1) == want
+        assert u_slice(build_Q(g, 3), 1) == want
 
 
 def test_q_g1_u3_expansion():
@@ -143,21 +144,31 @@ def test_q_g1_u3_expansion():
         (1, 1): VirtualRep.single(W1),
         (3, 1): VirtualRep.single(W1),
     }
-    assert build_Q(1, 3).coeff_u(3) == want
+    assert u_slice(build_Q(1, 3), 3) == want
 
 
 def test_q_matches_assembled_route():
     for g in range(1, 6):
         for N in range(13):
-            assert build_Q(g, N) == build_Q_assembled(g, N), (g, N)
+            assert build_Q(g, N) == dict(build_Q_assembled(g, N).coeffs()), (g, N)
 
 
 def test_q_running_sum_matches_geometric_product():
     # build_Q sums each (t, s) column of the bracket over u; the slow
-    # reference multiplies by the truncated geometric series
+    # reference multiplies the bracket's series by the truncated geometric
+    # series
     for g in range(1, 9):
         for N in range(17):
-            assert build_Q(g, N) == geom_u(N) * q_bracket(g, N), (g, N)
+            want = geom_u(N) * reference_q_bracket(g, N)
+            assert build_Q(g, N) == dict(want.coeffs()), (g, N)
+
+
+def test_q_reuses_a_coefficient_that_does_not_change():
+    q = build_Q(3, 20)
+    for (t, s, u), rep in q.items():
+        assert rep
+        if u and q.get((t, s, u - 1)) == rep:
+            assert q[(t, s, u - 1)] is rep, (t, s, u)
 
 
 def test_bracket_matches_series_route():
@@ -169,15 +180,16 @@ def test_bracket_matches_series_route():
         bracket = reference_q_bracket(g, 24).coeffs()
         q = build_Q(g, 24)
         for N in range(25):
-            assert q_bracket(g, N) == TriSeries(N, bracket), (g, N)
-            want = {(t + s, t + 2 * s): rep for (t, s), rep in q.coeff_u(N).items()}
+            terms = [((t, s, u), VirtualRep.single(l)) for t, s, u, l in q_bracket(g, N)]
+            assert TriSeries(N, terms) == TriSeries(N, bracket), (g, N)
+            want = {(t + s, t + 2 * s): rep for (t, s), rep in u_slice(q, N).items()}
             assert mixed_table(g, N).entries == want, (g, N)
 
 
 def test_tables_never_build_the_master_series(monkeypatch):
     # the expected slices come from the series route before it is refused
     want = {
-        (g, n): (geom_u(n) * reference_q_bracket(g, n)).coeff_u(n)
+        (g, n): u_slice(dict((geom_u(n) * reference_q_bracket(g, n)).coeffs()), n)
         for g, n in [(1, 3), (2, 6), (3, 9), (8, 12)]
     }
 
@@ -185,8 +197,8 @@ def test_tables_never_build_the_master_series(monkeypatch):
         raise AssertionError("a table built the master series")
 
     monkeypatch.setattr(closedform, "build_Q", refuse)
-    monkeypatch.setattr(closedform, "q_bracket", refuse)
-    monkeypatch.setattr(TriSeries, "div_one_minus_u", refuse)
+    monkeypatch.setattr(TriSeries, "__mul__", refuse)
+    monkeypatch.setattr(TriSeries, "__add__", refuse)
     assert mixed_table(1, 3).betti() == (1, 2, 3, 4, 2)
     for (g, n), slice_n in want.items():
         entries = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
@@ -214,6 +226,7 @@ def bad_bracket_term(monkeypatch):
         ((1, 0, 0), r"u\^0 coefficient must be 1"),
         ((6, 0, 1), r"t <= u \+ 2g \+ 2"),
         ((0, 0, 2), r"u <= t \+ s \+ 1"),
+        ((1, 0, 2), r"u <= t \+ 2s"),
     ],
 )
 def test_bracket_invariants_raise(bad_bracket_term, term, message):
@@ -232,7 +245,7 @@ def test_slice_matches_the_checked_constructor():
     for g in range(1, 9):
         for n in range(25):
             columns = {}
-            for t, s, _, label in closedform._bracket(g, n):
+            for t, s, _, label in q_bracket(g, n):
                 columns.setdefault((t, s), []).append((label, 1))
             want = {ts: VirtualRep(column) for ts, column in columns.items()}
             assert closedform._slice(g, n) == want, (g, n)
@@ -280,8 +293,9 @@ def test_tables_are_one_u_column_of_the_master_series():
     for g in range(1, 6):
         for n in range(13):
             slice_n = {}
-            for (t, s, u), rep in q_bracket(g, n).coeffs():
+            for t, s, u, label in q_bracket(g, n):
                 assert u <= n
+                rep = VirtualRep.single(label)
                 slice_n[(t, s)] = slice_n.get((t, s), VirtualRep.zero()) + rep
             slice_n = {ts: rep for ts, rep in slice_n.items() if rep}
             want = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
@@ -350,6 +364,15 @@ def test_stabilization_examples():
     assert stabilization_bound(1, 2, 2) == 1
     assert stabilization_bound(1, 3, 2) == 0  # h < k, no such entry
     assert stabilization_bound(2, 1, 3) == 0  # t-exponent would be negative
+
+
+def test_stabilization_bound_is_at_most_the_weight():
+    # every bracket term has u <= t + 2s = h, and the entry settles at the
+    # largest such u
+    for g in range(1, 7):
+        for k in range(25):
+            for h in range(k, 2 * k + 1):
+                assert stabilization_bound(g, k, h) <= h, (g, k, h)
 
 
 def test_stabilization_is_sharp_enough():

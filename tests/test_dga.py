@@ -20,15 +20,17 @@ from confcoh.dga import (
     mono_weight,
 )
 from confcoh.linalg import rank
-from confcoh.reps import RepLabel, VirtualRep, _dom_rep, _is_dominant
+from confcoh.reps import RepLabel, VirtualRep, _dom_rep
 from reference import (
     basis_count_series,
     blocks,
     character_mass,
     differential_block,
     from_entries,
+    is_dominant,
     per_cell_dims,
     read_matrix_market,
+    u_slice,
 )
 
 INSTANCES = [
@@ -346,7 +348,7 @@ def test_cohomology_reps_store_the_right_dims():
 
 def test_reps_cross_check_u_slice():
     table = cohomology_reps(2, 2)
-    slice2 = build_Q(2, 2).coeff_u(2)
+    slice2 = u_slice(build_Q(2, 2), 2)
     want = {(t + s, t + 2 * s): rep for (t, s), rep in slice2.items()}
     assert table.entries == want
 
@@ -391,7 +393,7 @@ def reference_dominant_groups(g, n, model):
     groups = {}
     for m in enumerate_basis(g, n, model):
         w = mono_weight(g, m)
-        if _is_dominant(w):
+        if is_dominant(w):
             d1, d2, _ = mono_degrees(g, m)
             groups.setdefault(((d1, d2), w), []).append(m)
     return groups
