@@ -243,6 +243,9 @@ def _verify_point(g, n, reps):
 
 def cmd_verify(args, parser):
     _check_oracle_budget(args, parser, args.max_n)
+    if not (args.genus == 0 and args.max_n == 1):
+        # one elimination at the top serves every n of the sweep
+        dga.cohomology_dims(args.genus, args.max_n)
     lines = []
     for n in range(args.max_n + 1):
         if args.genus == 0 and n == 1:

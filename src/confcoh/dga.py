@@ -31,23 +31,27 @@ dominant weight counts once per member of its orbit.  The dominant-weight
 monomials are enumerated directly, coordinate by coordinate, never by
 filtering the whole basis; ``dump_blocks`` writes the matrices ranked.
 
-A monomial of weight h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym|,
-which is >= 0, so the weight-h piece of F_n is the same for every n >= h,
-and d preserves h.  The rank loop therefore keeps one store per genus and
-model that holds the cohomology of every piece with h <= H, where H is the
-largest n whose groups were all ranked.  A call at n takes the pieces with
-h <= min(n, H) from the store, ranks the groups of every other piece, and,
-when n > H, stores the pieces with H < h <= n and sets H = n.
+F_n is a subcomplex of F_N for n <= N, since d never raises deg3.  The
+rank loop therefore keeps one store per genus and model, built by one
+elimination per group at the largest n reached so far, top: with each
+group's members sorted by deg3, the rank of d on F_n's part of the group
+is a prefix rank of that elimination, for every n <= top.  A call at
+n <= top only reads the store; a call at n > top enumerates F_n once and
+eliminates again only the groups of weight h > top.  A monomial of weight
+h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym| >= 0, so the groups of
+weight h <= top are already whole in F_top.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from functools import lru_cache
+from operator import gt, itemgetter
 from typing import NamedTuple
 
 from .closedform import MixedTable
-from .linalg import SparseIntMatrix, rank, write_matrix_market
+from .linalg import SparseIntMatrix, prefix_ranks, write_matrix_market
 from .reps import orbit_size, peel_character
 
 __all__ = [
@@ -294,64 +298,101 @@ def _differentials(g, model, groups):
             yield ((d1, d2), w), _matrix(g, model, source, target)
 
 
-@lru_cache(maxsize=None)
-def _stable_pieces(g, model):
-    """The store of one genus and model: a list whose entry h holds the
-    nonzero {((deg1, deg2), dominant weight): dim} cells of the weight-h
-    piece of the cohomology.  It holds every h <= H, where H = len - 1 is
-    the largest n whose groups were all ranked, and it grows only by
-    appending, so it never has a gap."""
-    return []
+class _Store:
+    """The step functions of one genus and model: for every
+    ((deg1, deg2), dominant weight) group of F_top, one flat tuple that
+    holds the deg3 of its k members in increasing order, then, for each
+    j < k, the rank of d on the first j + 1 of them.
+
+    F_n holds the members of deg3 <= n, and d never raises deg3, so the F_n
+    matrix of d on a group is the column prefix of deg3 <= n of its F_top
+    matrix, whose other rows are zero there.  A call at any n <= top reads
+    each group's count and rank off its tuple by bisection.  The groups are
+    kept in order of their least deg3, so that a call at n stops at the
+    first group with no member in F_n.
+    """
+
+    __slots__ = ("top", "steps")
+
+    def __init__(self):
+        self.top = -1
+        self.steps = {}
+
+    def grow(self, g, n, model):
+        """Cover F_n: enumerate it once, and rebuild the tuple of each of
+        its groups of weight h > top by one elimination over its members
+        sorted by deg3.  A group of weight h <= top keeps its tuple, since
+        h - deg3 = p + 2 sp + |sym| >= 0 puts every member at deg3 <= top,
+        and its target has the same weight."""
+        fresh = _dominant_groups(g, n, model)
+        if self.top >= 0:  # on an empty store every group is fresh
+            fresh = {
+                key: members for key, members in fresh.items()
+                if key[0][0] + 2 * key[0][1] > self.top
+            }
+        for key, source in fresh.items():
+            (d1, d2), w = key
+            # deg3 = |ext| + p + 2 (s1 + sp + |sym|), which is
+            # deg1 + deg2 + s1 - p - sp
+            degs = [d1 + d2 + s1 - p - sp for _, s1, p, sp, _ in source]
+            if len(degs) > 1 and degs != sorted(degs):
+                source = [source[i] for i in sorted(range(len(degs)), key=degs.__getitem__)]
+                degs.sort()
+            target = fresh.get(((d1 + 2, d2 - 1), w))
+            if target:
+                ranks = prefix_ranks(_matrix(g, model, source, target))
+            else:
+                ranks = [0] * len(degs)
+            self.steps[key] = (*degs, *ranks)
+        # a group new to the store joins at the end: restore the order
+        least = list(map(itemgetter(0), self.steps.values()))
+        if any(map(gt, least, least[1:])):
+            self.steps = dict(sorted(self.steps.items(), key=itemgetter(1)))
+        self.top = n
 
 
 @lru_cache(maxsize=None)
+def _store(g, model):
+    """The one ``_Store`` of a genus and model, grown as calls reach a
+    larger n."""
+    return _Store()
+
+
 def _cohomology_by_weight(g, n, model="A"):
-    """dim H per ((deg1, deg2), dominant weight): kernel minus incoming
-    rank.
+    """dim H per ((deg1, deg2), dominant weight) of F_n: the group's
+    members, minus the rank of d on them, minus the rank of d into them.
 
-    A monomial of weight h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym|
-    >= 0, so for n >= h the weight-h groups of F_n hold every monomial of
-    weight h, the same at every such n; d preserves h, so the cohomology of
-    the weight-h piece is the same too.  The pieces with h <= min(n, H)
-    come from the ``_stable_pieces`` store; every other group is ranked,
-    and all its targets lie in its own piece.  A call at n > H stores the
-    pieces with H < h <= n and sets H = n, so the store never has a gap: a
-    piece with h > n at this n may still change at a larger n."""
+    A call at n <= top reads every group off the store, with no enumeration
+    and no elimination; a call at n > top first grows the store to n."""
+    _check_point(g, n, model)
     if g == 0 and n == 1:
         raise Genus0N1Unsupported(
             "genus 0 with one point is served by the genus-0 closed form"
         )
-    groups = _dominant_groups(g, n, model)
-    pieces = _stable_pieces(g, model)
-    served = min(n, len(pieces) - 1)
-    out = {}
-    for piece in pieces[:served + 1]:
-        out.update(piece)
-    fresh = {
-        (block, w): monos for (block, w), monos in groups.items()
-        if block[0] + 2 * block[1] > served
-    }
-    ranks = {key: rank(matrix) for key, matrix in _differentials(g, model, fresh)}
-    grown = [{} for _ in range(served + 1, n + 1)]
-    for (block, w), monos in fresh.items():
-        d1, d2 = block
-        dim = (
-            len(monos)
-            - ranks.get((block, w), 0)
-            - ranks.get(((d1 - 2, d2 + 1), w), 0)
+    store = _store(g, model)
+    if n > store.top:
+        store.grow(g, n, model)
+    dims, images = {}, []
+    for key, step in store.steps.items():
+        if step[0] > n:
+            break
+        k = len(step) // 2
+        count = bisect_right(step, n, 0, k)
+        image = step[k + count - 1]
+        dims[key] = count - image
+        if image:
+            images.append((key, image))
+    # d maps a group into the group of (deg1 + 2, deg2 - 1) and its weight,
+    # which has a member in F_n whenever the image is not zero
+    for ((d1, d2), w), image in images:
+        dims[(d1 + 2, d2 - 1), w] -= image
+    if dims and min(dims.values()) < 0:
+        key = min(dims, key=dims.get)
+        raise ArithmeticError(
+            f"negative cohomology dimension {dims[key]} at (block, weight) = "
+            f"{key}: ranks exceed its monomials"
         )
-        if dim < 0:
-            raise ArithmeticError(
-                f"negative cohomology dimension {dim} at (block, weight) = "
-                f"{(block, w)}: {len(monos)} monomials, ranks exceed them"
-            )
-        if dim:
-            out[(block, w)] = dim
-            h = d1 + 2 * d2
-            if h <= n:
-                grown[h - served - 1][(block, w)] = dim
-    pieces += grown
-    return out
+    return {key: dim for key, dim in dims.items() if dim}
 
 
 def cohomology_dims(g, n, model="A"):
@@ -392,13 +433,14 @@ def cohomology_reps(g, n, max_genus=None):
 
 
 def dump_blocks(g, n, model, dirpath):
-    """Write the matrix of d on every group the rank loop ranks, one Matrix
-    Market file per ((deg1, deg2), dominant weight) group with a target,
-    named ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``; a dominant
-    weight's matrix stands for its whole Weyl orbit.  A group of weight
-    h <= n has the same matrix at every n >= h, so the rank loop may have
-    ranked it at an earlier n and served its piece from the store; it is
-    written all the same.  Returns the paths written, in key order."""
+    """Write the matrix of d on every ((deg1, deg2), dominant weight) group
+    of F_n that has a target, one Matrix Market file per group, named
+    ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``, rows and columns
+    in basis order; a dominant weight's matrix stands for its whole Weyl
+    orbit.  The rank loop eliminates the same groups with their columns
+    sorted by deg3, at the largest n it has reached, where each file's
+    matrix is a block of leading columns: the ranks it reads are the ranks
+    of these files.  Returns the paths written, in key order."""
     os.makedirs(dirpath, exist_ok=True)
     groups = dict(sorted(_dominant_groups(g, n, model).items()))
     written = []

@@ -1,14 +1,15 @@
-"""Exact rank of sparse integer matrices, and their Matrix Market output.
+"""Exact ranks of sparse integer matrices, and their Matrix Market output.
 
+``prefix_ranks`` is the one elimination: it gives the rank of every
+leading block of columns at once, and ``rank`` is its last entry.
 Elimination is fraction-free, so every intermediate value is an integer
-and the result is exact.  Each step pivots on the lowest column of the
-shortest remaining row (the earliest such row on a tie), which keeps
-fill-in low on the sparse differential blocks.  Every other row with an
-entry in that column becomes piv*row - f*prow and is divided by its
-content, the gcd of its entries, so the entries stay small.  The order is
-deterministic; the rank does not depend on it.
-"""
+and the result is exact.  Each row is reduced at its lowest column by the
+pivot row that leads there, as piv*row - f*prow scaled down by
+gcd(piv, f), and a row that was scaled is divided by its content, the gcd
+of its entries, so the entries stay small.  The order is deterministic;
+the ranks do not depend on it."""
 
+from itertools import accumulate
 from math import gcd
 
 
@@ -69,45 +70,71 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
 
 
+def prefix_ranks(m):
+    """The rank of each leading block of columns of ``m`` over the
+    rationals: entry k is the rank of columns 0..k.  ``m`` is left
+    unchanged.
+
+    One elimination inserts the rows in order, each reduced at its lowest
+    column against the pivot row that leads there, and kept as a new pivot
+    once it leads at a free column.  Row operations keep the rank of every
+    column prefix, and the pivot rows lead at distinct columns, so the rank
+    of columns 0..k is the number of pivots that lead at k or below.
+
+    >>> prefix_ranks(SparseIntMatrix.from_dense([[1, 2, 0], [2, 4, 1]]))
+    [1, 1, 2]
+    """
+    pivots = {}  # leading column -> pivot row
+    for row in m.rows.values():
+        if len(pivots) == m.n_cols:
+            break  # the rank is full: every later row reduces to zero
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is not None:
+            row = dict(row)  # reduced in place; ``m`` keeps its own row
+        while prow is not None:
+            # row <- a*row - b*prow clears column c; scaling by a nonzero
+            # integer and adding a multiple of a pivot keeps the row span.
+            piv = prow[c]
+            f = row.pop(c)
+            d = gcd(piv, f)
+            a, b = piv // d, f // d
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in prow.items():
+                if k != c:
+                    nv = row.get(k, 0) - b * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+            if not row:
+                break
+            if a != 1:
+                d = gcd(*row.values())
+                if d > 1:
+                    for k in row:
+                        row[k] //= d
+            c = min(row)
+            prow = pivots.get(c)
+        else:
+            pivots[c] = row
+    leads = [0] * m.n_cols
+    for c in pivots:
+        leads[c] = 1
+    return list(accumulate(leads))
+
+
 def rank(m):
-    """Exact rank of ``m`` over the rationals; ``m`` is left unchanged.
+    """Exact rank of ``m`` over the rationals: the prefix rank of all its
+    columns; ``m`` is left unchanged.
 
     >>> rank(SparseIntMatrix.from_dense([[1, 2], [2, 4]]))
     1
     """
-    rows = [dict(m.rows[r]) for r in sorted(m.rows) if m.rows[r]]
-    rk = 0
-    while rows:
-        prow = min(rows, key=len)  # the first of the shortest rows
-        pc = min(prow)
-        piv = prow[pc]
-        rest = []
-        for row in rows:
-            if row is prow:
-                continue
-            f = row.pop(pc, 0)
-            if f:
-                # row <- piv*row - f*prow; scaling by a nonzero integer and
-                # adding a multiple of the pivot row preserves the row span.
-                for c in row:
-                    row[c] *= piv
-                for c, v in prow.items():
-                    if c != pc:
-                        nv = row.get(c, 0) - f * v
-                        if nv:
-                            row[c] = nv
-                        else:
-                            del row[c]
-                if not row:
-                    continue
-                d = gcd(*row.values())
-                if d > 1:
-                    for c in row:
-                        row[c] //= d
-            rest.append(row)
-        rows = rest
-        rk += 1
-    return rk
+    ranks = prefix_ranks(m)
+    return ranks[-1] if ranks else 0
 
 
 def write_matrix_market(m, path):

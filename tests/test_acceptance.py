@@ -275,3 +275,22 @@ def test_criterion_11_betti_growth_degree():
         f"k <= {K}, grow on each parity class as a polynomial of degree 2g-1 "
         f"with step-2 leading difference 2·C(2g, g)"
     )
+
+
+def test_criterion_12_weights_up_to_n_are_stable():
+    # every bracket term has u <= t + 2s = h and 1/(1-u) only carries terms
+    # to higher u, so a cell of weight h <= n is the same at n and n + 1:
+    # agreement of the routes on the weights h <= N at n <= N holds at
+    # every n
+    cells = 0
+    for g in range(1, 5):
+        tables = [mixed_table(g, n).entries for n in range(31)]
+        for n in range(30):
+            for k, h in tables[n].keys() | tables[n + 1].keys():
+                if h <= n:
+                    assert tables[n].get((k, h)) == tables[n + 1].get((k, h)), (g, n, k, h)
+                    cells += 1
+    print(
+        f"\n[criterion 12] PASS: for g <= 4 and n < 30 every closed-form cell "
+        f"of weight h <= n is the same at n and n + 1 ({cells} cells)"
+    )

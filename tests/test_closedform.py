@@ -289,16 +289,13 @@ def test_betti_examples():
 
 
 def test_tables_are_one_u_column_of_the_master_series():
-    # the u^n slice at (t, s) is the bracket's (t, s) column summed over u <= n
+    # one master series to u^N holds every table up to N: the (t, s, u=n)
+    # coefficient is the (t + s, t + 2s) entry of the table at n
+    N = 12
     for g in range(1, 6):
-        for n in range(13):
-            slice_n = {}
-            for t, s, u, label in q_bracket(g, n):
-                assert u <= n
-                rep = VirtualRep.single(label)
-                slice_n[(t, s)] = slice_n.get((t, s), VirtualRep.zero()) + rep
-            slice_n = {ts: rep for ts, rep in slice_n.items() if rep}
-            want = {(t + s, t + 2 * s): rep for (t, s), rep in slice_n.items()}
+        q = build_Q(g, N)
+        for n in range(N + 1):
+            want = {(t + s, t + 2 * s): rep for (t, s, u), rep in q.items() if u == n and rep}
             assert mixed_table(g, n).entries == want, (g, n)
 
 

@@ -19,7 +19,7 @@ from confcoh.dga import (
     mono_degrees,
     mono_weight,
 )
-from confcoh.linalg import rank
+from confcoh.linalg import prefix_ranks, rank
 from confcoh.reps import RepLabel, VirtualRep, _dom_rep
 from reference import (
     basis_count_series,
@@ -353,17 +353,18 @@ def test_reps_cross_check_u_slice():
     assert table.entries == want
 
 
-def reference_cohomology_by_weight(g, n):
-    """dim H per ((deg1, deg2), weight) of model A over every torus weight,
-    dominant or not: the slow reference for the dominant-only rank loop."""
+def reference_cohomology_by_weight(g, n, model="A"):
+    """dim H per ((deg1, deg2), weight) over every torus weight, dominant or
+    not, from the whole basis and one rank per weight block: the slow
+    reference for the dominant-only store."""
     groups = {}
-    for m in enumerate_basis(g, n, "A"):
+    for m in enumerate_basis(g, n, model):
         d1, d2, _ = mono_degrees(g, m)
         groups.setdefault(((d1, d2), mono_weight(g, m)), []).append(m)
     ranks = {}
     for ((d1, d2), w), source in groups.items():
         target = groups.get(((d1 + 2, d2 - 1), w), ())
-        ranks[(d1, d2), w] = rank(dga._matrix(g, "A", source, target))
+        ranks[(d1, d2), w] = rank(dga._matrix(g, model, source, target))
     out = {}
     for ((d1, d2), w), monos in groups.items():
         dim = len(monos) - ranks[(d1, d2), w] - ranks.get(((d1 - 2, d2 + 1), w), 0)
@@ -499,20 +500,32 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
 
 
 def test_negative_dimension_raises(monkeypatch):
-    # a rank above the group size is caught even under python -O
-    monkeypatch.setattr(dga, "rank", lambda matrix: matrix.n_cols + 1)
+    # a rank above the group size is caught even under python -O, at the
+    # point that grows the store and at the points it serves
+    monkeypatch.setattr(dga, "prefix_ranks", lambda matrix: list(range(2, matrix.n_cols + 2)))
     _clear_stores()
     try:
-        with pytest.raises(ArithmeticError, match=r"\(block, weight\)"):
-            cohomology_dims(1, 2)
+        for n in (4, 2):
+            with pytest.raises(ArithmeticError, match=r"\(block, weight\)"):
+                cohomology_dims(1, n)
+    finally:
+        _clear_stores()
+
+
+def test_genus0_n1_raises_on_a_store_that_covers_it():
+    _clear_stores()
+    try:
+        cohomology_dims(0, 5)
+        assert dga._store(0, "A").top == 5
+        with pytest.raises(Genus0N1Unsupported):
+            cohomology_dims(0, 1)
     finally:
         _clear_stores()
 
 
 def _clear_stores():
-    """Forget every computed point and every stored stable piece."""
-    dga._cohomology_by_weight.cache_clear()
-    dga._stable_pieces.cache_clear()
+    """Forget the step functions of every genus and model."""
+    dga._store.cache_clear()
 
 
 # every (g, model) with g <= 3, and genus 0 up to n = 12, both models
@@ -525,53 +538,73 @@ STORE_SWEEPS = [
 def _point(g, n, model):
     """The point's cells, or the exception class it raises."""
     try:
-        return dict(dga._cohomology_by_weight(g, n, model))
+        return dga._cohomology_by_weight(g, n, model)
     except Genus0N1Unsupported as exc:
         return type(exc)
 
 
 def test_store_served_points_equal_fresh_recomputation():
     # ascending, descending and shuffled sweeps, each from an empty store,
-    # against each point computed alone from an empty store
+    # against the whole-basis route restricted to the dominant weights
     rng = random.Random(5)
     try:
         for g, top, model in STORE_SWEEPS:
-            fresh = {}
+            want = {}
             for n in range(top + 1):
-                _clear_stores()
-                fresh[n] = _point(g, n, model)
+                if g == 0 and n == 1:
+                    want[n] = Genus0N1Unsupported
+                    continue
+                want[n] = {
+                    (block, w): dim
+                    for (block, w), dim in reference_cohomology_by_weight(g, n, model).items()
+                    if is_dominant(w)
+                }
             shuffled = list(range(top + 1))
             rng.shuffle(shuffled)
             for order in (range(top + 1), range(top, -1, -1), shuffled):
                 _clear_stores()
                 for n in order:
-                    assert _point(g, n, model) == fresh[n], (g, model, list(order), n)
-            assert (fresh[1] is Genus0N1Unsupported) == (g == 0)
+                    assert _point(g, n, model) == want[n], (g, model, list(order), n)
     finally:
         _clear_stores()
 
 
-def test_store_spares_the_ranks_of_stable_pieces(monkeypatch):
-    # a call on an empty store ranks every group that has a target; after
-    # a call at (g, N), a call at n < N ranks only those of weight h > n
-    ranked = []
-    monkeypatch.setattr(dga, "rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+def test_store_inserts_each_column_once(monkeypatch):
+    # after a call at (g, N), a call at any n <= N neither enumerates nor
+    # eliminates; a call at N' > N inserts the sources of the groups of
+    # weight h > N that have a target, and no other column
+    inserted, enumerated = [], []
+
+    def counting_prefix_ranks(matrix):
+        inserted.append(matrix.n_cols)
+        return prefix_ranks(matrix)
+
+    def counting_groups(*args):
+        enumerated.append(args)
+        return dominant_groups(*args)
+
+    dominant_groups = dga._dominant_groups
+    monkeypatch.setattr(dga, "prefix_ranks", counting_prefix_ranks)
+    monkeypatch.setattr(dga, "_dominant_groups", counting_groups)
     try:
         for g, top, model in STORE_SWEEPS:
+            _clear_stores()
+            low = top // 2
+            for n, served in ((low, -1), (top, low)):
+                groups = dominant_groups(g, n, model)
+                want = sum(
+                    len(source) for ((d1, d2), w), source in groups.items()
+                    if d1 + 2 * d2 > served and ((d1 + 2, d2 - 1), w) in groups
+                )
+                inserted.clear()
+                enumerated.clear()
+                _point(g, n, model)
+                assert (sum(inserted), len(enumerated)) == (want, 1), (g, model, n)
+            inserted.clear()
+            enumerated.clear()
             for n in range(top, -1, -1):
-                if g == 0 and n == 1:
-                    continue
-                if n == top:
-                    _clear_stores()
-                groups = dga._dominant_groups(g, n, model)
-                want = [
-                    key for key in groups
-                    if ((key[0][0] + 2, key[0][1] - 1), key[1]) in groups
-                    and (n == top or key[0][0] + 2 * key[0][1] > n)
-                ]
-                ranked.clear()
-                dga._cohomology_by_weight(g, n, model)
-                assert len(ranked) == len(want), (g, model, n)
+                _point(g, n, model)
+            assert (inserted, enumerated) == ([], []), (g, model)
     finally:
         _clear_stores()
 

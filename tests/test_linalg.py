@@ -3,8 +3,9 @@ import random
 import pytest
 
 from confcoh import dga
-from confcoh.linalg import SparseIntMatrix, rank, write_matrix_market
+from confcoh.linalg import SparseIntMatrix, prefix_ranks, rank, write_matrix_market
 from reference import from_entries, rank_dense_bareiss, read_matrix_market, transpose
+from test_dga import sweep_points
 
 
 def test_identity_rank():
@@ -109,31 +110,47 @@ def test_rank_matches_dense_reference_200():
     assert rank(SparseIntMatrix.from_dense(dense)) == rank_dense_bareiss(dense)
 
 
-# genus 0 in both models, model A at g = 1..5 and model B at g = 1..4
-DIFFERENTIAL_POINTS = (
-    [(0, 12, "A"), (0, 12, "B")]
-    + [(g, n, "A") for g, n in ((1, 24), (2, 10), (3, 8), (4, 7), (5, 6))]
-    + [(g, n, "B") for g, n in ((1, 16), (2, 8), (3, 6), (4, 5))]
-)
-
-
 def _dense(m):
     return [[m.rows.get(r, {}).get(c, 0) for c in range(m.n_cols)] for r in range(m.n_rows)]
 
 
-def test_rank_matches_dense_reference_on_differential_blocks():
-    # every matrix the rank loop ranks at these points on an empty store,
-    # not only random dense ones
-    built = [
-        m
-        for g, n, model in DIFFERENTIAL_POINTS
-        for _, m in dga._differentials(g, model, dga._dominant_groups(g, n, model))
-    ]
-    assert len(built) > 500
-    for m in built:
+def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
+    # every matrix the store eliminates at the sweep points and at genus 1
+    # n = 24 in model A, each point grown from an empty store: the rank of
+    # each column prefix, and rank, against the dense rank of that prefix
+    eliminated = []
+
+    def recording(matrix):
+        got = prefix_ranks(matrix)
+        eliminated.append((matrix, got))
+        return got
+
+    monkeypatch.setattr(dga, "prefix_ranks", recording)
+    try:
+        for g, n, model in sweep_points() + [(1, 24, "A")]:
+            dga._store.cache_clear()
+            if (g, n) != (0, 1):
+                dga.cohomology_dims(g, n, model)
+    finally:
+        dga._store.cache_clear()
+    assert len(eliminated) > 1000
+    for m, got in eliminated:
         before = from_entries(m.n_rows, m.n_cols, m.entries())
-        assert rank(m) == rank_dense_bareiss(_dense(m))
-        assert m == before  # rank leaves its argument unchanged
+        dense = _dense(m)
+        want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, m.n_cols + 1)]
+        assert got == want
+        assert rank(m) == want[-1]
+        assert m == before  # the elimination leaves its argument unchanged
+
+
+def test_prefix_ranks_of_random_matrices():
+    rng = random.Random(3)
+    values = [0, 0, 0, 1, -1, 2, -3]
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        dense = _random_dense(rng, nr, nc, values)
+        want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, nc + 1)]
+        assert prefix_ranks(SparseIntMatrix.from_dense(dense)) == want
 
 
 def test_rank_transpose_and_bounds():

@@ -76,6 +76,7 @@ NO_CALLER_NEEDED = {
     "enumerate_basis": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_degrees": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_weight": "the bench tracer wraps it; it leaves with the next benchmark change",
+    "rank": "the bench tracer wraps it",
     "SparseIntMatrix.from_dense": "small matrices for the rank doctest and the tests",
     "VirtualRep.single": "one labelled term, for the class doctest and tests",
     "TriSeries": SERIES_ALGEBRA,
