@@ -193,10 +193,10 @@ def cmd_oracle(args, parser):
         parser.error("--reps needs genus >= 1; use `oracle --genus 0` for dimensions")
     if args.reps and args.model != "A":
         parser.error("--reps requires model A")
+    _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.debug_dir:
         written = dga.dump_blocks(args.genus, args.n, args.model, args.debug_dir)
         _progress(f"wrote {len(written)} ranked group matrices to {args.debug_dir}")
-    _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
     if args.reps:
         _write_mixed(args, dga.cohomology_reps(args.genus, args.n), model="A")
         return 0
@@ -255,9 +255,10 @@ def cmd_verify(args, parser):
     ok = not lines
     if ok:
         what = "dims and representations" if args.reps else "dims"
-        lines.append(
-            f"verify: genus {args.genus} n <= {args.max_n}: all tables agree ({what})"
-        )
+        span = f"n <= {args.max_n}"
+        if args.genus:  # both routes hold the weight-h cells fixed for n >= h
+            span += f", and every n at weight h <= {args.max_n}"
+        lines.append(f"verify: genus {args.genus} {span}: all tables agree ({what})")
     _write(args, None, None, lambda: "\n".join(lines))
     return 0 if ok else 1
 

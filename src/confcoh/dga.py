@@ -29,7 +29,7 @@ Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
 monomials are enumerated directly, coordinate by coordinate, never by
-filtering the whole basis; ``dump_blocks`` writes the matrices ranked.
+filtering the whole basis.
 
 F_n is a subcomplex of F_N for n <= N, since d never raises deg3.  The
 rank loop therefore keeps one store per genus and model, built by one
@@ -71,9 +71,9 @@ __all__ = [
 #: one model B point (``cohomology_dims(g, n, "B")``) each took at most 1 s,
 #: timed in fresh processes on a 2-core x86 box.  The budget covers the
 #: computation only: a whole ``oracle --model B --debug-dir`` run at the
-#: budget (3 fresh processes) took 0.4-0.7 s at 3 <= g <= 7, 1.2-1.3 s at
-#: g = 2, and was bound by file creation at g = 1 (3.1-6.0 s, 10 595 files)
-#: and genus 0 (7.6-18.9 s, 45 997 files).
+#: budget (3 fresh processes) took 0.2-0.5 s at 3 <= g <= 7, 0.4-1.4 s at
+#: g = 2, and is still bound by creating one file per group at g = 1
+#: (4.6-5.4 s, 10 595 files) and genus 0 (5.8-20.2 s, 45 997 files).
 ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
 
 
@@ -287,17 +287,6 @@ def _dominant_groups(g, n, model):
     return groups
 
 
-def _differentials(g, model, groups):
-    """(key, matrix) of d for every ((deg1, deg2), weight) group of
-    ``groups`` that has a target, in the order of ``groups``: d preserves
-    the weight, so it maps the group into the ((deg1 + 2, deg2 - 1),
-    weight) group, and a group with no target has rank 0."""
-    for ((d1, d2), w), source in groups.items():
-        target = groups.get(((d1 + 2, d2 - 1), w))
-        if target:
-            yield ((d1, d2), w), _matrix(g, model, source, target)
-
-
 class _Store:
     """The step functions of one genus and model: for every
     ((deg1, deg2), dominant weight) group of F_top, one flat tuple that
@@ -318,12 +307,13 @@ class _Store:
         self.top = -1
         self.steps = {}
 
-    def grow(self, g, n, model):
+    def grow(self, g, n, model, write=None):
         """Cover F_n: enumerate it once, and rebuild the tuple of each of
         its groups of weight h > top by one elimination over its members
         sorted by deg3.  A group of weight h <= top keeps its tuple, since
         h - deg3 = p + 2 sp + |sym| >= 0 puts every member at deg3 <= top,
-        and its target has the same weight."""
+        and its target has the same weight.  ``write(key, matrix)``, if
+        given, receives each group's matrix before its elimination."""
         fresh = _dominant_groups(g, n, model)
         if self.top >= 0:  # on an empty store every group is fresh
             fresh = {
@@ -340,7 +330,10 @@ class _Store:
                 degs.sort()
             target = fresh.get(((d1 + 2, d2 - 1), w))
             if target:
-                ranks = prefix_ranks(_matrix(g, model, source, target))
+                matrix = _matrix(g, model, source, target)
+                if write:
+                    write(key, matrix)
+                ranks = prefix_ranks(matrix)
             else:
                 ranks = [0] * len(degs)
             self.steps[key] = (*degs, *ranks)
@@ -435,18 +428,22 @@ def cohomology_reps(g, n, max_genus=None):
 def dump_blocks(g, n, model, dirpath):
     """Write the matrix of d on every ((deg1, deg2), dominant weight) group
     of F_n that has a target, one Matrix Market file per group, named
-    ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``, rows and columns
-    in basis order; a dominant weight's matrix stands for its whole Weyl
-    orbit.  The rank loop eliminates the same groups with their columns
-    sorted by deg3, at the largest n it has reached, where each file's
-    matrix is a block of leading columns: the ranks it reads are the ranks
-    of these files.  Returns the paths written, in key order."""
+    ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``, rows in basis
+    order and columns sorted by deg3, then in basis order; a dominant
+    weight's matrix stands for its whole Weyl orbit.  The files are the
+    matrices that a fresh store eliminates as it grows to n; it then
+    serves the genus and model.  Returns the paths written, in key order."""
     os.makedirs(dirpath, exist_ok=True)
-    groups = dict(sorted(_dominant_groups(g, n, model).items()))
-    written = []
-    for ((d1, d2), w), matrix in _differentials(g, model, groups):
-        weight = ".".join(map(str, w))
-        path = os.path.join(dirpath, f"g{g}_n{n}_{model}_d{d1}_{d2}_w{weight}.mtx")
+    paths = {}
+
+    def write(key, matrix):
+        (d1, d2), w = key
+        name = f"g{g}_n{n}_{model}_d{d1}_{d2}_w{'.'.join(map(str, w))}.mtx"
+        paths[key] = path = os.path.join(dirpath, name)
         write_matrix_market(matrix, path)
-        written.append(path)
-    return written
+
+    fresh = _Store()
+    fresh.grow(g, n, model, write)
+    store = _store(g, model)
+    store.top, store.steps = fresh.top, fresh.steps
+    return [paths[key] for key in sorted(paths)]

@@ -44,7 +44,8 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   generating-function basis counts, the whole basis grouped by (deg1,
   deg2) and one whole differential block, which check
   ``dga.enumerate_basis``, ``dga.differential_monomial`` and, restricted
-  to one weight, the matrices of ``dga.dump_blocks``.
+  to one weight with the columns sorted by deg3, the matrices of
+  ``dga.dump_blocks``.
 """
 
 from functools import lru_cache

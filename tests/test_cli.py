@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from confcoh import dga
 from confcoh.cli import _grouped_u_text, _series_text, main
 from confcoh.closedform import MixedTable
 from confcoh.dga import ORACLE_BUDGET
@@ -202,13 +204,28 @@ def test_oracle_model_b(capsys):
     assert a == b
 
 
-def test_oracle_debug_dir(capsys, tmp_path):
-    debug = tmp_path / "blocks"
-    code, _ = run(
-        capsys, "oracle", "--genus", "1", "--n", "2", "--debug-dir", str(debug)
-    )
-    assert code == 0
-    assert list(debug.glob("*.mtx"))
+def test_oracle_debug_dir(capsys, tmp_path, monkeypatch):
+    # the dump enumerates F_n once and builds each file's matrix once, and
+    # the table is read off the store that the dump grew
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in ("_dominant_groups", "_matrix"):
+        monkeypatch.setattr(dga, name, counted(name, getattr(dga, name)))
+    for genus, n, model in (("1", "2", "A"), ("1", "6", "B"), ("2", "4", "A")):
+        argv = ("oracle", "--genus", genus, "--n", n, "--model", model)
+        table = run(capsys, *argv)
+        dga._store.cache_clear()
+        calls.clear()
+        debug = tmp_path / f"g{genus}_n{n}_{model}"
+        assert run(capsys, *argv, "--debug-dir", str(debug)) == table
+        files = len(list(debug.glob("*.mtx")))
+        assert files and calls == {"_dominant_groups": 1, "_matrix": files}, argv
 
 
 def test_oracle_budget_enforced(capsys):
@@ -446,7 +463,7 @@ CLI_SHA256 = {
         "c113f869e35b43b1d6b1efa7879c4361f4d4ec7a0ff92a17675c91fab734fce1", 0
     ),
     "verify --genus 2 --max-n 3 --reps": (
-        "a72fb6579e16822f7a4bd3ede2f79a1ccebfd7800a91bcd54cd73fec967def10", 0
+        "d955b405ed137b60832c563232fd6e262c654fdfcbaac1b01a3509be49e2566f", 0
     ),
     "verify --genus 2 --max-n 3 --reps --format json": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2

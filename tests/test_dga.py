@@ -543,9 +543,10 @@ def _point(g, n, model):
         return type(exc)
 
 
-def test_store_served_points_equal_fresh_recomputation():
-    # ascending, descending and shuffled sweeps, each from an empty store,
-    # against the whole-basis route restricted to the dominant weights
+def test_store_served_points_equal_fresh_recomputation(tmp_path):
+    # ascending, descending and shuffled sweeps, and one with a dump below,
+    # then above, the store's top, each from an empty store, against the
+    # whole-basis route restricted to the dominant weights
     rng = random.Random(5)
     try:
         for g, top, model in STORE_SWEEPS:
@@ -561,10 +562,16 @@ def test_store_served_points_equal_fresh_recomputation():
                 }
             shuffled = list(range(top + 1))
             rng.shuffle(shuffled)
-            for order in (range(top + 1), range(top, -1, -1), shuffled):
+            low = top // 3
+            dumps = [top // 2, ("dump", low), *range(low, -1, -1), ("dump", top),
+                     *range(top, -1, -1)]
+            for order in (range(top + 1), range(top, -1, -1), shuffled, dumps):
                 _clear_stores()
                 for n in order:
-                    assert _point(g, n, model) == want[n], (g, model, list(order), n)
+                    if isinstance(n, tuple):
+                        dump_blocks(g, n[1], model, tmp_path / f"g{g}_{model}_{n[1]}")
+                    else:
+                        assert _point(g, n, model) == want[n], (g, model, list(order), n)
     finally:
         _clear_stores()
 
@@ -621,28 +628,33 @@ def _restrict(matrix, rows, cols):
 
 
 def test_dump_blocks(tmp_path):
-    # one file per group the rank loop ranks, in key order; each is the
-    # whole-basis block restricted to the group's weight, and has its rank
+    # one file per group that has a target, in key order; each is the
+    # whole-basis block restricted to the group's weight, with its columns
+    # sorted by deg3, and has the prefix ranks of the store the dump grew
     for g, n, model in ((1, 4, "A"), (2, 3, "A"), (1, 4, "B"), (0, 6, "B"),
                         (2, 5, "B"), (3, 4, "A")):
         groups = dga._dominant_groups(g, n, model)
-        ranks = {key: rank(m) for key, m in dga._differentials(g, model, groups)}
-        keys = sorted(ranks)
+        keys = sorted(
+            ((d1, d2), w) for (d1, d2), w in groups if ((d1 + 2, d2 - 1), w) in groups
+        )
         written = dump_blocks(g, n, model, tmp_path / f"g{g}_n{n}_{model}")
         assert [os.path.basename(path) for path in written] == [
             f"g{g}_n{n}_{model}_d{d1}_{d2}_w{'.'.join(map(str, w))}.mtx"
             for (d1, d2), w in keys
         ]
         whole = {}
-        for path, (block, w) in zip(written, keys):
+        for path, key in zip(written, keys):
+            block, w = key
             if block not in whole:
                 whole[block] = differential_block(g, n, model, block)
             source, target, matrix = whole[block]
             cols = [c for c, m in enumerate(source) if mono_weight(g, m) == w]
+            cols.sort(key=lambda c: mono_degrees(g, source[c])[2])
             rows = [r for r, m in enumerate(target) if mono_weight(g, m) == w]
             dumped = read_matrix_market(path)
-            assert dumped == _restrict(matrix, rows, cols), (g, n, model, block, w)
-            assert rank(dumped) == ranks[block, w], (g, n, model, block, w)
+            assert dumped == _restrict(matrix, rows, cols), (g, n, model, key)
+            step = dga._store(g, model).steps[key]
+            assert prefix_ranks(dumped) == list(step[len(step) // 2:]), (g, n, model, key)
 
 
 # sha256 over each file name and its bytes, in name order: the per-group
