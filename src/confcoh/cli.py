@@ -187,8 +187,6 @@ def _check_oracle_budget(args, parser, n):
 
 def cmd_oracle(args, parser):
     _check_oracle_budget(args, parser, args.n)
-    if args.genus == 0 and args.n == 1:
-        parser.error("genus 0 with one point: use `betti --genus 0 --n 1`")
     if args.reps and args.genus == 0:
         parser.error("--reps needs genus >= 1; use `oracle --genus 0` for dimensions")
     if args.reps and args.model != "A":
@@ -243,13 +241,10 @@ def _verify_point(g, n, reps):
 
 def cmd_verify(args, parser):
     _check_oracle_budget(args, parser, args.max_n)
-    if not (args.genus == 0 and args.max_n == 1):
-        # one elimination at the top serves every n of the sweep
-        dga.cohomology_dims(args.genus, args.max_n)
+    # one elimination at the top serves every n of the sweep
+    dga.cohomology_dims(args.genus, args.max_n)
     lines = []
     for n in range(args.max_n + 1):
-        if args.genus == 0 and n == 1:
-            continue  # outside the model's range; closed form covers it
         _progress(f"verify: genus {args.genus} n={n}")
         lines += _verify_point(args.genus, n, args.reps)
     ok = not lines

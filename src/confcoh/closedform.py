@@ -274,6 +274,8 @@ def euler_series(g, N):
     """Euler characteristics of UConf_n for n <= N.  The master series is
     the bracket times 1/(1-u), so each is a running sum over u of the
     bracket's alternating dimensions, taken in one pass over its terms."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     if g == 0:
         out = []
         for n in range(N + 1):

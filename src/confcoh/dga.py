@@ -55,7 +55,6 @@ from .linalg import SparseIntMatrix, prefix_ranks, write_matrix_market
 from .reps import orbit_size, peel_character
 
 __all__ = [
-    "Genus0N1Unsupported",
     "Monomial",
     "enumerate_basis",
     "differential_monomial",
@@ -75,11 +74,6 @@ __all__ = [
 #: g = 2, and is still bound by creating one file per group at g = 1
 #: (4.6-5.4 s, 10 595 files) and genus 0 (5.8-20.2 s, 45 997 files).
 ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
-
-
-class Genus0N1Unsupported(ValueError):
-    """The comparison underlying the model fails at genus 0 with one point;
-    that case is served by the genus-0 closed form."""
 
 
 class Monomial(NamedTuple):
@@ -358,10 +352,6 @@ def _cohomology_by_weight(g, n, model="A"):
     A call at n <= top reads every group off the store, with no enumeration
     and no elimination; a call at n > top first grows the store to n."""
     _check_point(g, n, model)
-    if g == 0 and n == 1:
-        raise Genus0N1Unsupported(
-            "genus 0 with one point is served by the genus-0 closed form"
-        )
     store = _store(g, model)
     if n > store.top:
         store.grow(g, n, model)

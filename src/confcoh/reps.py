@@ -151,9 +151,6 @@ class VirtualRep:
         """Terms sorted by label, highest first."""
         return sorted(self._terms.items(), reverse=True)
 
-    def mult(self, label):
-        return self._terms.get(RepLabel(*label), 0)
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -178,13 +175,6 @@ class VirtualRep:
         if c == 0:
             return VirtualRep()
         return VirtualRep({l: c * m for l, m in self._terms.items()})
-
-    def __mul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
     def is_scalar(self):
         """True when only the trivial label occurs."""

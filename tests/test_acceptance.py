@@ -85,7 +85,8 @@ def test_criterion_3_genus0():
     # The published table lists a degree-2 class at n = 2, which
     # contradicts both the Euler series (1+u)^2 and the brute-force model;
     # the corrected value is asserted here (see the project notes).
-    for n in range(2, 9):
+    anchors = {0: (1,), 1: (1, 0, 1), 2: (1, 0, 0)}
+    for n in range(0, 9):
         got = {}
         for (d1, d2), d in cohomology_dims(0, n, "A").items():
             k = d1 + d2
@@ -93,13 +94,10 @@ def test_criterion_3_genus0():
         b = genus0_betti(n)
         want = {k: d for k, d in enumerate(b) if d}
         assert got == want, f"genus-0 mismatch at n={n}: {got} != {want}"
-        if n == 2:
-            assert b == (1, 0, 0)
-        else:
-            assert b == (1, 0, 0, 1)
+        assert b == anchors.get(n, (1, 0, 0, 1))
     print(
         "\n[criterion 3] PASS: genus-0 brute force matches the closed form for "
-        "n=2..8: (1,0,0) at n=2, (1,0,0,1) for n>=3"
+        "n=0..8: (1) at n=0, (1,0,1) at n=1, (1,0,0) at n=2, (1,0,0,1) for n>=3"
     )
 
 
@@ -191,8 +189,6 @@ def test_criterion_8_structural_properties():
         )
     for g in (0, 1, 2):
         for n in range(0, 7):
-            if g == 0 and n == 1:
-                continue
             assert cohomology_dims(g, n, "A") == cohomology_dims(g, n, "B"), (
                 f"models disagree at genus {g}, n={n}"
             )

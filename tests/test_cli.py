@@ -432,6 +432,18 @@ CLI_SHA256 = {
     "euler --genus 2 --max-n 5 --format csv": (
         "415d12b4b93e12ebad34e6722c4a74f60f2b1b1149563c42e6d643f99ffaefbd", 0
     ),
+    "oracle --genus 0 --n 1 --format text": (
+        "624df5beb8364dc3c85c2277b87d73a6070fe039160f6f4ea14b7fe3a5824873", 0
+    ),
+    "oracle --genus 0 --n 1 --format json": (
+        "c6b71bcc4bd22153adbfe957223475df39a752c0d5af4997e4e1789c788ccafd", 0
+    ),
+    "oracle --genus 0 --n 1 --format csv": (
+        "f159b58fd3aff0b432cb2c1f18051644b182c4c8eb0ab80e290a7b56aa6793d0", 0
+    ),
+    "oracle --genus 0 --n 1 --model B": (
+        "624df5beb8364dc3c85c2277b87d73a6070fe039160f6f4ea14b7fe3a5824873", 0
+    ),
     "oracle --genus 1 --n 3 --format text": (
         "6d2506097ac043e5a77da30c17deae3ab70f222297a52b88f23ce78859a28a8d", 0
     ),
@@ -461,6 +473,9 @@ CLI_SHA256 = {
     ),
     "verify --genus 0 --max-n 4": (
         "c113f869e35b43b1d6b1efa7879c4361f4d4ec7a0ff92a17675c91fab734fce1", 0
+    ),
+    "verify --genus 0 --max-n 1": (
+        "c05d2041d2c2f16c2fd9786a7912557882ef6bf9c0fc87a29c8758583bdd7e5c", 0
     ),
     "verify --genus 2 --max-n 3 --reps": (
         "d955b405ed137b60832c563232fd6e262c654fdfcbaac1b01a3509be49e2566f", 0

@@ -394,6 +394,12 @@ def test_euler_series_matches_binomials():
         assert euler_series(g, 40) == euler_binomials(g, 40)
 
 
+def test_euler_series_rejects_a_negative_truncation():
+    for g in (0, 1, 2):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            euler_series(g, -1)
+
+
 def test_genus0_betti_table():
     assert genus0_betti(0) == (1,)
     assert genus0_betti(1) == (1, 0, 1)  # the sphere itself

@@ -8,7 +8,6 @@ import pytest
 from confcoh import dga
 from confcoh.closedform import build_Q, mixed_table
 from confcoh.dga import (
-    Genus0N1Unsupported,
     Monomial,
     cohomology_dims,
     cohomology_reps,
@@ -269,11 +268,6 @@ def test_cohomology_genus0():
     assert betti == {0: 1, 3: 1}
 
 
-def test_cohomology_genus0_n1_unsupported():
-    with pytest.raises(Genus0N1Unsupported):
-        cohomology_dims(0, 1)
-
-
 def test_cohomology_g1_n3_regraded():
     dims = cohomology_dims(1, 3)
     betti = {}
@@ -286,16 +280,12 @@ def test_models_agree():
     # the quotient ideal is acyclic, so both models compute the same dims
     for g in (0, 1, 2):
         for n in range(0, 7):
-            if g == 0 and n == 1:
-                continue
             assert cohomology_dims(g, n, "A") == cohomology_dims(g, n, "B"), (g, n)
 
 
 def test_euler_bookkeeping():
     # alternating sum of cohomology equals alternating sum of the basis
     for g, n, model in INSTANCES:
-        if g == 0 and n == 1:
-            continue
         chi_basis = 0
         for m in enumerate_basis(g, n, model):
             d1, d2, _ = mono_degrees(g, m)
@@ -512,13 +502,25 @@ def test_negative_dimension_raises(monkeypatch):
         _clear_stores()
 
 
-def test_genus0_n1_raises_on_a_store_that_covers_it():
+def test_cohomology_genus0_n1_is_the_sphere():
+    # H(F_1) = span{1, p}: s1 and sp have deg3 2, and d is 0 on both, so
+    # the sphere's H^2 sits in block (2, 0); here from a fresh store
+    for model in ("A", "B"):
+        _clear_stores()
+        try:
+            assert cohomology_dims(0, 1, model) == {(0, 0): 1, (2, 0): 1}, model
+        finally:
+            _clear_stores()
+
+
+def test_genus0_n1_is_the_sphere_on_a_store_that_covers_it():
+    # the same answer read from a store already grown past n = 1
     _clear_stores()
     try:
-        cohomology_dims(0, 5)
-        assert dga._store(0, "A").top == 5
-        with pytest.raises(Genus0N1Unsupported):
-            cohomology_dims(0, 1)
+        for model in ("A", "B"):
+            cohomology_dims(0, 5, model)
+            assert dga._store(0, model).top == 5
+            assert cohomology_dims(0, 1, model) == {(0, 0): 1, (2, 0): 1}, model
     finally:
         _clear_stores()
 
@@ -535,14 +537,6 @@ STORE_SWEEPS = [
 ]
 
 
-def _point(g, n, model):
-    """The point's cells, or the exception class it raises."""
-    try:
-        return dga._cohomology_by_weight(g, n, model)
-    except Genus0N1Unsupported as exc:
-        return type(exc)
-
-
 def test_store_served_points_equal_fresh_recomputation(tmp_path):
     # ascending, descending and shuffled sweeps, and one with a dump below,
     # then above, the store's top, each from an empty store, against the
@@ -552,9 +546,6 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
         for g, top, model in STORE_SWEEPS:
             want = {}
             for n in range(top + 1):
-                if g == 0 and n == 1:
-                    want[n] = Genus0N1Unsupported
-                    continue
                 want[n] = {
                     (block, w): dim
                     for (block, w), dim in reference_cohomology_by_weight(g, n, model).items()
@@ -571,7 +562,8 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
                     if isinstance(n, tuple):
                         dump_blocks(g, n[1], model, tmp_path / f"g{g}_{model}_{n[1]}")
                     else:
-                        assert _point(g, n, model) == want[n], (g, model, list(order), n)
+                        got = dga._cohomology_by_weight(g, n, model)
+                        assert got == want[n], (g, model, list(order), n)
     finally:
         _clear_stores()
 
@@ -605,12 +597,12 @@ def test_store_inserts_each_column_once(monkeypatch):
                 )
                 inserted.clear()
                 enumerated.clear()
-                _point(g, n, model)
+                dga._cohomology_by_weight(g, n, model)
                 assert (sum(inserted), len(enumerated)) == (want, 1), (g, model, n)
             inserted.clear()
             enumerated.clear()
             for n in range(top, -1, -1):
-                _point(g, n, model)
+                dga._cohomology_by_weight(g, n, model)
             assert (inserted, enumerated) == ([], []), (g, model)
     finally:
         _clear_stores()

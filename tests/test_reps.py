@@ -152,7 +152,7 @@ def test_tensor_examples():
     assert tensor_std_sym_decomp(2, 1, 1) == V(2, 1, 1) + V(2, 0, 2) + VirtualRep.unit()
     assert tensor_std_sym_decomp(1, 1, 1) == V(1, 1, 1) + VirtualRep.unit()
     dec = tensor_std_sym_decomp(2, 2, 2)
-    assert dec.mult(RepLabel(2, 2)) == 1
+    assert dec == V(2, 2, 2) + V(2, 1, 1) + V(2, 0, 2)
     assert dec.dim(2) == 50
 
 

@@ -103,8 +103,9 @@ CALLED_THROUGH_AN_INSTANCE = {
 
 def _referenced_names(node, cls, classes):
     """(names, qualified): every name and attribute ``node`` mentions, and
-    the (class, method) pairs it reaches through ``self.``, ``cls.`` inside
-    class ``cls`` or through a class of ``classes`` by name."""
+    a (class, attribute) pair for each attribute access: the class when it
+    is reached through ``self.``, ``cls.`` inside class ``cls`` or through
+    a class of ``classes`` by name, else None."""
     names, qualified = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -116,6 +117,8 @@ def _referenced_names(node, cls, classes):
                 qualified.add((cls, sub.attr))
             elif owner in classes:
                 qualified.add((owner, sub.attr))
+            else:
+                qualified.add((None, sub.attr))
         elif isinstance(sub, ast.alias):
             names.add(sub.name)
     return names, qualified
@@ -123,7 +126,7 @@ def _referenced_names(node, cls, classes):
 
 def _definitions(body, classes, cls=None):
     """(qualified name, class, name) for each function, class and
-    non-dunder method in ``body``, with the names and (class, method) pairs
+    non-dunder method in ``body``, with the names and (class, attribute) pairs
     the code references; a definition's own name is not a caller of
     itself."""
     defs, names, qualified = [], set(), set()
@@ -144,7 +147,7 @@ def _definitions(body, classes, cls=None):
                 defs.append((f"{cls}.{name}" if cls else name, cls, name))
             sub_names, sub_qualified = _referenced_names(node, cls, classes)
             names |= sub_names - {name}
-            qualified |= sub_qualified - {(cls, name)}
+            qualified |= sub_qualified - {(cls, name), (None, name)}
         else:
             sub_names, sub_qualified = _referenced_names(node, cls, classes)
             names |= sub_names
@@ -154,9 +157,11 @@ def _definitions(body, classes, cls=None):
 
 def test_src_definitions_have_a_product_caller():
     # a definition that only tests call belongs in tests/reference.py.  A
-    # method whose name another src class or a builtin container also
-    # defines counts as called only when reached through self., cls. or its
-    # class name, since a bare ``x.name(...)`` may be the other one's.
+    # method counts as called only when reached through attribute access,
+    # since a bare name is a local or a function; one whose name another
+    # src class or a builtin container also defines counts only through
+    # self., cls. or its class name, since ``x.name(...)`` may be the other
+    # one's.
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
@@ -171,6 +176,7 @@ def test_src_definitions_have_a_product_caller():
         defined += [(file, *d) for d in defs]
         names |= file_names
         qualified |= file_qualified
+    attrs = {name for _, name in qualified}
     methods = [(cls, name) for _, _, cls, name in defined if cls]
     assert methods
     shared = CONTAINER_METHODS | {
@@ -180,7 +186,7 @@ def test_src_definitions_have_a_product_caller():
     def called(cls, name):
         if cls is None:
             return name in names
-        return (cls, name) in qualified or (name not in shared and name in names)
+        return (cls, name) in qualified or (name not in shared and name in attrs)
 
     orphans = sorted(
         f"{file}:{qualname}"
@@ -197,4 +203,4 @@ def test_src_definitions_have_a_product_caller():
     # an entry that names no src/ definition, or whose name nothing in src/
     # mentions any more, is stale
     assert [q for q in CALLED_THROUGH_AN_INSTANCE if q not in found] == []
-    assert [q for q in CALLED_THROUGH_AN_INSTANCE if q.split(".")[1] not in names] == []
+    assert [q for q in CALLED_THROUGH_AN_INSTANCE if q.split(".")[1] not in attrs] == []
