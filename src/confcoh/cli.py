@@ -123,7 +123,7 @@ def _grouped_u_text(terms):
 
 def cmd_q_series(args, parser):
     if args.genus < 1:
-        parser.error("q-series needs genus >= 1; use `betti --genus 0` instead")
+        parser.error("q-series needs genus >= 1; use `table --genus 0` instead")
     g = args.genus
     q = closedform.build_Q(g, args.max_n).items()
     terms = sorted(q, key=lambda item: (item[0][2], item[0][:2]))  # by (u, t, s)
@@ -141,8 +141,6 @@ def cmd_q_series(args, parser):
 
 
 def cmd_table(args, parser):
-    if args.genus < 1:
-        parser.error("table needs genus >= 1; use `betti --genus 0` instead")
     _write_mixed(args, closedform.mixed_table(args.genus, args.n))
     return 0
 
@@ -187,8 +185,6 @@ def _check_oracle_budget(args, parser, n):
 
 def cmd_oracle(args, parser):
     _check_oracle_budget(args, parser, args.n)
-    if args.reps and args.genus == 0:
-        parser.error("--reps needs genus >= 1; use `oracle --genus 0` for dimensions")
     if args.reps and args.model != "A":
         parser.error("--reps requires model A")
     _progress(f"computing model {args.model} cohomology: genus {args.genus} n={args.n}")
@@ -220,18 +216,11 @@ def _mismatches(n, want, got, cell, show):
 
 def _verify_point(g, n, reps):
     """Mismatch lines for n points: dims, then, with ``reps`` and once the
-    dims agree, decompositions; genus 0 compares Betti numbers only."""
+    dims agree, decompositions."""
     got = _regrade(dga.cohomology_dims(g, n, "A"))
-    count = lambda d: d or 0
-    if g == 0:
-        betti = {}
-        for (k, _), dim in got.items():
-            betti[k] = betti.get(k, 0) + dim
-        want = {k: d for k, d in enumerate(closedform.genus0_betti(n)) if d}
-        return _mismatches(n, want, betti, lambda k: f"k={k}", count)
     table = closedform.mixed_table(g, n)
     cell = lambda kh: f"k={kh[0]} h={kh[1]}"
-    lines = _mismatches(n, table.dims(), got, cell, count)
+    lines = _mismatches(n, table.dims(), got, cell, lambda d: d or 0)
     if reps and not lines:
         oracle = dga.cohomology_reps(g, n).entries
         show = lambda rep: rep.text() if rep else "0"
@@ -250,9 +239,8 @@ def cmd_verify(args, parser):
     ok = not lines
     if ok:
         what = "dims and representations" if args.reps else "dims"
-        span = f"n <= {args.max_n}"
-        if args.genus:  # both routes hold the weight-h cells fixed for n >= h
-            span += f", and every n at weight h <= {args.max_n}"
+        # both routes hold the weight-h cells fixed for n >= h
+        span = f"n <= {args.max_n}, and every n at weight h <= {args.max_n}"
         lines.append(f"verify: genus {args.genus} {span}: all tables agree ({what})")
     _write(args, None, None, lambda: "\n".join(lines))
     return 0 if ok else 1

@@ -15,8 +15,9 @@ one, and each consumer aggregates that list as it needs: a table sums each
 running sum of each column at every u, as a {(t, s, u): VirtualRep} dict,
 for the q-series; ``euler_series`` sums alternating dimensions per u.
 
-Genus 0 is served by its own closed form; the symplectic machinery
-requires g >= 1.
+The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
+with the trivial representation as its only irreducible, has its own
+table of multiples of V(0,0), checked and served like every other.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ __all__ = [
     "betti",
     "euler_series",
     "euler_binomials",
-    "genus0_betti",
     "stabilization_bound",
 ]
 
 
 def _check_genus(g):
     if g < 1:
-        raise ValueError("genus must be >= 1 here; genus 0 has its own closed form")
+        raise ValueError("the master series needs genus >= 1")
 
 
 def _bracket_terms(g, N):
@@ -164,7 +164,7 @@ class MixedTable:
                 raise ArithmeticError(
                     f"weight band violated at genus {g}, n={n}, (k={k}, h={h})"
                 )
-        if self.euler() != euler_binomials(g, n)[n]:
+        if self.euler() != _euler_coefficient(g, n):
             raise ValueError(
                 f"Euler characteristic mismatch for genus {g}, n={n}"
             )
@@ -226,38 +226,34 @@ def _slice(g, n):
     return {ts: VirtualRep.from_counts(column) for ts, column in columns.items()}
 
 
+def _euler_coefficient(g, n):
+    """[u^n] (1+u)^(2-2g), the Euler characteristic of UConf_n."""
+    e = 2 - 2 * g
+    if e >= 0:
+        return comb(e, n)
+    return (-1) ** n * comb(n - e - 1, n)
+
+
 def mixed_table(g, n):
-    """Table of gr-pieces of H^*(UConf_n) for genus g >= 1: the u^n
-    coefficient of the master series (``_slice``), whose series key (t, s)
-    becomes (k, h) = (t+s, t+2s)."""
-    _check_genus(g)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    entries = {(t + s, t + 2 * s): rep for (t, s), rep in _slice(g, n).items()}
+    """Table of gr-pieces of H^*(UConf_n) for genus g >= 0.
+
+    For g >= 1 it is the u^n coefficient of the master series (``_slice``),
+    whose series key (t, s) becomes (k, h) = (t+s, t+2s).  For the sphere
+    it is one V(0,0) at (0, 0), the sphere itself at (2, 2) when n = 1,
+    and for n >= 3 one class at (3, 4), of the weight of H^3(PGL_2(C)).
+    """
+    if g < 0 or n < 0:
+        raise ValueError("need g >= 0 and n >= 0")
+    if g == 0:
+        cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
+        entries = {kh: VirtualRep.unit() for kh in cells}
+    else:
+        entries = {(t + s, t + 2 * s): rep for (t, s), rep in _slice(g, n).items()}
     return MixedTable(g, n, entries).validate()
 
 
-def genus0_betti(n):
-    """Betti numbers of UConf_n of the sphere.
-
-    The n-point space is rationally a point in positive degrees except for
-    the sphere itself (n = 1) and the single degree-3 class for n >= 3.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (1, 0, 1)
-    if n == 2:
-        return (1, 0, 0)
-    return (1, 0, 0, 1)
-
-
 def betti(g, n):
-    """Betti numbers of UConf_n; genus 0 is routed to its closed form."""
-    if g == 0:
-        return genus0_betti(n)
+    """Betti numbers of UConf_n."""
     return mixed_table(g, n).betti()
 
 
@@ -277,11 +273,7 @@ def euler_series(g, N):
     if N < 0:
         raise ValueError("truncation must be >= 0")
     if g == 0:
-        out = []
-        for n in range(N + 1):
-            b = genus0_betti(n)
-            out.append(sum((-1) ** k * d for k, d in enumerate(b)))
-        return out
+        return [mixed_table(0, n).euler() for n in range(N + 1)]
     per_u = [0] * (N + 1)
     for t, s, u, label in q_bracket(g, N):
         per_u[u] += (-1) ** (t + s) * dim_irrep(g, label)

@@ -66,9 +66,10 @@ __all__ = [
 ]
 
 #: Largest n per genus at which one model A point with characters
-#: (``cohomology_reps``; ``cohomology_dims`` at genus 0, which has none) and
-#: one model B point (``cohomology_dims(g, n, "B")``) each took at most 1 s,
-#: timed in fresh processes on a 2-core x86 box.  The budget covers the
+#: (``cohomology_reps``) and one model B point (``cohomology_dims(g, n,
+#: "B")``) each took at most 1 s, timed in fresh processes on a 2-core x86
+#: box; at genus 0 model B sets it, and ``oracle --reps`` at n = 23000
+#: took 0.06-0.07 s (3 fresh processes).  The budget covers the
 #: computation only: a whole ``oracle --model B --debug-dir`` run at the
 #: budget (3 fresh processes) took 0.2-0.5 s at 3 <= g <= 7, 0.4-1.4 s at
 #: g = 2, and is still bound by creating one file per group at g = 1
@@ -393,8 +394,6 @@ def cohomology_weights(g, n):
     """Per-block characters of the cohomology of F_n (model A): each block's
     torus character as a {dominant weight: dim} dict, the dominant part
     that stands for every weight of its Weyl orbit."""
-    if g < 1:
-        raise ValueError("weights require genus >= 1")
     out = {}
     for (block, w), dim in _cohomology_by_weight(g, n, "A").items():
         out.setdefault(block, {})[w] = dim
@@ -407,8 +406,6 @@ def cohomology_reps(g, n, max_genus=None):
 
     ``max_genus`` is accepted and ignored; characters have no genus limit.
     """
-    if g < 1:
-        raise ValueError("representation tables require genus >= 1")
     entries = {}
     for (d1, d2), char in cohomology_weights(g, n).items():
         entries[(d1 + d2, d1 + 2 * d2)] = peel_character(g, char)

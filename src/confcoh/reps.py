@@ -5,7 +5,8 @@ dimensions by a closed product formula (the tests check it against the
 Weyl dimension formula), the virtual representations that label the
 closed-form series, and the characters of the irreducibles via the
 Freudenthal recursion, which the brute-force route peels back into
-irreducibles.
+irreducibles.  Genus 0 is included: sp(0) is the zero Lie algebra, whose
+only weight is the empty tuple and whose only irreducible is V(0,0).
 
 A character is Weyl-invariant, so it is a plain {dominant weight: mult}
 mapping, one integer g-tuple per Weyl orbit; the Weyl group enters solely
@@ -85,7 +86,7 @@ def highest_weight(g, label):
     if label == ZERO:
         raise ValueError("ZERO label has no weight")
     if j == 0:
-        return (i,) + (0,) * (g - 1)
+        return (i,) + (0,) * (g - 1) if i else (0,) * g
     return (i + 1,) + (1,) * (j - 1) + (0,) * (g - j)
 
 
@@ -224,8 +225,8 @@ class VirtualRep:
 
 
 def _check_genus(g):
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got {g}")
 
 
 @lru_cache(maxsize=None)
@@ -291,12 +292,11 @@ def dim_irrep(g, label):
     label = RepLabel(*label)
     if label == ZERO:
         raise ValueError("ZERO label has no dimension")
-    i, j = label
+    i, j = _normal(*label)
     if not (0 <= j <= g) or i < 0:
         raise ValueError(f"label {label} invalid for genus {g}")
-    if label == TRIVIAL:
+    if j == 0:
         return 1
-    i, j = _normal(i, j)
     multinomial = factorial(2 * g + i + 1) // (
         factorial(i) * factorial(j) * factorial(2 * g + 1 - j)
     )
@@ -325,7 +325,7 @@ def _dominant_weights_below(g, lam):
     and lam - mu in the root lattice (even coordinate sum)."""
     out = []
     lam_partial = [sum(lam[: m + 1]) for m in range(g)]
-    lam_total = lam_partial[-1]
+    lam_total = sum(lam)
 
     def rec(prefix, bound, partial):
         m = len(prefix)
@@ -337,7 +337,7 @@ def _dominant_weights_below(g, lam):
             # dominance: prefix sums of mu never exceed those of lam
             rec(prefix + [x], x, partial + x)
 
-    rec([], lam[0], 0)
+    rec([], max(lam, default=0), 0)
     return out
 
 

@@ -13,7 +13,6 @@ from confcoh.closedform import (
     build_Q,
     euler_binomials,
     euler_series,
-    genus0_betti,
     mixed_table,
     stabilization_bound,
 )
@@ -81,23 +80,24 @@ def test_criterion_2_formula_vs_oracle_reps():
 
 
 def test_criterion_3_genus0():
-    # UConf_2 of the sphere is rationally the projective plane: (1, 0, 0).
-    # The published table lists a degree-2 class at n = 2, which
-    # contradicts both the Euler series (1+u)^2 and the brute-force model;
-    # the corrected value is asserted here (see the project notes).
-    anchors = {0: (1,), 1: (1, 0, 1), 2: (1, 0, 0)}
+    # UConf_2 of the sphere is rationally the projective plane: only the
+    # unit class.  The published table lists a degree-2 class at n = 2,
+    # which contradicts both the Euler series (1+u)^2 and the brute-force
+    # model; the corrected value is asserted here (see the project notes).
+    unit = {(0, 0): 1}
+    anchors = {0: unit, 1: {(0, 0): 1, (2, 2): 1}, 2: unit}
     for n in range(0, 9):
-        got = {}
-        for (d1, d2), d in cohomology_dims(0, n, "A").items():
-            k = d1 + d2
-            got[k] = got.get(k, 0) + d
-        b = genus0_betti(n)
-        want = {k: d for k, d in enumerate(b) if d}
-        assert got == want, f"genus-0 mismatch at n={n}: {got} != {want}"
-        assert b == anchors.get(n, (1, 0, 0, 1))
+        table = mixed_table(0, n)
+        want = table.dims()
+        for model in "AB":
+            got = _regrade(cohomology_dims(0, n, model))
+            assert got == want, f"genus-0 model {model} mismatch at n={n}: {got} != {want}"
+        assert cohomology_reps(0, n) == table, f"genus-0 reps mismatch at n={n}"
+        assert want == anchors.get(n, {(0, 0): 1, (3, 4): 1})
     print(
-        "\n[criterion 3] PASS: genus-0 brute force matches the closed form for "
-        "n=0..8: (1) at n=0, (1,0,1) at n=1, (1,0,0) at n=2, (1,0,0,1) for n>=3"
+        "\n[criterion 3] PASS: genus-0 brute force (both models, dims and "
+        "representations) matches the closed form for n=0..8, as (k, h) cells: "
+        "(0,0) at every n, (2,2) at n=1, (3,4) for n>=3"
     )
 
 
@@ -279,7 +279,7 @@ def test_criterion_12_weights_up_to_n_are_stable():
     # agreement of the routes on the weights h <= N at n <= N holds at
     # every n
     cells = 0
-    for g in range(1, 5):
+    for g in range(0, 5):
         tables = [mixed_table(g, n).entries for n in range(31)]
         for n in range(30):
             for k, h in tables[n].keys() | tables[n + 1].keys():
@@ -287,6 +287,6 @@ def test_criterion_12_weights_up_to_n_are_stable():
                     assert tables[n].get((k, h)) == tables[n + 1].get((k, h)), (g, n, k, h)
                     cells += 1
     print(
-        f"\n[criterion 12] PASS: for g <= 4 and n < 30 every closed-form cell "
+        f"\n[criterion 12] PASS: for 0 <= g <= 4 and n < 30 every closed-form cell "
         f"of weight h <= n is the same at n and n + 1 ({cells} cells)"
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import pytest
 
 from confcoh import dga
-from confcoh.cli import _grouped_u_text, _series_text, main
+from confcoh.cli import _grouped_u_text, _series_text, build_parser, main
 from confcoh.closedform import MixedTable
 from confcoh.dga import ORACLE_BUDGET
 from confcoh.reps import RepLabel, VirtualRep
@@ -39,7 +40,7 @@ def test_q_series_trivial(capsys):
 def test_q_series_genus0_rejected(capsys):
     assert run_expect_exit(capsys, "q-series", "--genus", "0", "--max-n", "2") == 2
     err = capsys.readouterr().err
-    assert "betti --genus 0" in err
+    assert "table --genus 0" in err
 
 
 def test_q_series_json_round_trip(capsys):
@@ -182,8 +183,7 @@ def test_oracle_matches_table(capsys):
 
 
 @pytest.mark.parametrize(
-    "genus, model, message",
-    [("0", "A", "--reps needs genus >= 1"), ("2", "B", "--reps requires model A")],
+    "genus, model, message", [("2", "B", "--reps requires model A")]
 )
 def test_oracle_reps_usage_errors(capsys, tmp_path, genus, model, message):
     debug = tmp_path / "blocks"
@@ -266,11 +266,12 @@ def test_verify_genus0(capsys):
 
 
 def test_oracle_reps(capsys):
-    code, oracle_out = run(capsys, "oracle", "--genus", "1", "--n", "3", "--reps")
-    assert code == 0
-    code, table_out = run(capsys, "table", "--genus", "1", "--n", "3", "--reps")
-    assert code == 0
-    assert oracle_out == table_out
+    for genus in ("0", "1"):
+        code, oracle_out = run(capsys, "oracle", "--genus", genus, "--n", "3", "--reps")
+        assert code == 0
+        code, table_out = run(capsys, "table", "--genus", genus, "--n", "3", "--reps")
+        assert code == 0
+        assert oracle_out == table_out, genus
 
 
 def _doctored_dims(real):
@@ -300,7 +301,12 @@ def _doctored_reps(real):
     [
         pytest.param(
             "0", (), "cohomology_dims", _doctored_dims,
-            "mismatch n=2 k=0: closed form 1 != brute force 2", id="genus0",
+            "mismatch n=2 k=0 h=0: closed form 1 != brute force 2", id="genus0",
+        ),
+        pytest.param(
+            "0", ("--reps",), "cohomology_reps", _doctored_reps,
+            "mismatch n=2 k=0 h=0: closed form V(0,0) != brute force 2·V(0,0)",
+            id="genus0-reps",
         ),
         pytest.param(
             "1", (), "cohomology_dims", _doctored_dims,
@@ -324,6 +330,47 @@ def test_verify_reports_mismatch(
     out = capsys.readouterr().out
     assert code == 1
     assert out.splitlines() == [line]
+
+
+# every subcommand at genus 0 with a small n, with each of its flags that
+# changes what it computes; q-series and dim refuse genus 0
+GENUS0_RUNS = {
+    "q-series": [("--max-n", "3"), ("--max-n", "3", "--dims")],
+    "table": [("--n", "3"), ("--n", "3", "--reps")],
+    "betti": [("--n", "3")],
+    "dim": [("--i", "0", "--j", "0")],
+    "euler": [("--max-n", "3")],
+    "oracle": [("--n", "3"), ("--n", "3", "--reps"), ("--n", "3", "--model", "B")],
+    "verify": [("--max-n", "3"), ("--max-n", "3", "--reps")],
+}
+REFUSED_AT_GENUS0 = {"q-series", "dim"}
+
+
+def test_every_command_answers_or_refuses_genus0(capsys):
+    # a command either answers at genus 0 or refuses it as a usage error;
+    # any other exception propagates and fails the test
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(GENUS0_RUNS) == set(commands)
+    for command, runs in GENUS0_RUNS.items():
+        formats = [("--format", f) for f in ("text", "json", "csv")]
+        if command == "verify":  # which takes no --format
+            formats = [()]
+        for flags in runs:
+            for fmt in formats:
+                argv = [command, "--genus", "0", *flags, *fmt]
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+                captured = capsys.readouterr()
+                if command in REFUSED_AT_GENUS0:
+                    assert code == 2 and "error:" in captured.err, argv
+                    assert captured.out == "", argv
+                else:
+                    assert code == 0 and captured.out, argv
 
 
 def test_verify_takes_no_format(capsys):
@@ -396,6 +443,21 @@ CLI_SHA256 = {
     "table --genus 2 --n 3 --reps --format csv": (
         "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
     ),
+    "table --genus 0 --n 1 --format text": (
+        "624df5beb8364dc3c85c2277b87d73a6070fe039160f6f4ea14b7fe3a5824873", 0
+    ),
+    "table --genus 0 --n 1 --format json": (
+        "119aef4c2fc8958abd08d06e5abe17bf749fc7ce4acbaee7a3370767d61ec420", 0
+    ),
+    "table --genus 0 --n 1 --format csv": (
+        "f159b58fd3aff0b432cb2c1f18051644b182c4c8eb0ab80e290a7b56aa6793d0", 0
+    ),
+    "table --genus 0 --n 3 --reps": (
+        "95e2004b37da2e78192a655b5826508897672b66726472a3749ad85f092466c8", 0
+    ),
+    "betti --genus 0 --n 2": (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", 0
+    ),
     "betti --genus 0 --n 4 --format text": (
         "5ef06e99a5fe8e0178dd8a13975736ba0eb6b0fc150a913d7816003d0e97b44e", 0
     ),
@@ -422,6 +484,9 @@ CLI_SHA256 = {
     ),
     "dim --genus 2 --i 1 --j 2 --format csv": (
         "a1abd54048fad2550c089f607d0ab399f530fbef779977f9c5fdc45bc0ec1fca", 0
+    ),
+    "euler --genus 0 --max-n 5": (
+        "da41b75ad82e453f30e52330db11c66f6aa4cc4b6d2491337a15abdec1cd884b", 0
     ),
     "euler --genus 2 --max-n 5 --format text": (
         "d46a1acf6578cd187aa17ffec628de5c4034730bb20204f202b39aa3009201a3", 0
@@ -472,10 +537,13 @@ CLI_SHA256 = {
         "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
     ),
     "verify --genus 0 --max-n 4": (
-        "c113f869e35b43b1d6b1efa7879c4361f4d4ec7a0ff92a17675c91fab734fce1", 0
+        "750de216abb6792d4396ab03e8f32c5bd879ddedb9a3f72ae9728d1828b16399", 0
+    ),
+    "verify --genus 0 --max-n 4 --reps": (
+        "e8e279098c9cae5ab5ad14dc26abc77d946443e92e540d9b83947d43eb2585ea", 0
     ),
     "verify --genus 0 --max-n 1": (
-        "c05d2041d2c2f16c2fd9786a7912557882ef6bf9c0fc87a29c8758583bdd7e5c", 0
+        "d000dea5a32e651cc1d7ce7bbd0acc3a777908a0d7d7f4da829d6595864b2ffe", 0
     ),
     "verify --genus 2 --max-n 3 --reps": (
         "d955b405ed137b60832c563232fd6e262c654fdfcbaac1b01a3509be49e2566f", 0
@@ -496,7 +564,7 @@ CLI_SHA256 = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
     ),
     "oracle --genus 0 --n 3 --reps": (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
+        "95e2004b37da2e78192a655b5826508897672b66726472a3749ad85f092466c8", 0
     ),
     "betti --genus 1 --n -1": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2

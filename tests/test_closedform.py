@@ -4,10 +4,10 @@ from confcoh import closedform
 from confcoh.closedform import (
     MixedTable,
     betti,
+    _euler_coefficient,
     build_Q,
     euler_binomials,
     euler_series,
-    genus0_betti,
     mixed_table,
     q_bracket,
     stabilization_bound,
@@ -400,16 +400,40 @@ def test_euler_series_rejects_a_negative_truncation():
             euler_series(g, -1)
 
 
+def test_euler_coefficient_matches_binomials():
+    for g in range(0, 9):
+        want = euler_binomials(g, 40)
+        for n in range(0, 41):
+            assert _euler_coefficient(g, n) == want[n], (g, n)
+
+
+def test_genus0_mixed_table():
+    # sp(0) is the zero Lie algebra, so every cell is a multiple of V(0,0),
+    # and validate() checks each table against the (1+u)^2 Euler series:
+    # the sphere itself at n = 1, rationally the projective plane at n = 2,
+    # and from n = 3 on one class in the weight of H^3(PGL_2(C))
+    cells = {0: [(0, 0)], 1: [(0, 0), (2, 2)], 2: [(0, 0)]}
+    for n in range(0, 11):
+        want = {kh: VirtualRep.unit() for kh in cells.get(n, [(0, 0), (3, 4)])}
+        assert mixed_table(0, n).entries == want, n
+
+
 def test_genus0_betti_table():
-    assert genus0_betti(0) == (1,)
-    assert genus0_betti(1) == (1, 0, 1)  # the sphere itself
-    assert genus0_betti(2) == (1, 0, 0)
+    assert betti(0, 0) == (1,)
+    assert betti(0, 1) == (1, 0, 1)  # the sphere itself
+    assert betti(0, 2) == (1,)
     for n in range(3, 10):
-        assert genus0_betti(n) == (1, 0, 0, 1)
+        assert betti(0, n) == (1, 0, 0, 1)
 
 
 def test_genus0_euler_consistency():
     # the Betti table must be consistent with the (1+u)^2 Euler series
     for n in range(0, 10):
-        chi = sum((-1) ** k * d for k, d in enumerate(genus0_betti(n)))
+        chi = sum((-1) ** k * d for k, d in enumerate(betti(0, n)))
         assert chi == euler_binomials(0, n)[n]
+
+
+def test_mixed_table_rejects_a_negative_point():
+    for g, n in ((-1, 2), (0, -1), (2, -1)):
+        with pytest.raises(ValueError, match="need g >= 0 and n >= 0"):
+            mixed_table(g, n)

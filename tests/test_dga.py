@@ -217,8 +217,6 @@ def test_d_is_bidegree_homogeneous():
 
 def test_d_preserves_torus_weight():
     for g, n, model in INSTANCES:
-        if g == 0:
-            continue
         for m in enumerate_basis(g, n, model):
             w = mono_weight(g, m)
             for _, image in differential_monomial(g, model, m):
@@ -261,11 +259,15 @@ def test_cohomology_torus_n1():
 
 def test_cohomology_genus0():
     assert cohomology_dims(0, 2) == {(0, 0): 1}
-    dims = cohomology_dims(0, 3)
-    betti = {}
-    for (d1, d2), d in dims.items():
-        betti[d1 + d2] = betti.get(d1 + d2, 0) + d
-    assert betti == {0: 1, 3: 1}
+    # sp(0) has the empty weight only, and the degree-3 class is in (2, 1)
+    assert cohomology_weights(0, 3) == {(0, 0): {(): 1}, (2, 1): {(): 1}}
+    for n in range(0, 51):
+        table = mixed_table(0, n)
+        for model in ("A", "B"):
+            dims = cohomology_dims(0, n, model)
+            regraded = {(d1 + d2, d1 + 2 * d2): d for (d1, d2), d in dims.items()}
+            assert regraded == table.dims(), (n, model)
+        assert cohomology_reps(0, n) == table, n
 
 
 def test_cohomology_g1_n3_regraded():

@@ -93,10 +93,23 @@ def test_weyl_dim_rejects_non_dominant():
 
 
 def test_dim_irrep_rejects_bad_input():
-    with pytest.raises(ValueError):
-        dim_irrep(0, RepLabel(0, 1))
+    # (1, 0) is V(0,1) once normalised, and sp(0) has only V(0,0)
+    for g, label in ((0, RepLabel(0, 1)), (0, RepLabel(1, 0)), (-1, TRIVIAL)):
+        with pytest.raises(ValueError):
+            dim_irrep(g, label)
     with pytest.raises(ValueError):
         dim_irrep(2, ZERO)
+
+
+def test_genus0_has_only_the_trivial_representation():
+    # sp(0) is the zero Lie algebra: its weights are the empty tuple
+    assert dim_irrep(0, TRIVIAL) == 1
+    assert highest_weight(0, TRIVIAL) == ()
+    assert _dominant_weights_below(0, ()) == [()]
+    assert irreducible_character(0, TRIVIAL) == {(): 1}
+    assert orbit_size(()) == 1
+    assert peel_character(0, {(): 3}) == VirtualRep.unit(3)
+    assert VirtualRep.unit(2).dim(0) == 2
 
 
 def test_closed_form_equals_weyl_formula():
@@ -228,7 +241,7 @@ def test_character_built_once_per_label():
 
 
 def test_character_trivial():
-    for g in (1, 2, 3):
+    for g in (0, 1, 2, 3):
         assert irreducible_character(g, TRIVIAL) == {(0,) * g: 1}
 
 

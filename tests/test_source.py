@@ -73,6 +73,10 @@ SERIES_ALGEBRA = (
 # a method is named with its class.
 NO_CALLER_NEEDED = {
     "stabilization_bound": "library API, checked by acceptance criterion 10",
+    "euler_binomials": (
+        "the bench self-tests compare against it; it moves to tests/reference.py "
+        "with the next benchmark change"
+    ),
     "enumerate_basis": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_degrees": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_weight": "the bench tracer wraps it; it leaves with the next benchmark change",
