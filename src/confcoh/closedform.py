@@ -8,12 +8,15 @@ points.  The reindexing is pinned by n = 1: the surface itself has its
 degree-one classes in weight 1 and the point class in weight 2.
 
 The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
-sum over u.  ``q_bracket`` writes the bracket from its formula, truncated
-at u^n, as one checked flat list of (t, s, u, label) terms of multiplicity
-one, and each consumer aggregates that list as it needs: a table sums each
-(t, s) column over u <= n, and builds no series; ``build_Q`` keeps the
-running sum of each column at every u, as a {(t, s, u): VirtualRep} dict,
-for the q-series; ``euler_series`` sums alternating dimensions per u.
+sum over u.  ``q_bracket`` writes the bracket from its formula, for a
+window lo < u <= N, as one checked flat list of (t, s, u, label) terms of
+multiplicity one.  One store per genus (``_bracket``) keeps the running
+sum of each (t, s) column at each u where it changes, and grows by the
+window above the largest u it holds, so each term is written and checked
+once per process.  A table reads each column's sum at u = n by bisection,
+and builds no series; ``build_Q`` spreads each column's sums over every
+u <= N, as a {(t, s, u): VirtualRep} dict, for the q-series;
+``euler_series`` sums the alternating dimensions of a whole bracket per u.
 
 The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
 with the trivial representation as its only irreducible, has its own
@@ -22,6 +25,8 @@ table of multiples of V(0,0), checked and served like every other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from types import MappingProxyType
@@ -45,28 +50,32 @@ def _check_genus(g):
         raise ValueError("the master series needs genus >= 1")
 
 
-def _bracket_terms(g, N):
-    """The bracket of ``q_bracket`` up to u^N, unchecked.  Its scalar
+def _bracket_terms(g, N, lo=-1):
+    """The terms of ``q_bracket`` with lo < u <= N, unchecked.  Its scalar
     factors, expanded, give 8 shifts per j, and each label V(i, j) is
     listed once at each shift."""
     # (1+t^2 s u^3)(1+t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2), expanded
     scalar = [(0, 0, 0), (2, 0, 1), (2, 1, 3), (4, 1, 4)]
     scalar += [(2 * g, 1, 2 * g + 2), (2 * g + 2, 2, 2 * g + 4)]
-    terms = [(t, s, u, TRIVIAL) for t, s, u in scalar if u <= N]
+    terms = [(t, s, u, TRIVIAL) for t, s, u in scalar if lo < u <= N]
     pre = [(0, 0, 0), (2, 1, 2), (2, 1, 3), (4, 2, 5)]  # (1+t^2 s u^2)(1+t^2 s u^3)
     for j in range(1, g + 1):
         m = g - j
-        labels = [rep_label(g, i, j) for i in range((N - j) // 2 + 1)]
-        for dt, ds, du in pre + [(t + 2 * m, s + 1, u + 2 * m + 2) for t, s, u in pre]:
+        shifts = pre + [(t + 2 * m, s + 1, u + 2 * m + 2) for t, s, u in pre]
+        # V(i, j) sits at u = j + 2i + du: lo < u needs i > (lo - du - j) / 2
+        first = max(0, (lo - j - max(du for _, _, du in shifts)) // 2 + 1)
+        labels = [rep_label(g, i, j) for i in range(first, (N - j) // 2 + 1)]
+        for dt, ds, du in shifts:
             terms += [
-                (j + i + dt, i + ds, j + 2 * i + du, labels[i])
-                for i in range((N - du - j) // 2 + 1)
+                (j + i + dt, i + ds, j + 2 * i + du, labels[i - first])
+                for i in range(max(0, (lo - du - j) // 2 + 1), (N - du - j) // 2 + 1)
             ]
     return terms
 
 
-def q_bracket(g, N):
-    """The bracket whose product with 1/(1-u) is the master series, to u^N:
+def q_bracket(g, N, lo=-1):
+    """The bracket whose product with 1/(1-u) is the master series, its
+    terms with lo < u <= N (the whole bracket to u^N by default):
 
         (1+t^2 s u^3)(1 + t^2 u) + (1+t^2 s u^2) t^(2g) s u^(2g+2)
         + (1+t^2 s u^2)(1+t^2 s u^3)
@@ -76,26 +85,31 @@ def q_bracket(g, N):
     label that occurs twice at one (t, s, u) is listed twice.  Labels come
     from ``rep_label`` or are TRIVIAL, never ZERO.
 
-    Its invariants are checked: the u^0 coefficient is 1, and every term
-    has t <= u + 2g + 2, u <= t + s + 1 and u <= t + 2s, the last two in
-    one test, u <= t + s + min(s, 1).  1/(1-u) keeps the u^0 coefficient
-    and only carries terms to higher u, so the master series meets the
-    first two as well.
+    Its invariants are checked on the window's terms: the u^0 coefficient
+    is 1 (when the window holds u = 0), and every term has t >= s,
+    t <= u + 2g + 2, u <= t + s + 1 and u <= t + 2s, the last two in one
+    test, u <= t + s + min(s, 1).  1/(1-u) keeps the u^0 coefficient and
+    each term's (t, s), and only carries terms to higher u, so the master
+    series meets the first three as well: each of its cells of degree
+    k = t + s has weight h = t + 2s <= 3k/2.
     """
     _check_genus(g)
     if N < 0:
         raise ValueError("truncation must be >= 0")
-    terms = _bracket_terms(g, N)
-    u0 = [(t, s, label) for t, s, u, label in terms if u == 0]
-    if u0 != [(0, 0, TRIVIAL)]:
-        raise ArithmeticError(
-            f"u^0 coefficient must be 1 at g={g}, got the (t, s, label) terms {u0}"
-        )
+    terms = _bracket_terms(g, N, lo)
+    if lo < 0:
+        u0 = [(t, s, label) for t, s, u, label in terms if u == 0]
+        if u0 != [(0, 0, TRIVIAL)]:
+            raise ArithmeticError(
+                f"u^0 coefficient must be 1 at g={g}, got the (t, s, label) terms {u0}"
+            )
     top = 2 * g + 2
     for t, s, u, _ in terms:
-        if t > u + top or u > t + s + (s > 0):  # s > 0 is min(s, 1), for s >= 0
+        if t > u + top or u > t + s + (s > 0) or t < s:  # s > 0 is min(s, 1), for s >= 0
             if t > u + top:
                 bound = "t <= u + 2g + 2"
+            elif t < s:
+                bound = "t >= s"
             else:
                 bound = "u <= t + s + 1" if u > t + s + 1 else "u <= t + 2s"
             raise ArithmeticError(
@@ -104,26 +118,89 @@ def q_bracket(g, N):
     return terms
 
 
+class _Bracket:
+    """The running sums of the bracket's (t, s) columns over u <= top, for
+    one genus.
+
+    ``columns`` maps each (t, s) column with a term at u <= top to two
+    lists: the u at which its running sum changes, in increasing order, and
+    the VirtualRep that it sums to from that u on, shared by every n up to
+    the next change.  A call at n <= top reads each column by bisection.
+    The columns are kept in order of their first u, so that a read at n
+    stops at the first column with no term at u <= n.
+    """
+
+    __slots__ = ("top", "columns")
+
+    def __init__(self):
+        self.top = -1
+        self.columns = {}
+
+    def cover(self, g, n):
+        """Grow to top = n: ask ``q_bracket`` only for the terms with
+        top < u <= n, and extend each column from its last sum.  A column
+        new to the store has its first u above top, where every old column
+        has a term, so adding the new ones in order of their first u keeps
+        the order."""
+        fresh = {}
+        for t, s, u, label in q_bracket(g, n, self.top):
+            fresh.setdefault((t, s), []).append((u, label))
+        for column in fresh.values():
+            column.sort()
+        for ts, column in sorted(fresh.items(), key=lambda item: item[1][0]):
+            us, reps = self.columns.setdefault(ts, ([], []))
+            counts = dict(reps[-1].items()) if reps else {}
+            ends = [u for u, _ in column[1:]] + [n + 1]
+            for (u, label), end in zip(column, ends):
+                counts[label] = counts.get(label, 0) + 1
+                if end > u:
+                    us.append(u)
+                    reps.append(VirtualRep.from_counts(counts))
+                    counts = dict(counts)
+        self.top = n
+
+    def column_sums(self, n):
+        """The master series' u^n coefficient as (t, s) -> VirtualRep: each
+        column's sum over u <= n, for n <= top."""
+        sums = {}
+        for ts, (us, reps) in self.columns.items():
+            if us[0] > n:
+                break
+            sums[ts] = reps[bisect_right(us, n) - 1]
+        return sums
+
+
+@lru_cache(maxsize=None)
+def _bracket(g):
+    """The one ``_Bracket`` of a genus, grown as calls reach a larger n."""
+    return _Bracket()
+
+
+def _covering(g, n):
+    """The store of genus g >= 1, grown to hold u^n."""
+    _check_genus(g)
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    store = _bracket(g)
+    if n > store.top:
+        store.cover(g, n)
+    return store
+
+
 def build_Q(g, N):
     """Master series truncated at u^N, as {(t, s, u): VirtualRep}: the
     bracket times 1/(1-u), which is the running sum of each (t, s) column
-    of the bracket over u.  Every coefficient is nonzero, and one that does
-    not change from u to u+1 is the same (immutable) VirtualRep."""
-    columns = {}
-    for t, s, u, label in q_bracket(g, N):
-        columns.setdefault((t, s), []).append((u, label))
+    of the bracket over u, read off the genus' store.  Every coefficient is
+    nonzero, and one that does not change from u to u+1 is the same
+    (immutable) VirtualRep."""
     series = {}
-    for (t, s), column in columns.items():
-        column.sort()
-        ends = [u for u, _ in column[1:]] + [N + 1]
-        counts = {}
-        for (u, label), end in zip(column, ends):
-            counts[label] = counts.get(label, 0) + 1
-            if end > u:
-                rep = VirtualRep.from_counts(counts)
-                counts = dict(counts)
-                for v in range(u, end):
-                    series[(t, s, v)] = rep
+    for (t, s), (us, reps) in _covering(g, N).columns.items():
+        k = bisect_right(us, N)
+        if not k:
+            break
+        for u, end, rep in zip(us, us[1:k] + [N + 1], reps):
+            for v in range(u, end):
+                series[(t, s, v)] = rep
     return series
 
 
@@ -216,16 +293,6 @@ class MixedTable:
         return f"MixedTable(g={self.genus}, n={self.n}, {{{cells}}})"
 
 
-def _slice(g, n):
-    """The master series' u^n coefficient as (t, s) -> VirtualRep: each
-    (t, s) column of the bracket truncated at u^n, summed over u."""
-    columns = {}
-    for t, s, _, label in q_bracket(g, n):
-        column = columns.setdefault((t, s), {})
-        column[label] = column.get(label, 0) + 1
-    return {ts: VirtualRep.from_counts(column) for ts, column in columns.items()}
-
-
 def _euler_coefficient(g, n):
     """[u^n] (1+u)^(2-2g), the Euler characteristic of UConf_n."""
     e = 2 - 2 * g
@@ -237,10 +304,11 @@ def _euler_coefficient(g, n):
 def mixed_table(g, n):
     """Table of gr-pieces of H^*(UConf_n) for genus g >= 0.
 
-    For g >= 1 it is the u^n coefficient of the master series (``_slice``),
-    whose series key (t, s) becomes (k, h) = (t+s, t+2s).  For the sphere
-    it is one V(0,0) at (0, 0), the sphere itself at (2, 2) when n = 1,
-    and for n >= 3 one class at (3, 4), of the weight of H^3(PGL_2(C)).
+    For g >= 1 it is the u^n coefficient of the master series, read off
+    the genus' store, whose series key (t, s) becomes (k, h) =
+    (t+s, t+2s).  For the sphere it is one V(0,0) at (0, 0), the sphere
+    itself at (2, 2) when n = 1, and for n >= 3 one class at (3, 4), of
+    the weight of H^3(PGL_2(C)).
     """
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0")
@@ -248,7 +316,8 @@ def mixed_table(g, n):
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
         entries = {kh: VirtualRep.unit() for kh in cells}
     else:
-        entries = {(t + s, t + 2 * s): rep for (t, s), rep in _slice(g, n).items()}
+        sums = _covering(g, n).column_sums(n)
+        entries = {(t + s, t + 2 * s): rep for (t, s), rep in sums.items()}
     return MixedTable(g, n, entries).validate()
 
 

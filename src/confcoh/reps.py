@@ -273,6 +273,20 @@ def orbit_size(w):
     return factorial(len(a)) * 2 ** (len(a) - a.count(0)) // stabilizer
 
 
+def _checked_label(g, label, what):
+    """The label in normal form (``_normal``).  Raises ValueError when the
+    genus is negative, or the label is ZERO, which has no ``what``, or
+    names no irreducible of sp(2g)."""
+    _check_genus(g)
+    label = RepLabel(*label)
+    if label == ZERO:
+        raise ValueError(f"ZERO label has no {what}")
+    normal = _normal(*label)
+    if not (0 <= normal.j <= g) or normal.i < 0:
+        raise ValueError(f"label {label} invalid for genus {g}")
+    return normal
+
+
 @lru_cache(maxsize=None)
 def dim_irrep(g, label):
     """Exact dimension of V_{i*w1 + w_j}.
@@ -288,13 +302,7 @@ def dim_irrep(g, label):
     >>> dim_irrep(2, RepLabel(1, 2))
     16
     """
-    _check_genus(g)
-    label = RepLabel(*label)
-    if label == ZERO:
-        raise ValueError("ZERO label has no dimension")
-    i, j = _normal(*label)
-    if not (0 <= j <= g) or i < 0:
-        raise ValueError(f"label {label} invalid for genus {g}")
+    i, j = _checked_label(g, label, "dimension")
     if j == 0:
         return 1
     multinomial = factorial(2 * g + i + 1) // (
@@ -386,10 +394,7 @@ def irreducible_character(g, label):
 
     Built once per (g, label) by the Freudenthal recursion, which makes
     only dominant weights, and then shared, hence read-only."""
-    _check_genus(g)
-    label = RepLabel(*label)
-    if label == ZERO:
-        raise ValueError("ZERO label has no character")
+    label = _checked_label(g, label, "character")
     return MappingProxyType(dict(_dominant_mults(g, highest_weight(g, label))))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from confcoh import closedform
@@ -207,17 +209,20 @@ def test_tables_never_build_the_master_series(monkeypatch):
 
 @pytest.fixture
 def bad_bracket_term(monkeypatch):
-    """Adds one scalar term (t, s, u) to the bracket before its checks."""
+    """Adds one scalar term (t, s, u) to the bracket before its checks, on
+    empty stores, so that no store read hides it."""
 
     def inject(t, s, u):
         terms = closedform._bracket_terms
 
-        def with_term(g, N):
-            return terms(g, N) + [(t, s, u, TRIVIAL)]
+        def with_term(g, N, lo=-1):
+            return terms(g, N, lo) + [(t, s, u, TRIVIAL)] * (lo < u <= N)
 
         monkeypatch.setattr(closedform, "_bracket_terms", with_term)
 
+    closedform._bracket.cache_clear()
     yield inject
+    closedform._bracket.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -227,6 +232,7 @@ def bad_bracket_term(monkeypatch):
         ((6, 0, 1), r"t <= u \+ 2g \+ 2"),
         ((0, 0, 2), r"u <= t \+ s \+ 1"),
         ((1, 0, 2), r"u <= t \+ 2s"),
+        ((0, 1, 1), r"t >= s"),
     ],
 )
 def test_bracket_invariants_raise(bad_bracket_term, term, message):
@@ -240,15 +246,111 @@ def test_bracket_invariants_raise(bad_bracket_term, term, message):
 
 
 def test_slice_matches_the_checked_constructor():
-    # each column that _slice takes over against the same column rebuilt
-    # from the bracket's terms through the constructor that normalises
+    # each column sum that the store reads off its change points against
+    # the same column rebuilt from the bracket's terms through the
+    # constructor that normalises
     for g in range(1, 9):
+        store = closedform._covering(g, 24)
         for n in range(25):
             columns = {}
             for t, s, _, label in q_bracket(g, n):
                 columns.setdefault((t, s), []).append((label, 1))
             want = {ts: VirtualRep(column) for ts, column in columns.items()}
-            assert closedform._slice(g, n) == want, (g, n)
+            assert store.column_sums(n) == want, (g, n)
+
+
+def bracket_sums(g, N):
+    """The running column sums of a fresh ``q_bracket(g, N)``, with no
+    store: {(t, s, u): VirtualRep} for every u <= N."""
+    terms = {}
+    for t, s, u, label in q_bracket(g, N):
+        terms.setdefault((t, s), []).append((u, label))
+    return {
+        (t, s, u): VirtualRep([(label, 1) for v, label in column if v <= u])
+        for (t, s), column in terms.items()
+        for u in range(min(column)[0], N + 1)
+    }
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_store_reads_equal_a_fresh_bracket(order):
+    # one store per genus serves a mix of tables, Betti numbers and series
+    # in any order; each answer equals the one built from a whole bracket
+    N = 18
+    calls = [(g, n, kind) for g in (1, 2, 5) for n in range(N + 1)
+             for kind in ("table", "betti", "series")]
+    if order == "descending":
+        calls.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(calls)
+    closedform._bracket.cache_clear()
+    want = {g: bracket_sums(g, N) for g in (1, 2, 5)}
+    for g, n, kind in calls:
+        cells = {(t + s, t + 2 * s): rep for (t, s, u), rep in want[g].items() if u == n}
+        if kind == "table":
+            assert mixed_table(g, n).entries == cells, (g, n)
+        elif kind == "betti":
+            assert betti(g, n) == MixedTable(g, n, cells).betti(), (g, n)
+        else:
+            series = {key: rep for key, rep in want[g].items() if key[2] <= n}
+            assert build_Q(g, n) == series, (g, n)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Records the (lo, N) window and the terms of each ``_bracket_terms``
+    call, on empty stores."""
+    calls = []
+    terms = closedform._bracket_terms
+
+    def recorded(g, N, lo=-1):
+        out = terms(g, N, lo)
+        calls.append(((lo, N), out))
+        return out
+
+    monkeypatch.setattr(closedform, "_bracket_terms", recorded)
+    closedform._bracket.cache_clear()
+    yield calls
+    closedform._bracket.cache_clear()
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_store_writes_each_bracket_term_once(windows, g):
+    # an ascending sweep, then reads in no order: the windows that the
+    # store's growths ask for are disjoint and add up to the whole bracket
+    N = 30
+    for n in range(0, N + 1, 3):
+        mixed_table(g, n)
+    for n in (5, N + 4, 1, N + 10):
+        build_Q(g, n)
+        betti(g, n)
+    top = N + 10
+    spans = [span for span, _ in windows]
+    assert spans == [(-1, 0)] + [(n - 3, n) for n in range(3, N + 1, 3)] + [
+        (N, N + 4), (N + 4, top)]
+    written = [term for _, terms in windows for term in terms]
+    assert sorted(written) == sorted(q_bracket(g, top))
+
+
+def test_store_reads_below_its_top_write_no_term(windows):
+    for g in (1, 3):
+        build_Q(g, 20)
+    del windows[:]
+    for g in (1, 3):
+        for n in range(21):
+            mixed_table(g, n)
+            betti(g, n)
+            build_Q(g, n)
+    assert windows == []
+
+
+def test_windowed_bracket_is_a_slice_of_the_whole():
+    # q_bracket(g, N, lo) is the terms of q_bracket(g, N) with u > lo
+    for g in range(1, 9):
+        whole = q_bracket(g, 30)
+        for lo in range(-1, 32):
+            want = sorted(term for term in whole if term[2] > lo)
+            assert sorted(q_bracket(g, 30, lo)) == want, (g, lo)
 
 
 @pytest.mark.parametrize("counts", [{TRIVIAL: 0}, {W1: 2, TRIVIAL: 0}])

@@ -405,6 +405,18 @@ def test_dominant_groups_check_their_arguments():
         dga._dominant_groups(1, -1, "A")
 
 
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_dominant_groups_have_deg2_at_most_deg1_plus_one(model):
+    # deg2 - deg1 = s1 - ext - 2p - sp <= 1, since s1 is exterior; so every
+    # chain cell, hence every cohomology cell, has 2h <= 3k + 1.  s1 alone
+    # (deg3 = 2) meets the bound
+    for g, top in ((0, 12), (1, 10), (2, 7), (3, 5)):
+        for n in range(top + 1):
+            blocks = {block for block, _ in dga._dominant_groups(g, n, model)}
+            assert all(d2 <= d1 + 1 for d1, d2 in blocks), (g, n, model)
+            assert ((0, 1) in blocks) == (n >= 2), (g, n, model)
+
+
 def test_empty_target_groups_have_no_differential():
     # the rank loop skips a group with no target, where d must vanish
     skipped = 0

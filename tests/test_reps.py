@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 from math import comb
 
@@ -243,6 +244,27 @@ def test_character_built_once_per_label():
 def test_character_trivial():
     for g in (0, 1, 2, 3):
         assert irreducible_character(g, TRIVIAL) == {(0,) * g: 1}
+
+
+@pytest.mark.parametrize("g, label", [
+    (0, RepLabel(0, 1)),  # sp(0) has only V(0,0)
+    (2, RepLabel(-2, 1)),  # a negative multiple of w1
+    (1, RepLabel(0, 5)),  # w5 past the rank
+])
+def test_character_rejects_an_invalid_label(g, label):
+    # the same check as dim_irrep, naming the label, before any weight is built
+    message = re.escape(f"label {label} invalid for genus {g}")
+    with pytest.raises(ValueError, match=message):
+        irreducible_character(g, label)
+    with pytest.raises(ValueError, match=message):
+        dim_irrep(g, label)
+
+
+def test_character_rejects_zero_and_a_negative_genus():
+    with pytest.raises(ValueError, match="ZERO label has no character"):
+        irreducible_character(2, ZERO)
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        irreducible_character(-1, TRIVIAL)
 
 
 def test_character_mass_is_dimension():
