@@ -239,8 +239,17 @@ def cmd_verify(args, parser):
     ok = not lines
     if ok:
         what = "dims and representations" if args.reps else "dims"
-        # both routes hold the weight-h cells fixed for n >= h
-        span = f"n <= {args.max_n}, and every n at weight h <= {args.max_n}"
+        # both routes hold the weight-h cells fixed for n >= h, and put a
+        # cell of degree k at 2h <= 3k + 1 (``_Store.grow`` checks it) or
+        # 2h <= 3k (``MixedTable.validate``), so at weight h <= N when
+        # 3k <= 2N - 1
+        N = args.max_n
+        span = f"n <= {N}, and every n at weight h <= {N}"
+        if N >= 1:
+            span = (
+                f"n <= {N}, every n at weight h <= {N}, "
+                f"and every degree k <= {(2 * N - 1) // 3} at every n"
+            )
         lines.append(f"verify: genus {args.genus} {span}: all tables agree ({what})")
     _write(args, None, None, lambda: "\n".join(lines))
     return 0 if ok else 1

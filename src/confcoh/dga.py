@@ -37,9 +37,10 @@ elimination per group at the largest n reached so far, top: with each
 group's members sorted by deg3, the rank of d on F_n's part of the group
 is a prefix rank of that elimination, for every n <= top.  A call at
 n <= top only reads the store; a call at n > top enumerates F_n once and
-eliminates again only the groups of weight h > top.  A monomial of weight
-h = deg1 + 2*deg2 has h - deg3 = p + 2*sp + |sym| >= 0, so the groups of
-weight h <= top are already whole in F_top.
+eliminates again only the groups that have a member of deg3 > top.  A
+group whose members all have deg3 <= top is a group of F_top with the
+same members, and their images lie in F_top too, so its F_n matrix is
+its F_top matrix plus zero rows: the store already holds its tuple.
 """
 
 from __future__ import annotations
@@ -293,33 +294,43 @@ class _Store:
     matrix, whose other rows are zero there.  A call at any n <= top reads
     each group's count and rank off its tuple by bisection.  The groups are
     kept in order of their least deg3, so that a call at n stops at the
-    first group with no member in F_n.
+    first group with no member in F_n.  ``last`` holds the (n, result) of
+    the latest read, which a repeat call at the same n returns as is.
     """
 
-    __slots__ = ("top", "steps")
+    __slots__ = ("top", "steps", "last")
 
     def __init__(self):
         self.top = -1
         self.steps = {}
+        self.last = (-1, None)
 
     def grow(self, g, n, model, write=None):
-        """Cover F_n: enumerate it once, and rebuild the tuple of each of
-        its groups of weight h > top by one elimination over its members
-        sorted by deg3.  A group of weight h <= top keeps its tuple, since
-        h - deg3 = p + 2 sp + |sym| >= 0 puts every member at deg3 <= top,
-        and its target has the same weight.  ``write(key, matrix)``, if
-        given, receives each group's matrix before its elimination."""
+        """Cover F_n: enumerate it once, and rebuild, by one elimination
+        over its members sorted by deg3, the tuple of each group that has a
+        member of deg3 > top.  Every other group keeps its tuple.  Its
+        members all lie in F_top, and so do their images, since d never
+        raises deg3, so its F_n matrix is its F_top matrix plus zero rows
+        for the members its target gains; and it is a group of F_top with
+        the same members.  On an empty store (top = -1) every group is
+        rebuilt.  ``write(key, matrix)``, if given, receives each rebuilt
+        group's matrix before its elimination.
+
+        A rebuilt group of deg2 > deg1 + 1 raises ArithmeticError: deg2 -
+        deg1 = s1 - |ext| - 2p - sp <= 1, since s1 is exterior, which puts
+        every cell of degree k at weight h <= (3k + 1) / 2."""
         fresh = _dominant_groups(g, n, model)
-        if self.top >= 0:  # on an empty store every group is fresh
-            fresh = {
-                key: members for key, members in fresh.items()
-                if key[0][0] + 2 * key[0][1] > self.top
-            }
         for key, source in fresh.items():
             (d1, d2), w = key
             # deg3 = |ext| + p + 2 (s1 + sp + |sym|), which is
             # deg1 + deg2 + s1 - p - sp
             degs = [d1 + d2 + s1 - p - sp for _, s1, p, sp, _ in source]
+            if max(degs) <= self.top:
+                continue
+            if d2 > d1 + 1:
+                raise ArithmeticError(
+                    f"bidegree bound deg2 <= deg1 + 1 violated at (block, weight) = {key}"
+                )
             if len(degs) > 1 and degs != sorted(degs):
                 source = [source[i] for i in sorted(range(len(degs)), key=degs.__getitem__)]
                 degs.sort()
@@ -351,9 +362,13 @@ def _cohomology_by_weight(g, n, model="A"):
     members, minus the rank of d on them, minus the rank of d into them.
 
     A call at n <= top reads every group off the store, with no enumeration
-    and no elimination; a call at n > top first grows the store to n."""
+    and no elimination; a call at n > top first grows the store to n.  A
+    repeat call at the same n returns the same dict, so callers must not
+    mutate the result."""
     _check_point(g, n, model)
     store = _store(g, model)
+    if store.last[0] == n:
+        return store.last[1]
     if n > store.top:
         store.grow(g, n, model)
     dims, images = {}, []
@@ -376,7 +391,9 @@ def _cohomology_by_weight(g, n, model="A"):
             f"negative cohomology dimension {dims[key]} at (block, weight) = "
             f"{key}: ranks exceed its monomials"
         )
-    return {key: dim for key, dim in dims.items() if dim}
+    result = {key: dim for key, dim in dims.items() if dim}
+    store.last = (n, result)
+    return result
 
 
 def cohomology_dims(g, n, model="A"):
@@ -432,5 +449,5 @@ def dump_blocks(g, n, model, dirpath):
     fresh = _Store()
     fresh.grow(g, n, model, write)
     store = _store(g, model)
-    store.top, store.steps = fresh.top, fresh.steps
+    store.top, store.steps, store.last = fresh.top, fresh.steps, fresh.last
     return [paths[key] for key in sorted(paths)]

@@ -99,13 +99,16 @@ class VirtualRep:
     (label, mult) pairs or a dict, normalises each label, drops ZERO labels
     and zero multiplicities and adds up repeated labels; ``from_counts``
     takes over a {label: mult} dict whose labels are already normalised.
+    Both set ``_dim`` to None; ``effective_dim`` keeps its last result
+    there, as (g, dim), which stays right because a VirtualRep never
+    changes.
 
     >>> v = VirtualRep.single(RepLabel(1, 2), 3) + VirtualRep.unit()
     >>> v.text()
     '3·V(1,2) + V(0,0)'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_dim")
 
     def __init__(self, terms=None):
         data = {}
@@ -117,6 +120,7 @@ class VirtualRep:
                     continue
                 data[label] = data.get(label, 0) + mult
         self._terms = {l: m for l, m in data.items() if m}
+        self._dim = None
 
     @classmethod
     def from_counts(cls, counts):
@@ -133,6 +137,7 @@ class VirtualRep:
             raise ValueError("zero multiplicity")
         self = cls.__new__(cls)
         self._terms = counts
+        self._dim = None
         return self
 
     @classmethod
@@ -191,12 +196,18 @@ class VirtualRep:
 
     def effective_dim(self, g):
         """The dimension, or None when a coefficient is negative: the sign
-        check and the dimension of an actual representation in one pass."""
+        check and the dimension of an actual representation in one pass.
+        It is kept in ``_dim`` as (g, dim), which a repeat call at the same
+        g returns."""
+        if self._dim is not None and self._dim[0] == g:
+            return self._dim[1]
         dim = 0
         for l, m in self._terms.items():
             if m < 0:
-                return None
+                dim = None
+                break
             dim += m * dim_irrep(g, l)
+        self._dim = (g, dim)
         return dim
 
     def text(self):

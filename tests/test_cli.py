@@ -247,6 +247,17 @@ def test_verify_small(capsys):
     assert "all tables agree" in out
 
 
+def test_verify_states_its_degree_range(capsys):
+    # a cell of degree k <= (2N - 1)/3 has weight h <= N in both routes;
+    # at N = 0 no degree qualifies
+    for max_n, want in (("1", 0), ("4", 2), ("5", 3), ("7", 4)):
+        code, out = run(capsys, "verify", "--genus", "1", "--max-n", max_n)
+        assert code == 0
+        assert f"and every degree k <= {want} at every n: all tables agree" in out, max_n
+    code, out = run(capsys, "verify", "--genus", "1", "--max-n", "0")
+    assert code == 0 and "degree" not in out
+
+
 def test_verify_reps(capsys):
     code, out = run(capsys, "verify", "--genus", "1", "--max-n", "3", "--reps")
     assert code == 0
@@ -537,16 +548,16 @@ CLI_SHA256 = {
         "099cc69e238d27d31ce4fb7dc314af882f88e17e6fdfce95ab4b0b256364de40", 0
     ),
     "verify --genus 0 --max-n 4": (
-        "750de216abb6792d4396ab03e8f32c5bd879ddedb9a3f72ae9728d1828b16399", 0
+        "afa7c2949aef07581719f4ea6796973b4794b58e7e09e5d0743e9561af084b36", 0
     ),
     "verify --genus 0 --max-n 4 --reps": (
-        "e8e279098c9cae5ab5ad14dc26abc77d946443e92e540d9b83947d43eb2585ea", 0
+        "c36581949648541290c64cfac6cee7630a8da34f0e679cdfda9b92d39f6dc25f", 0
     ),
     "verify --genus 0 --max-n 1": (
-        "d000dea5a32e651cc1d7ce7bbd0acc3a777908a0d7d7f4da829d6595864b2ffe", 0
+        "25685751d8c9d7a342d5cfe1e797b0fd0903d4634c813366aa11389a1a8b2046", 0
     ),
     "verify --genus 2 --max-n 3 --reps": (
-        "d955b405ed137b60832c563232fd6e262c654fdfcbaac1b01a3509be49e2566f", 0
+        "9ace396e12e131e359a20016b3f38973bcadf396b936edee59d8c0fee9d602d1", 0
     ),
     "verify --genus 2 --max-n 3 --reps --format json": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from confcoh import closedform
+from confcoh import closedform, reps
 from confcoh.closedform import (
     MixedTable,
     betti,
@@ -14,7 +14,7 @@ from confcoh.closedform import (
     q_bracket,
     stabilization_bound,
 )
-from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, rep_label
+from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, dim_irrep, rep_label
 from confcoh.series import TriSeries
 from reference import (
     coeff,
@@ -357,6 +357,23 @@ def test_windowed_bracket_is_a_slice_of_the_whole():
 def test_from_counts_rejects_a_zero_multiplicity(counts):
     with pytest.raises(ValueError, match="zero multiplicity"):
         VirtualRep.from_counts(counts)
+
+
+def test_a_second_table_computes_no_dimension(monkeypatch):
+    # a table's cells are the store's VirtualReps, and each keeps the
+    # dimension its first table computed
+    for g in (1, 3):
+        mixed_table(g, 9)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dim_irrep(*args)
+
+        monkeypatch.setattr(reps, "dim_irrep", counted)
+        assert mixed_table(g, 9).euler() == _euler_coefficient(g, 9)
+        assert calls == [], g
+        monkeypatch.undo()
 
 
 def test_q_rejects_genus_zero():

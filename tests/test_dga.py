@@ -584,8 +584,8 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
 
 def test_store_inserts_each_column_once(monkeypatch):
     # after a call at (g, N), a call at any n <= N neither enumerates nor
-    # eliminates; a call at N' > N inserts the sources of the groups of
-    # weight h > N that have a target, and no other column
+    # eliminates; a call at N' > N inserts the sources of the groups that
+    # have a member of deg3 > N and a target, and no other column
     inserted, enumerated = [], []
 
     def counting_prefix_ranks(matrix):
@@ -607,7 +607,8 @@ def test_store_inserts_each_column_once(monkeypatch):
                 groups = dominant_groups(g, n, model)
                 want = sum(
                     len(source) for ((d1, d2), w), source in groups.items()
-                    if d1 + 2 * d2 > served and ((d1 + 2, d2 - 1), w) in groups
+                    if max(mono_degrees(g, m)[2] for m in source) > served
+                    and ((d1 + 2, d2 - 1), w) in groups
                 )
                 inserted.clear()
                 enumerated.clear()
@@ -618,6 +619,57 @@ def test_store_inserts_each_column_once(monkeypatch):
             for n in range(top, -1, -1):
                 dga._cohomology_by_weight(g, n, model)
             assert (inserted, enumerated) == ([], []), (g, model)
+    finally:
+        _clear_stores()
+
+
+def test_regrowth_keeps_groups_without_a_new_member():
+    # growing from N to N' > N keeps the very tuple of each group whose
+    # members all have deg3 <= N, and rebuilds every other group as a fresh
+    # store grown to N' would
+    try:
+        for g, top, model in STORE_SWEEPS:
+            _clear_stores()
+            store = dga._store(g, model)
+            kept = rebuilt = 0
+            for n in (top // 3, top // 2, top):
+                before = dict(store.steps)
+                served = store.top
+                dga._cohomology_by_weight(g, n, model)
+                fresh = dga._Store()
+                fresh.grow(g, n, model)
+                assert store.steps == fresh.steps, (g, model, n)
+                for key, source in dga._dominant_groups(g, n, model).items():
+                    if max(mono_degrees(g, m)[2] for m in source) <= served:
+                        assert store.steps[key] is before[key], (g, model, n, key)
+                        kept += 1
+                    else:
+                        rebuilt += 1
+            assert kept and rebuilt, (g, model)
+    finally:
+        _clear_stores()
+
+
+def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
+    # deg2 <= deg1 + 1 holds in both models (s1 is exterior); a group that
+    # breaks it would put a cell at 2h > 3k + 1, past verify's degree claim
+    member = (0, 1, 0, 0, ())
+    groups = {((0, 1), ()): [member], ((0, 2), ()): [member]}
+    monkeypatch.setattr(dga, "_dominant_groups", lambda g, n, model: groups)
+    with pytest.raises(ArithmeticError, match=r"deg2 <= deg1 \+ 1 violated .* \(\(0, 2\), \(\)\)"):
+        dga._Store().grow(0, 3, "A")
+
+
+def test_repeat_read_returns_the_same_result(tmp_path):
+    # the store answers a repeat call at one n with the dict it gave last,
+    # until a dump replaces the store
+    _clear_stores()
+    try:
+        first = dga._cohomology_by_weight(1, 5, "A")
+        assert dga._cohomology_by_weight(1, 5, "A") is first
+        dump_blocks(1, 5, "A", tmp_path)
+        assert dga._store(1, "A").last == (-1, None)
+        assert dga._cohomology_by_weight(1, 5, "A") == first
     finally:
         _clear_stores()
 

@@ -162,6 +162,17 @@ def test_ext_power_dimension_and_duality():
             assert dec == ext_power_decomp(g, 2 * g - j)
 
 
+def test_effective_dim_follows_the_genus():
+    # the kept (g, dim) answers a call at its own genus only
+    std = RepLabel(1, 0)
+    rep = VirtualRep.single(std, 3) + VirtualRep.unit()
+    for g in (1, 2, 1):
+        assert rep.effective_dim(g) == 3 * dim_irrep(g, std) + 1, g
+    negative = rep - VirtualRep.unit(2)
+    for g in (1, 2, 2):
+        assert negative.effective_dim(g) is None, g
+
+
 def test_tensor_examples():
     assert tensor_std_sym_decomp(2, 1, 1) == V(2, 1, 1) + V(2, 0, 2) + VirtualRep.unit()
     assert tensor_std_sym_decomp(1, 1, 1) == V(1, 1, 1) + VirtualRep.unit()
