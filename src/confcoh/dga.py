@@ -17,13 +17,17 @@ cohomology gives the weight-graded cohomology of the n-point unordered
 configuration space after the regrading
 (k, h) = (deg1 + deg2, deg1 + 2*deg2).
 
-A monomial is a plain 5-tuple (ext, s1, p, sp, sym): a bitmask of the
-exterior generators a_1..a_g, b_1..b_g, the s1 and sp flags, the p
-exponent, and the tuple of exponents of sa_1..sa_g, sb_1..sb_g.
-``Monomial`` names those fields; the rank loop builds plain tuples, which
-hash and compare equal to a ``Monomial`` with the same fields.  The
-differential is computed on those fields directly, its Koszul signs read
-off as parities of exterior bits.  Blocks are split by torus weight before
+A monomial is a 5-tuple (ext, s1, p, sp, sym): a bitmask of the exterior
+generators a_1..a_g, b_1..b_g, the s1 and sp flags, the p exponent, and
+the tuple of exponents of sa_1..sa_g, sb_1..sb_g; ``Monomial`` names those
+fields.  The rank loop codes each monomial of F_n as one int under a
+``_Layout``: the fields sit at fixed bit offsets, ext highest, then s1, p,
+sp and sym_1 .. sym_2g, each wide enough for F_n, so int order is basis
+(tuple) order.  deg3 sits above the code, so sorting a group's ints sorts
+it by (deg3, basis order).  Every term of d is the source's code plus an
+offset, and its Koszul sign a parity of exterior bits: the Leibniz rule
+gives one (coeff, offset) list per monomial up to its power of p, which in
+model B every power of p shares.  Blocks are split by torus weight before
 the exact rank computation, which is valid because d preserves the weight.
 Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
@@ -82,10 +86,11 @@ class Monomial(NamedTuple):
     """Canonical monomial: exterior bits for a_1..a_g, b_1..b_g, flags for
     s1 and sp, the p exponent, and the exponents of sa_1..sa_g, sb_1..sb_g.
 
-    The layout of every monomial, named: ``differential_monomial`` and the
-    dominant-weight groups hold plain tuples in this field order, which
-    hash and compare equal to the ``Monomial`` with the same fields, so the
-    two mix freely as dict keys.  Read a monomial's fields by position.
+    The fields of every monomial, named: ``differential_monomial`` takes
+    and returns plain tuples in this field order, which hash and compare
+    equal to the ``Monomial`` with the same fields, so the two mix freely as
+    dict keys.  Read a monomial's fields by position.  The rank loop holds
+    each monomial as its int code under a ``_Layout`` instead.
     """
 
     ext: int
@@ -120,39 +125,148 @@ def mono_weight(g, m):
     return tuple(w)
 
 
+class _Layout:
+    """The int codes of the monomials of F_n, for one genus and model.
+
+    A code holds the fields at fixed bit offsets, lowest first: sym_2g ..
+    sym_1 of (n // 2).bit_length() bits each, the sp flag, p of
+    n.bit_length() bits, the s1 flag and the 2g exterior bits, so int order
+    is basis order.  Every field of a monomial of F_n fits, and so does
+    every field of its images, which lie in F_n: p <= deg3 and 2 sym_j <=
+    deg3.  ``encode`` raises ValueError, naming the field, on a value that
+    does not fit, so that no carry lands on another monomial; the bits from
+    ``width`` up are free, and the rank loop keeps deg3 there.
+
+    ``terms`` maps ``code & keep`` to the (coeff, offset) terms of d on the
+    monomials of that code; ``keep`` drops p in model B, where every power
+    of p has the same terms.  ``s1_terms`` holds the d(s1) terms into ext
+    per ext.  A layout lives for one ``_Store.grow``, which fills both as
+    its matrices need them.
+    """
+
+    __slots__ = ("g", "sym_bits", "p_bits", "sym_at", "sp_at", "p_at",
+                 "s1_at", "ext_at", "width", "mask", "p_field", "raise_p", "keep",
+                 "s1_to_p", "sp_to_p2", "s1_terms", "terms")
+
+    def __init__(self, g, n, model):
+        self.g = g
+        self.sym_bits = (n // 2).bit_length()
+        self.p_bits = n.bit_length()
+        self.sym_at = tuple((2 * g - 1 - j) * self.sym_bits for j in range(2 * g))
+        self.sp_at = 2 * g * self.sym_bits
+        self.p_at = self.sp_at + 1
+        self.s1_at = self.p_at + self.p_bits
+        self.ext_at = self.s1_at + 1
+        self.width = self.ext_at + 2 * g
+        self.mask = (1 << self.width) - 1
+        self.p_field = p_field = ((1 << self.p_bits) - 1) << self.p_at
+        # model B raises p on every term, model A only at p = 0, as p^2 = 0
+        self.raise_p = model == "B"
+        self.keep = self.mask ^ p_field if self.raise_p else self.mask
+        self.s1_to_p = (1 << self.p_at) - (1 << self.s1_at)
+        self.sp_to_p2 = (2 << self.p_at) - (1 << self.sp_at)
+        self.s1_terms, self.terms = {}, {}
+
+    def encode(self, m):
+        """The code of a monomial, fields in ``Monomial`` order."""
+        ext, s1, p, sp, sym = m
+        if len(sym) != 2 * self.g:
+            raise ValueError(f"sym has {len(sym)} exponents, not {2 * self.g}")
+        fields = [
+            ("ext", ext, 2 * self.g, self.ext_at),
+            ("s1", s1, 1, self.s1_at),
+            ("p", p, self.p_bits, self.p_at),
+            ("sp", sp, 1, self.sp_at),
+        ]
+        fields += [(f"sym_{j + 1}", e, self.sym_bits, at)
+                   for j, (e, at) in enumerate(zip(sym, self.sym_at))]
+        code = 0
+        for name, value, bits, at in fields:
+            if not 0 <= value < 1 << bits:
+                raise ValueError(f"{name} = {value} does not fit in {bits} bits")
+            code |= value << at
+        return code
+
+    def decode(self, code):
+        """The monomial of a code as a plain tuple in ``Monomial`` field
+        order; the bits from ``width`` up are ignored."""
+        sym_mask = (1 << self.sym_bits) - 1
+        return (
+            code >> self.ext_at & (1 << 2 * self.g) - 1,
+            code >> self.s1_at & 1,
+            code >> self.p_at & (1 << self.p_bits) - 1,
+            code >> self.sp_at & 1,
+            tuple(code >> at & sym_mask for at in self.sym_at),
+        )
+
+    def _s1_terms(self, ext):
+        """The terms of d(s1) that bring a_i b_i into ``ext``, built once per
+        ext: (coeff, offset) for each i with neither a_i nor b_i in ext."""
+        terms = self.s1_terms.get(ext)
+        if terms is None:
+            g = self.g
+            sign = -1 if ext.bit_count() & 1 else 1
+            terms = self.s1_terms[ext] = []
+            for i in range(g):
+                pair = 1 << i | 1 << (g + i)
+                if not ext & pair:
+                    above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
+                    coeff = sign if above & 1 else -sign
+                    terms.append((coeff, (pair << self.ext_at) - (1 << self.s1_at)))
+        return terms
+
+    def leibniz(self, code):
+        """d of the monomial ``code`` (with no deg3 above it) by the
+        Leibniz rule, as a list of (coeff, offset): each image's code is
+        ``code + offset``.
+
+        In the canonical order a < b < s1 < p < sp < sa < sb each Koszul
+        sign is a parity of exterior bits: d(s1) and d(sp) sit behind ext
+        (and s1), and the a_i or b_i brought in by d(sa_i), d(sb_i) or d(s1)
+        is sorted into ext.  The index j of sa_1..sa_g, sb_1..sb_g in sym is
+        also the bit of the matching a_i or b_i.  The terms come in the
+        order d(s1) (its p term first), d(sp), then d(sa_1) .. d(sb_g), and
+        model A drops every term with p >= 2.  No offset carries out of a
+        field for a monomial whose images lie in F_n."""
+        g, ext_at, p_at = self.g, self.ext_at, self.p_at
+        ext = code >> ext_at
+        sign = -1 if ext.bit_count() & 1 else 1
+        s1 = code >> self.s1_at & 1
+        raise_p = self.raise_p or not code & self.p_field
+        out = []
+        if s1:
+            if raise_p:
+                out.append((sign, self.s1_to_p))
+            out += self._s1_terms(ext)
+        if code >> self.sp_at & 1:
+            out.append((-sign if s1 else sign, self.sp_to_p2))
+        if raise_p:
+            bits = self.sym_bits
+            sym = code & (1 << self.sp_at) - 1
+            while sym:
+                # the highest nonzero digit is the first nonzero exponent
+                at = sym.bit_length() - 1
+                at -= at % bits
+                e = sym >> at
+                sym ^= e << at
+                j = 2 * g - 1 - at // bits
+                if not ext >> j & 1:
+                    below = (ext & ((1 << j) - 1)).bit_count()
+                    coeff = -e if below & 1 else e
+                    out.append((coeff, (1 << (ext_at + j)) + (1 << p_at) - (1 << at)))
+        return out
+
+
 def differential_monomial(g, model, m):
     """d of a monomial of the model by the Leibniz rule, as a list of
     (coeff, image), each image a plain tuple in ``Monomial`` field order.
 
-    In the canonical order a < b < s1 < p < sp < sa < sb each Koszul sign is
-    a parity of exterior bits: d(s1) and d(sp) sit behind ext (and s1), and
-    the a_i or b_i brought in by d(sa_i), d(sb_i) or d(s1) is sorted into
-    ext.  The index j of sa_1..sa_g, sb_1..sb_g in ``sym`` is also the bit of
-    the matching a_i or b_i.  Model A drops every term with p >= 2.
-    """
+    The rank loop's rule on one monomial: ``m`` is coded under the layout
+    of F_deg3(m), which holds its images too, and each term decoded."""
     ext, s1, p, sp, sym = m
-    sign = -1 if ext.bit_count() & 1 else 1
-    raise_p = model == "B" or p == 0
-    out = []
-    if s1:
-        if raise_p:
-            out.append((sign, (ext, 0, p + 1, sp, sym)))
-        for i in range(g):
-            pair = 1 << i | 1 << (g + i)
-            if not ext & pair:
-                above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
-                coeff = sign if above & 1 else -sign
-                out.append((coeff, (ext | pair, 0, p, sp, sym)))
-    if sp:
-        out.append((-sign if s1 else sign, (ext, s1, p + 2, 0, sym)))
-    if raise_p:
-        for j, e in enumerate(sym):
-            if e and not ext >> j & 1:
-                below = (ext & ((1 << j) - 1)).bit_count()
-                rest = sym[:j] + (e - 1,) + sym[j + 1:]
-                coeff = -e if below & 1 else e
-                out.append((coeff, (ext | 1 << j, s1, p + 1, sp, rest)))
-    return out
+    layout = _Layout(g, ext.bit_count() + p + 2 * (s1 + sp + sum(sym)), model)
+    code = layout.encode(m)
+    return [(coeff, layout.decode(code + offset)) for coeff, offset in layout.leibniz(code)]
 
 
 @lru_cache(maxsize=None)
@@ -190,27 +304,33 @@ def enumerate_basis(g, n, model="A"):
     return tuple(out)
 
 
-def _matrix(g, model, source, target):
-    """Matrix of d from the ``source`` monomials (columns) to the ``target``
-    monomials (rows).
+def _matrix(layout, source, target):
+    """Matrix of d from the ``source`` codes (columns, in the order given)
+    to the ``target`` codes (rows, in basis order); each code may carry
+    deg3 above the layout's ``width``.
 
-    Each term is written straight into its target row.  An image missing
-    from ``target`` raises KeyError, and ``SparseIntMatrix`` rejects a zero
-    coefficient.  A duplicate term overwrites an entry, so it raises
-    ValueError here, where the entries kept are compared with the terms
-    written."""
-    slots = {m: {} for m in target}
+    Each term is written straight into its target row, at the source's
+    code plus the term's offset.  An image missing from ``target`` raises
+    KeyError, and ``SparseIntMatrix`` rejects a zero coefficient.  A
+    duplicate term overwrites an entry, so it raises ValueError here, where
+    the entries kept are compared with the terms written."""
+    mask, keep, terms = layout.mask, layout.keep, layout.terms
+    slots = {code: {} for code in sorted([m & mask for m in target])}
     if len(slots) != len(target):
         raise ValueError("repeated target monomial")
-    terms = 0
-    for col, m in enumerate(source):
-        images = differential_monomial(g, model, m)
-        terms += len(images)
-        for coeff, image in images:
-            slots[image][col] = coeff
+    written = 0
+    for col, code in enumerate(source):
+        code &= mask
+        key = code & keep
+        images = terms.get(key)
+        if images is None:
+            images = terms[key] = layout.leibniz(key)
+        written += len(images)
+        for coeff, offset in images:
+            slots[code + offset][col] = coeff
     matrix = SparseIntMatrix(len(target), len(source), dict(enumerate(slots.values())))
-    if matrix.nnz() != terms:
-        raise ValueError(f"{matrix.nnz()} entries written for {terms} terms")
+    if matrix.nnz() != written:
+        raise ValueError(f"{matrix.nnz()} entries written for {written} terms")
     return matrix
 
 
@@ -235,8 +355,9 @@ def _coordinate_states(n):
 
 def _dominant_groups(g, n, model):
     """The monomials of F_n whose torus weight is dominant, grouped by
-    ((deg1, deg2), weight), each group in basis order; the members are
-    plain tuples in ``Monomial`` field order.
+    ((deg1, deg2), weight): each member is its code under ``_Layout(g, n,
+    model)`` with deg3 above the layout's width, so each group, sorted,
+    is in (deg3, basis) order.
 
     Built one coordinate at a time: coordinate i takes a part of weight
     w_i <= w_(i-1) from ``_coordinate_states``, and s1, p and sp come last,
@@ -244,40 +365,46 @@ def _dominant_groups(g, n, model):
     O(n^2) entries; genus 0 has no coordinates and never builds it.
     """
     _check_point(g, n, model)
-    # (deg3, deg1, deg2, ext, sa exponents, sb exponents, weight)
-    prefixes = [(0, 0, 0, 0, (), (), ())]
+    layout = _Layout(g, n, model)
+    # (deg3, deg1, deg2, code of ext and sym, weight)
+    prefixes = [(0, 0, 0, 0, ())]
     if g:
         by_weight = _coordinate_states(n)
         for i in range(g):
+            a, b = 1 << (layout.ext_at + i), 1 << (layout.ext_at + g + i)
+            sa_at, sb_at = layout.sym_at[i], layout.sym_at[g + i]
+            # (deg3, deg1, deg2, code) of each part at coordinate i
+            parts = [
+                [(c3, c1, c2, ai * a | bi * b | x << sa_at | y << sb_at)
+                 for c3, c1, c2, ai, bi, x, y in states]
+                for states in by_weight
+            ]
             grown = []
-            for d3, d1, d2, ext, sa, sb, w in prefixes:
+            for d3, d1, d2, code, w in prefixes:
                 room = n - d3
                 for wi in range(min(w[-1] if w else n, room) + 1):
-                    for c3, c1, c2, a, b, x, y in by_weight[wi]:
+                    for c3, c1, c2, part in parts[wi]:
                         if c3 > room:
                             break
-                        grown.append((
-                            d3 + c3, d1 + c1, d2 + c2,
-                            ext | a << i | b << (g + i),
-                            sa + (x,), sb + (y,), w + (wi,),
-                        ))
+                        grown.append((d3 + c3, d1 + c1, d2 + c2, code | part, w + (wi,)))
             prefixes = grown
-    # (deg3, deg1, deg2, s1, p, sp) of the s1 p^p sp factor
-    tails = sorted(
-        (2 * s1 + p + 2 * sp, 2 * p + 2 * sp, s1 + sp, s1, p, sp)
-        for s1 in (0, 1)
-        for p in range(2 if model == "A" else n + 1)
-        for sp in ((0, 1) if model == "B" else (0,))
-    )
+    # (deg3, deg1, deg2, code with deg3 above it) of the s1 p^p sp factor
+    width = layout.width
+    tails = []
+    for s1 in (0, 1):
+        for p in range(2 if model == "A" else n + 1):
+            for sp in (0, 1) if model == "B" else (0,):
+                t3 = 2 * s1 + p + 2 * sp
+                code = t3 << width | s1 << layout.s1_at | p << layout.p_at | sp << layout.sp_at
+                tails.append((t3, 2 * p + 2 * sp, s1 + sp, code))
+    tails.sort()
     groups = {}
-    for d3, d1, d2, ext, sa, sb, w in prefixes:
-        sym = sa + sb
-        for t3, t1, t2, s1, p, sp in tails:
+    for d3, d1, d2, code, w in prefixes:
+        code |= d3 << width
+        for t3, t1, t2, tail in tails:
             if d3 + t3 > n:
                 break
-            groups.setdefault(((d1 + t1, d2 + t2), w), []).append(
-                (ext, s1, p, sp, sym)
-            )
+            groups.setdefault(((d1 + t1, d2 + t2), w), []).append(code + tail)
     for members in groups.values():
         members.sort()
     return groups
@@ -316,33 +443,35 @@ class _Store:
         rebuilt.  ``write(key, matrix)``, if given, receives each rebuilt
         group's matrix before its elimination.
 
+        The groups come as codes under this call's ``_Layout`` with deg3
+        above them, sorted, so a member's deg3 is one shift and the columns
+        are already in (deg3, basis) order.  The codes and the layout's
+        table of terms live for this call only: the store keeps the step
+        tuples, so the next grow may lay the fields out wider.
+
         A rebuilt group of deg2 > deg1 + 1 raises ArithmeticError: deg2 -
         deg1 = s1 - |ext| - 2p - sp <= 1, since s1 is exterior, which puts
         every cell of degree k at weight h <= (3k + 1) / 2."""
+        layout = _Layout(g, n, model)
+        width = layout.width
         fresh = _dominant_groups(g, n, model)
         for key, source in fresh.items():
-            (d1, d2), w = key
-            # deg3 = |ext| + p + 2 (s1 + sp + |sym|), which is
-            # deg1 + deg2 + s1 - p - sp
-            degs = [d1 + d2 + s1 - p - sp for _, s1, p, sp, _ in source]
-            if max(degs) <= self.top:
+            if max(source) >> width <= self.top:
                 continue
+            (d1, d2), w = key
             if d2 > d1 + 1:
                 raise ArithmeticError(
                     f"bidegree bound deg2 <= deg1 + 1 violated at (block, weight) = {key}"
                 )
-            if len(degs) > 1 and degs != sorted(degs):
-                source = [source[i] for i in sorted(range(len(degs)), key=degs.__getitem__)]
-                degs.sort()
             target = fresh.get(((d1 + 2, d2 - 1), w))
             if target:
-                matrix = _matrix(g, model, source, target)
+                matrix = _matrix(layout, source, target)
                 if write:
                     write(key, matrix)
                 ranks = prefix_ranks(matrix)
             else:
-                ranks = [0] * len(degs)
-            self.steps[key] = (*degs, *ranks)
+                ranks = [0] * len(source)
+            self.steps[key] = (*[m >> width for m in source], *ranks)
         # a group new to the store joins at the end: restore the order
         least = list(map(itemgetter(0), self.steps.values()))
         if any(map(gt, least, least[1:])):

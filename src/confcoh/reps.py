@@ -241,20 +241,12 @@ def _check_genus(g):
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(g):
-    roots = []
-    for k in range(g):
-        for h in range(k + 1, g):
-            for sign in (-1, 1):
-                root = [0] * g
-                root[k] = 1
-                root[h] = sign
-                roots.append(tuple(root))
-    for k in range(g):
-        root = [0] * g
-        root[k] = 2
-        roots.append(tuple(root))
-    return tuple(roots)
+def _root_moves(g):
+    """The positive roots of sp(2g), each as the coordinates it moves, with
+    their steps: ((a, 1), (b, -1)) and ((a, 1), (b, 1)) for e_a -+ e_b with
+    a < b, and ((a, 2),) for 2 e_a."""
+    pairs = [((a, 1), (b, s)) for a in range(g) for b in range(a + 1, g) for s in (-1, 1)]
+    return tuple(pairs) + tuple(((a, 2),) for a in range(g))
 
 
 def _rho(g):
@@ -264,12 +256,6 @@ def _rho(g):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _dom_rep(w):
-    """Dominant representative of a weight under the hyperoctahedral Weyl
-    group: absolute values sorted decreasingly."""
-    return tuple(sorted((abs(x) for x in w), reverse=True))
 
 
 def orbit_size(w):
@@ -363,7 +349,12 @@ def _dominant_weights_below(g, lam):
 @lru_cache(maxsize=None)
 def _dominant_mults(g, lam):
     """Freudenthal recursion: multiplicities of the dominant weights of the
-    irreducible with highest weight ``lam``; returns ((weight, mult), ...)."""
+    irreducible with highest weight ``lam``; returns ((weight, mult), ...).
+
+    Each step of an alpha-string copies mu and moves only the one or two
+    coordinates of the root (``_root_moves``), sorts the absolute values
+    once for the dominant representative and reads (nu, alpha) off the
+    moved coordinates."""
     rho = _rho(g)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     lam_rho_sq = _dot(lam_rho, lam_rho)
@@ -373,16 +364,25 @@ def _dominant_mults(g, lam):
         raise ArithmeticError(f"highest dominant weight {doms[0]} is not {lam}")
     dom_set = set(doms)
     mults = {lam: 1}
+    roots = _root_moves(g)
     for mu in doms[1:]:
         num = 0
-        for alpha in _positive_roots(g):
+        for root in roots:
             k = 1
             while True:
-                nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                rep = _dom_rep(nu)
+                # nu = mu + k alpha; mu is dominant, so only the moved
+                # coordinates of nu can be negative
+                nu = list(mu)
+                dot = 0
+                for c, step in root:
+                    x = mu[c] + k * step
+                    nu[c] = abs(x)
+                    dot += step * x
+                nu.sort(reverse=True)
+                rep = tuple(nu)
                 if rep not in dom_set:
                     break  # the alpha-string through mu is contiguous
-                num += mults[rep] * _dot(nu, alpha)
+                num += mults[rep] * dot
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         den = lam_rho_sq - _dot(mu_rho, mu_rho)

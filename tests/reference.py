@@ -6,6 +6,9 @@ benchmark; each one checks a ``confcoh`` function by a second route:
 - ``weyl_dim``: the Weyl dimension formula for a dominant weight (checked
   for dominance by ``is_dominant``), which checks the product formula of
   ``reps.dim_irrep``.
+- ``dominant_mults``: the Freudenthal recursion walking each alpha-string
+  over whole weight vectors and dense roots, which checks the moved-
+  coordinate walk of ``reps._dominant_mults``.
 - ``sl_hook_dim``, ``ext_power_decomp``, ``tensor_std_sym_decomp`` and
   ``branching_hook``: dimension and decomposition rules of sp(2g), which
   check ``reps.dim_irrep`` and the representation labels of the master
@@ -42,10 +45,16 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``closedform.MixedTable`` stores at construction.
 - ``basis_count_series``, ``blocks`` and ``differential_block``:
   generating-function basis counts, the whole basis grouped by (deg1,
-  deg2) and one whole differential block, which check
-  ``dga.enumerate_basis``, ``dga.differential_monomial`` and, restricted
-  to one weight with the columns sorted by deg3, the matrices of
-  ``dga.dump_blocks``.
+  deg2) and one whole differential block, written by ``dga._matrix`` from
+  the block's codes, which check ``dga.enumerate_basis``,
+  ``dga.differential_monomial`` and, restricted to one weight with the
+  columns sorted by deg3, the matrices of ``dga.dump_blocks``.
+- ``tuple_differential`` and ``tuple_matrix``: d of one monomial computed
+  on its tuple fields, and the matrix it gives through ``from_entries``,
+  which check the coded terms of ``dga._Layout`` and the matrices of
+  ``dga._matrix``.
+- ``decoded_groups``: ``dga._dominant_groups`` with each member decoded
+  to its monomial tuple, in the groups' (deg3, basis) order.
 """
 
 from functools import lru_cache
@@ -53,7 +62,7 @@ from math import comb
 
 from confcoh import reps
 from confcoh.closedform import _check_genus
-from confcoh.dga import _matrix, enumerate_basis, mono_degrees
+from confcoh.dga import _Layout, _dominant_groups, _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
     TRIVIAL,
@@ -68,9 +77,33 @@ from confcoh.series import TriSeries
 # representations of sp(2g)
 
 
+def dom_rep(w):
+    """Dominant representative of a weight under the hyperoctahedral Weyl
+    group: absolute values sorted decreasingly."""
+    return tuple(sorted((abs(x) for x in w), reverse=True))
+
+
 def is_dominant(w):
     """True for a dominant weight (also the empty weight of genus 0)."""
-    return reps._dom_rep(w) == tuple(w)
+    return dom_rep(w) == tuple(w)
+
+
+def positive_roots(g):
+    """The positive roots of sp(2g) as dense g-tuples: e_k -+ e_h for
+    k < h, then 2 e_k."""
+    roots = []
+    for k in range(g):
+        for h in range(k + 1, g):
+            for sign in (-1, 1):
+                root = [0] * g
+                root[k] = 1
+                root[h] = sign
+                roots.append(tuple(root))
+    for k in range(g):
+        root = [0] * g
+        root[k] = 2
+        roots.append(tuple(root))
+    return tuple(roots)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +121,7 @@ def weyl_dim(g, weight):
     lam_rho = tuple(a + b for a, b in zip(weight, rho))
     num = 1
     den = 1
-    for alpha in reps._positive_roots(g):
+    for alpha in positive_roots(g):
         num *= reps._dot(lam_rho, alpha)
         den *= reps._dot(rho, alpha)
     d, r = divmod(num, den)
@@ -97,6 +130,41 @@ def weyl_dim(g, weight):
             f"Weyl dimension {num}/{den} of {weight} is not a positive integer"
         )
     return d
+
+
+def dominant_mults(g, lam):
+    """Freudenthal recursion: the multiplicities of the dominant weights of
+    the irreducible with highest weight ``lam``, as ((weight, mult), ...),
+    each alpha-string walked over whole weights with dense roots."""
+    rho = reps._rho(g)
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    lam_rho_sq = reps._dot(lam_rho, lam_rho)
+    doms = reps._dominant_weights_below(g, lam)
+    doms.sort(key=lambda mu: reps._height2(g, tuple(a - b for a, b in zip(lam, mu))))
+    if doms[0] != lam:
+        raise ArithmeticError(f"highest dominant weight {doms[0]} is not {lam}")
+    dom_set = set(doms)
+    mults = {lam: 1}
+    for mu in doms[1:]:
+        num = 0
+        for alpha in positive_roots(g):
+            k = 1
+            while True:
+                nu = tuple(a + k * b for a, b in zip(mu, alpha))
+                rep = dom_rep(nu)
+                if rep not in dom_set:
+                    break  # the alpha-string through mu is contiguous
+                num += mults[rep] * reps._dot(nu, alpha)
+                k += 1
+        mu_rho = tuple(a + b for a, b in zip(mu, rho))
+        den = lam_rho_sq - reps._dot(mu_rho, mu_rho)
+        if den <= 0:
+            raise ArithmeticError(f"Freudenthal denominator {den} at {mu} below {lam}")
+        m, r = divmod(2 * num, den)
+        if r or m <= 0:
+            raise ArithmeticError(f"Freudenthal gives {2 * num}/{den} at {mu} below {lam}")
+        mults[mu] = m
+    return tuple(sorted(mults.items()))
 
 
 def rep_from_json(records):
@@ -536,9 +604,70 @@ def blocks(g, n, model="A"):
 def differential_block(g, n, model, block):
     """d on the (deg1, deg2) block of F_n as (source, target, matrix): the
     matrix maps the source basis (columns) to the (deg1+2, deg2-1) target
-    basis (rows)."""
+    basis (rows), written by ``dga._matrix`` from the codes of F_n."""
     by_block = blocks(g, n, model)
     d1, d2 = block
     source = tuple(by_block.get(block, ()))
     target = tuple(by_block.get((d1 + 2, d2 - 1), ()))
-    return source, target, _matrix(g, model, source, target)
+    layout = _Layout(g, n, model)
+    codes = [list(map(layout.encode, monos)) for monos in (source, target)]
+    return source, target, _matrix(layout, *codes)
+
+
+def tuple_differential(g, model, m):
+    """d of a monomial of the model by the Leibniz rule on its tuple fields,
+    as a list of (coeff, image), each image a plain tuple in ``Monomial``
+    field order.
+
+    In the canonical order a < b < s1 < p < sp < sa < sb each Koszul sign is
+    a parity of exterior bits: d(s1) and d(sp) sit behind ext (and s1), and
+    the a_i or b_i brought in by d(sa_i), d(sb_i) or d(s1) is sorted into
+    ext.  The index j of sa_1..sa_g, sb_1..sb_g in ``sym`` is also the bit of
+    the matching a_i or b_i.  Model A drops every term with p >= 2.
+    """
+    ext, s1, p, sp, sym = m
+    sign = -1 if ext.bit_count() & 1 else 1
+    raise_p = model == "B" or p == 0
+    out = []
+    if s1:
+        if raise_p:
+            out.append((sign, (ext, 0, p + 1, sp, sym)))
+        for i in range(g):
+            pair = 1 << i | 1 << (g + i)
+            if not ext & pair:
+                above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
+                coeff = sign if above & 1 else -sign
+                out.append((coeff, (ext | pair, 0, p, sp, sym)))
+    if sp:
+        out.append((-sign if s1 else sign, (ext, s1, p + 2, 0, sym)))
+    if raise_p:
+        for j, e in enumerate(sym):
+            if e and not ext >> j & 1:
+                below = (ext & ((1 << j) - 1)).bit_count()
+                rest = sym[:j] + (e - 1,) + sym[j + 1:]
+                coeff = -e if below & 1 else e
+                out.append((coeff, (ext | 1 << j, s1, p + 1, sp, rest)))
+    return out
+
+
+def tuple_matrix(g, model, source, target):
+    """The matrix of ``tuple_differential`` from the ``source`` monomials
+    (columns, in the order given) to the ``target`` monomials (rows, in
+    basis order), built entry by entry by ``from_entries``."""
+    row = {m: r for r, m in enumerate(sorted(target))}
+    entries = [
+        (row[image], col, coeff)
+        for col, m in enumerate(source)
+        for coeff, image in tuple_differential(g, model, m)
+    ]
+    return from_entries(len(target), len(source), entries)
+
+
+def decoded_groups(g, n, model):
+    """``dga._dominant_groups(g, n, model)`` with every member decoded to
+    its monomial tuple, each group in its (deg3, basis) order."""
+    layout = _Layout(g, n, model)
+    return {
+        key: [layout.decode(code) for code in members]
+        for key, members in _dominant_groups(g, n, model).items()
+    }

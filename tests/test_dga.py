@@ -19,16 +19,20 @@ from confcoh.dga import (
     mono_weight,
 )
 from confcoh.linalg import prefix_ranks, rank
-from confcoh.reps import RepLabel, VirtualRep, _dom_rep
+from confcoh.reps import RepLabel, VirtualRep
 from reference import (
     basis_count_series,
     blocks,
     character_mass,
+    decoded_groups,
     differential_block,
+    dom_rep,
     from_entries,
     is_dominant,
     per_cell_dims,
     read_matrix_market,
+    tuple_differential,
+    tuple_matrix,
     u_slice,
 )
 
@@ -356,7 +360,7 @@ def reference_cohomology_by_weight(g, n, model="A"):
     ranks = {}
     for ((d1, d2), w), source in groups.items():
         target = groups.get(((d1 + 2, d2 - 1), w), ())
-        ranks[(d1, d2), w] = rank(dga._matrix(g, model, source, target))
+        ranks[(d1, d2), w] = rank(tuple_matrix(g, model, source, target))
     out = {}
     for ((d1, d2), w), monos in groups.items():
         dim = len(monos) - ranks[(d1, d2), w] - ranks.get(((d1 - 2, d2 + 1), w), 0)
@@ -373,7 +377,7 @@ def test_cohomology_characters_are_weyl_invariant():
             weights = cohomology_weights(g, n)
             mass = Counter()
             for (block, w), dim in reference_cohomology_by_weight(g, n).items():
-                got = weights.get(block, {}).get(_dom_rep(w))
+                got = weights.get(block, {}).get(dom_rep(w))
                 assert got == dim, (g, n, block, w)
                 mass[block] += dim
             assert {block: character_mass(char) for block, char in weights.items()} == mass
@@ -382,20 +386,34 @@ def test_cohomology_characters_are_weyl_invariant():
 
 def reference_dominant_groups(g, n, model):
     """The whole basis filtered to dominant weights and grouped by
-    ((deg1, deg2), weight): the slow reference for dga._dominant_groups."""
+    ((deg1, deg2), weight), each group sorted by deg3, then in basis order:
+    the slow reference for dga._dominant_groups."""
     groups = {}
     for m in enumerate_basis(g, n, model):
         w = mono_weight(g, m)
         if is_dominant(w):
             d1, d2, _ = mono_degrees(g, m)
             groups.setdefault(((d1, d2), w), []).append(m)
+    for members in groups.values():
+        members.sort(key=lambda m: mono_degrees(g, m)[2])
     return groups
 
 
 def test_dominant_groups_match_filtered_reference():
+    # each member decoded, and its deg3 read above the code
     for g, n, model in sweep_points():
-        got = dga._dominant_groups(g, n, model)
-        assert got == reference_dominant_groups(g, n, model), (g, n, model)
+        layout = dga._Layout(g, n, model)
+        groups = dga._dominant_groups(g, n, model)
+        assert all(members == sorted(members) for members in groups.values())
+        decoded = {
+            key: [(code >> layout.width, layout.decode(code)) for code in members]
+            for key, members in groups.items()
+        }
+        want = {
+            key: [(mono_degrees(g, m)[2], m) for m in members]
+            for key, members in reference_dominant_groups(g, n, model).items()
+        }
+        assert decoded == want, (g, n, model)
 
 
 def test_dominant_groups_check_their_arguments():
@@ -421,40 +439,129 @@ def test_empty_target_groups_have_no_differential():
     # the rank loop skips a group with no target, where d must vanish
     skipped = 0
     for g, n, model in sweep_points():
+        layout = dga._Layout(g, n, model)
         groups = dga._dominant_groups(g, n, model)
         for ((d1, d2), w), source in groups.items():
             if ((d1 + 2, d2 - 1), w) not in groups:
-                for m in source:
-                    assert differential_monomial(g, model, m) == [], (g, n, model, m)
+                for code in source:
+                    assert layout.leibniz(code & layout.keep) == [], (
+                        g, n, model, layout.decode(code))
                 skipped += 1
     assert skipped
 
 
 def test_matrix_matches_the_checked_constructor():
-    # the row writer against from_entries, which checks entry by entry,
-    # on every group the rank loop ranks
+    # the row writer against the tuple differential through from_entries,
+    # which checks entry by entry, on every group the rank loop ranks, with
+    # one layout per point as in a grow
     ranked = 0
     for g, n, model in sweep_points():
+        layout = dga._Layout(g, n, model)
         groups = dga._dominant_groups(g, n, model)
         for ((d1, d2), w), source in groups.items():
             target = groups.get(((d1 + 2, d2 - 1), w))
             if not target:
                 continue
-            row = {m: r for r, m in enumerate(target)}
-            entries = [
-                (row[image], col, coeff)
-                for col, m in enumerate(source)
-                for coeff, image in differential_monomial(g, model, m)
-            ]
-            want = from_entries(len(target), len(source), entries)
-            got = dga._matrix(g, model, source, target)
+            want = tuple_matrix(
+                g, model, list(map(layout.decode, source)), list(map(layout.decode, target))
+            )
+            got = dga._matrix(layout, source, target)
             assert got == want, (g, n, model, (d1, d2), w)
             ranked += 1
     assert ranked > 1000
 
 
+def test_coded_terms_match_the_tuple_differential():
+    # the terms the rank loop writes, decoded, against the tuple
+    # differential, term by term and in order, on every member of every
+    # group at each genus and n of sweep_points() in both models
+    checked = 0
+    for g, n in sorted({(g, n) for g, n, _ in sweep_points()}):
+        for model in "AB":
+            layout = dga._Layout(g, n, model)
+            for members in dga._dominant_groups(g, n, model).values():
+                for code in members:
+                    code &= layout.mask
+                    got = [
+                        (coeff, layout.decode(code + offset))
+                        for coeff, offset in layout.leibniz(code & layout.keep)
+                    ]
+                    m = layout.decode(code)
+                    assert got == tuple_differential(g, model, m), (g, n, model, m)
+                    checked += 1
+    assert checked > 50000
+
+
+def test_codes_round_trip_in_basis_order():
+    for g, n, model in INSTANCES:
+        layout = dga._Layout(g, n, model)
+        basis = enumerate_basis(g, n, model)
+        codes = list(map(layout.encode, basis))
+        assert [layout.decode(code) for code in codes] == list(basis), (g, n, model)
+        assert all(map(int.__lt__, codes, codes[1:])), (g, n, model)
+        assert max(codes) >> layout.width == 0, (g, n, model)
+
+
+@pytest.mark.parametrize("g, n", [(0, 23000), (1, 60)])
+def test_widest_fields_carry_nothing(g, n):
+    # p runs up to n at genus 0 and sym up to n / 2 at g = 1: every image
+    # lands on a member of its target group, the tuple differential's image
+    # with the same coefficient, and no field overflows
+    layout = dga._Layout(g, n, "B")
+    groups = dga._dominant_groups(g, n, "B")
+    assert max(map(max, groups.values())) >> layout.width == n
+    images = 0
+    for ((d1, d2), w), source in groups.items():
+        target = {code & layout.mask for code in groups.get(((d1 + 2, d2 - 1), w), ())}
+        for code in source:
+            code &= layout.mask
+            terms = tuple_differential(g, "B", layout.decode(code))
+            coded = layout.leibniz(code & layout.keep)
+            assert len(coded) == len(terms), layout.decode(code)
+            for (coeff, offset), (want_coeff, want) in zip(coded, terms):
+                image = code + offset
+                assert image in target and image >> layout.width == 0
+                assert (coeff, layout.decode(image)) == (want_coeff, want)
+                images += 1
+    assert images > 40000
+    widest = ((1 << 2 * g) - 1, 1, n, 1, (n // 2,) * (2 * g))
+    assert layout.decode(layout.encode(widest)) == widest
+
+
+@pytest.mark.parametrize(
+    "m, field",
+    [
+        pytest.param((4, 0, 0, 0, (0, 0)), "ext", id="ext"),
+        pytest.param((0, 2, 0, 0, (0, 0)), "s1", id="s1"),
+        pytest.param((0, 0, 8, 0, (0, 0)), "p", id="p"),
+        pytest.param((0, 0, 0, 2, (0, 0)), "sp", id="sp"),
+        pytest.param((0, 0, 0, 0, (0, 4)), "sym_2", id="sym"),
+        pytest.param((0, 0, -1, 0, (0, 0)), "p", id="negative"),
+        pytest.param((0, 0, 0, 0, (0,)), "sym has 1", id="sym-length"),
+    ],
+)
+def test_layout_rejects_a_value_that_does_not_fit(m, field):
+    # at g = 1, n = 4 p has 3 bits and each sym digit 2: a carry would land
+    # on the next field, so encoding refuses, naming the field
+    layout = dga._Layout(1, 4, "B")
+    assert (layout.p_bits, layout.sym_bits) == (3, 2)
+    with pytest.raises(ValueError, match=field):
+        layout.encode(m)
+
+
 SOURCE = Monomial(0, 0, 0, 0, (1, 0))
+OTHER_SOURCE = Monomial(0, 0, 0, 0, (0, 1))
 IMAGE = Monomial(1, 0, 1, 0, (0, 0))
+
+
+def _inject(monkeypatch, layout, terms):
+    """Make ``layout.leibniz`` give each source monomial of ``terms`` its
+    (coeff, image) list, written as (coeff, offset)."""
+    coded = {
+        layout.encode(m): [(c, layout.encode(image) - layout.encode(m)) for c, image in images]
+        for m, images in terms.items()
+    }
+    monkeypatch.setattr(dga._Layout, "leibniz", lambda self, code: coded[code])
 
 
 @pytest.mark.parametrize(
@@ -467,18 +574,23 @@ IMAGE = Monomial(1, 0, 1, 0, (0, 0))
     ],
 )
 def test_matrix_rejects_bad_terms(monkeypatch, terms, target, error):
-    monkeypatch.setattr(dga, "differential_monomial", lambda g, model, m: terms)
+    layout = dga._Layout(1, 2, "A")
+    _inject(monkeypatch, layout, {SOURCE: terms})
     with pytest.raises(error):
-        dga._matrix(1, "A", [SOURCE], target)
+        dga._matrix(layout, [layout.encode(SOURCE)], list(map(layout.encode, target)))
 
 
 def test_matrix_reports_overwritten_terms(monkeypatch):
     # the second column writes IMAGE twice: one of its three terms is lost,
     # while the first column's term in the same row is kept
-    columns = iter([[(1, IMAGE)], [(1, IMAGE), (2, one(1)), (-1, IMAGE)]])
-    monkeypatch.setattr(dga, "differential_monomial", lambda g, model, m: next(columns))
+    layout = dga._Layout(1, 2, "A")
+    _inject(monkeypatch, layout, {
+        SOURCE: [(1, IMAGE)],
+        OTHER_SOURCE: [(1, IMAGE), (2, one(1)), (-1, IMAGE)],
+    })
+    source = [layout.encode(SOURCE), layout.encode(OTHER_SOURCE)]
     with pytest.raises(ValueError, match="3 entries written for 4 terms"):
-        dga._matrix(1, "A", [SOURCE, SOURCE], [IMAGE, one(1)])
+        dga._matrix(layout, source, [layout.encode(IMAGE), layout.encode(one(1))])
 
 
 def test_genus0_builds_no_coordinate_table(monkeypatch):
@@ -501,6 +613,27 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
         _clear_stores()
     assert got == want
     assert dump_blocks(2, 5, "B", tmp_path)
+
+
+def test_rank_loop_builds_no_tuple_differential(monkeypatch, tmp_path):
+    # the rank loop and the dump write coded terms only
+    def tuple_d(*args):
+        raise AssertionError("the rank loop or the dump built a tuple differential")
+
+    def dumped(path):
+        return [(os.path.basename(p), open(p).read()) for p in dump_blocks(1, 6, "B", path)]
+
+    _clear_stores()
+    try:
+        want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4),
+                dumped(tmp_path / "before"))
+        monkeypatch.setattr(dga, "differential_monomial", tuple_d)
+        _clear_stores()
+        got = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4),
+               dumped(tmp_path / "after"))
+    finally:
+        _clear_stores()
+    assert got == want
 
 
 def test_negative_dimension_raises(monkeypatch):
@@ -604,7 +737,7 @@ def test_store_inserts_each_column_once(monkeypatch):
             _clear_stores()
             low = top // 2
             for n, served in ((low, -1), (top, low)):
-                groups = dominant_groups(g, n, model)
+                groups = decoded_groups(g, n, model)
                 want = sum(
                     len(source) for ((d1, d2), w), source in groups.items()
                     if max(mono_degrees(g, m)[2] for m in source) > served
@@ -639,7 +772,7 @@ def test_regrowth_keeps_groups_without_a_new_member():
                 fresh = dga._Store()
                 fresh.grow(g, n, model)
                 assert store.steps == fresh.steps, (g, model, n)
-                for key, source in dga._dominant_groups(g, n, model).items():
+                for key, source in decoded_groups(g, n, model).items():
                     if max(mono_degrees(g, m)[2] for m in source) <= served:
                         assert store.steps[key] is before[key], (g, model, n, key)
                         kept += 1
@@ -653,7 +786,7 @@ def test_regrowth_keeps_groups_without_a_new_member():
 def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
     # deg2 <= deg1 + 1 holds in both models (s1 is exterior); a group that
     # breaks it would put a cell at 2h > 3k + 1, past verify's degree claim
-    member = (0, 1, 0, 0, ())
+    member = 2 << dga._Layout(0, 3, "A").width | dga._Layout(0, 3, "A").encode((0, 1, 0, 0, ()))
     groups = {((0, 1), ()): [member], ((0, 2), ()): [member]}
     monkeypatch.setattr(dga, "_dominant_groups", lambda g, n, model: groups)
     with pytest.raises(ArithmeticError, match=r"deg2 <= deg1 \+ 1 violated .* \(\(0, 2\), \(\)\)"):

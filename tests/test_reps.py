@@ -11,6 +11,7 @@ from confcoh.reps import (
     TRIVIAL,
     VirtualRep,
     ZERO,
+    _dominant_mults,
     _dominant_weights_below,
     _hook_label,
     dim_irrep,
@@ -26,6 +27,7 @@ from reference import (
     branching_hook,
     character_mass,
     character_of,
+    dominant_mults,
     ext_power_decomp,
     rep_from_json,
     sl_hook_dim,
@@ -287,6 +289,23 @@ def test_character_mass_is_dimension():
                     continue
                 char = irreducible_character(g, label)
                 assert character_mass(char) == dim_irrep(g, label)
+
+
+def test_dominant_mults_match_the_whole_weight_walk():
+    # the moved-coordinate alpha-string walk against the walk over whole
+    # weights and dense roots, on every hook label with g <= 5 and
+    # i + j <= 8, and at g = 7 with i + j <= 4 or i = 0
+    labels = {
+        (g, rep_label(g, i, j))
+        for g in (1, 2, 3, 4, 5, 7)
+        for i in range(9)
+        for j in range(g + 1)
+        if (i + j <= 8 if g <= 5 else i + j <= 4 or i == 0)
+    }
+    assert len(labels) == 119
+    for g, label in sorted(labels):
+        lam = highest_weight(g, label)
+        assert _dominant_mults(g, lam) == dominant_mults(g, lam), (g, label)
 
 
 def _orbit(w):

@@ -81,6 +81,9 @@ NO_CALLER_NEEDED = {
     "mono_degrees": "the bench tracer wraps it; it leaves with the next benchmark change",
     "mono_weight": "the bench tracer wraps it; it leaves with the next benchmark change",
     "rank": "the bench tracer wraps it",
+    "differential_monomial": (
+        "the bench tracer wraps it; the d∘d and bidegree tests read d through it"
+    ),
     "SparseIntMatrix.from_dense": "small matrices for the rank doctest and the tests",
     "VirtualRep.single": "one labelled term, for the class doctest and tests",
     "TriSeries": SERIES_ALGEBRA,
