@@ -527,12 +527,9 @@ def _cohomology_by_weight(g, n, model="A"):
 
 def cohomology_dims(g, n, model="A"):
     """Bigraded cohomology dimensions of F_n as a map (deg1, deg2) -> dim."""
-    out, sizes = {}, {}
+    out = {}
     for (block, w), dim in _cohomology_by_weight(g, n, model).items():
-        size = sizes.get(w)
-        if size is None:
-            size = sizes[w] = orbit_size(w)
-        out[block] = out.get(block, 0) + size * dim
+        out[block] = out.get(block, 0) + orbit_size(w) * dim
     return dict(sorted(out.items()))
 
 
@@ -546,15 +543,30 @@ def cohomology_weights(g, n):
     return dict(sorted(out.items()))
 
 
+@lru_cache(maxsize=None)
+def _peel(g, items):
+    """``peel_character`` of the character with the given (weight, mult)
+    items, once per process for each (genus, items)."""
+    return peel_character(g, dict(items))
+
+
 def cohomology_reps(g, n, max_genus=None):
     """MixedTable of the brute-force cohomology: regrade each block by
     (k, h) = (deg1 + deg2, deg1 + 2*deg2) and peel its character.
+
+    A block of weight h is the same for every n >= h, so a sweep meets each
+    character many times.  Peels are kept for the life of the process, keyed
+    by (genus, frozenset of the character's (weight, mult) items): each
+    distinct character is peeled once, and every table holding it shares
+    that one VirtualRep, which never changes, so its dimension is summed
+    once too.  A peel that raises is not kept and raises again on the next
+    call.
 
     ``max_genus`` is accepted and ignored; characters have no genus limit.
     """
     entries = {}
     for (d1, d2), char in cohomology_weights(g, n).items():
-        entries[(d1 + d2, d1 + 2 * d2)] = peel_character(g, char)
+        entries[(d1 + d2, d1 + 2 * d2)] = _peel(g, frozenset(char.items()))
     return MixedTable(g, n, entries).validate()
 
 

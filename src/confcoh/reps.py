@@ -258,9 +258,13 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=None)
 def orbit_size(w):
     """Size of the Weyl orbit of a weight, g! 2^(#nonzero) over the
     factorials of the multiplicities of its absolute values.
+
+    Kept for the life of the process, keyed by the weight, which must
+    therefore be a tuple: a list is unhashable and raises TypeError.
 
     >>> orbit_size((1, 1)), orbit_size((2, 0)), orbit_size((0, 0))
     (4, 4, 1)

@@ -55,12 +55,16 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``dga._matrix``.
 - ``decoded_groups``: ``dga._dominant_groups`` with each member decoded
   to its monomial tuple, in the groups' (deg3, basis) order.
+
+One helper is no route: ``clear_brute_force_caches`` forgets every
+per-process cache of the brute-force route, so that a test that starts or
+ends with it reads no result another test left behind.
 """
 
 from functools import lru_cache
 from math import comb
 
-from confcoh import reps
+from confcoh import dga, reps
 from confcoh.closedform import _check_genus
 from confcoh.dga import _Layout, _dominant_groups, _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
@@ -671,3 +675,10 @@ def decoded_groups(g, n, model):
         key: [layout.decode(code) for code in members]
         for key, members in _dominant_groups(g, n, model).items()
     }
+
+
+def clear_brute_force_caches():
+    """Forget the step functions of every genus and model (``dga._store``)
+    and every kept peel (``dga._peel``)."""
+    dga._store.cache_clear()
+    dga._peel.cache_clear()

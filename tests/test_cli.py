@@ -10,7 +10,7 @@ from confcoh.cli import _grouped_u_text, _series_text, build_parser, main
 from confcoh.closedform import MixedTable
 from confcoh.dga import ORACLE_BUDGET
 from confcoh.reps import RepLabel, VirtualRep
-from reference import rep_from_json
+from reference import clear_brute_force_caches, rep_from_json
 
 
 def run(capsys, *argv):
@@ -220,7 +220,7 @@ def test_oracle_debug_dir(capsys, tmp_path, monkeypatch):
     for genus, n, model in (("1", "2", "A"), ("1", "6", "B"), ("2", "4", "A")):
         argv = ("oracle", "--genus", genus, "--n", n, "--model", model)
         table = run(capsys, *argv)
-        dga._store.cache_clear()
+        clear_brute_force_caches()
         calls.clear()
         debug = tmp_path / f"g{genus}_n{n}_{model}"
         assert run(capsys, *argv, "--debug-dir", str(debug)) == table

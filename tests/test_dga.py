@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from confcoh import dga
-from confcoh.closedform import build_Q, mixed_table
+from confcoh.closedform import MixedTable, build_Q, mixed_table
 from confcoh.dga import (
     Monomial,
     cohomology_dims,
@@ -19,11 +19,12 @@ from confcoh.dga import (
     mono_weight,
 )
 from confcoh.linalg import prefix_ranks, rank
-from confcoh.reps import RepLabel, VirtualRep
+from confcoh.reps import NotACharacter, RepLabel, VirtualRep, peel_character
 from reference import (
     basis_count_series,
     blocks,
     character_mass,
+    clear_brute_force_caches,
     decoded_groups,
     differential_block,
     dom_rep,
@@ -342,6 +343,79 @@ def test_cohomology_reps_store_the_right_dims():
             assert got == per_cell_dims(table), (g, n)
 
 
+def _model_a_points():
+    return [(g, n) for g, n, model in sweep_points() if model == "A"]
+
+
+def test_kept_peels_equal_fresh_peels():
+    # every model A sweep point in a shuffled order, from no kept peel: each
+    # table equals one whose blocks are peeled afresh, and a character met
+    # again, at this genus and any n, gets the very VirtualRep kept for it
+    points = _model_a_points()
+    random.Random(11).shuffle(points)
+    kept, shared = {}, 0
+    clear_brute_force_caches()
+    try:
+        for g, n in points:
+            got = cohomology_reps(g, n)
+            weights = cohomology_weights(g, n)
+            fresh = {
+                (d1 + d2, d1 + 2 * d2): peel_character(g, char)
+                for (d1, d2), char in weights.items()
+            }
+            assert got == MixedTable(g, n, fresh), (g, n)
+            for (d1, d2), char in weights.items():
+                rep = got.entries[(d1 + d2, d1 + 2 * d2)]
+                key = (g, frozenset(char.items()))
+                shared += key in kept
+                assert kept.setdefault(key, rep) is rep, (g, n, (d1, d2))
+    finally:
+        clear_brute_force_caches()
+    assert shared > len(kept)
+
+
+def _counting_peels(monkeypatch):
+    """Record (g, character items) of every ``dga.peel_character`` call."""
+    peeled = []
+
+    def counting(g, char):
+        peeled.append((g, frozenset(char.items())))
+        return peel_character(g, char)
+
+    monkeypatch.setattr(dga, "peel_character", counting)
+    return peeled
+
+
+def test_a_second_sweep_peels_nothing(monkeypatch):
+    # the first sweep peels each distinct character once; the second, over
+    # the same points, reads every one it needs and peels none
+    peeled = _counting_peels(monkeypatch)
+    points = _model_a_points()
+    clear_brute_force_caches()
+    try:
+        first = [cohomology_reps(g, n) for g, n in points]
+        assert peeled and len(set(peeled)) == len(peeled)
+        peeled.clear()
+        assert [cohomology_reps(g, n) for g, n in points] == first
+    finally:
+        clear_brute_force_caches()
+    assert peeled == []
+
+
+def test_a_peel_that_raises_is_not_kept(monkeypatch):
+    # 2w1 + 2w2 is outside the hook family: every call peels it and raises
+    peeled = _counting_peels(monkeypatch)
+    monkeypatch.setattr(dga, "cohomology_weights", lambda g, n: {(2, 0): {(2, 2): 1}})
+    clear_brute_force_caches()
+    try:
+        for _ in range(3):
+            with pytest.raises(NotACharacter, match="not of hook form"):
+                cohomology_reps(2, 4)
+    finally:
+        clear_brute_force_caches()
+    assert len(peeled) == 3
+
+
 def test_reps_cross_check_u_slice():
     table = cohomology_reps(2, 2)
     slice2 = u_slice(build_Q(2, 2), 2)
@@ -606,11 +680,11 @@ def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
 
     want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
     monkeypatch.setattr(dga, "enumerate_basis", whole_basis)
-    _clear_stores()
+    clear_brute_force_caches()
     try:
         got = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4))
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
     assert got == want
     assert dump_blocks(2, 5, "B", tmp_path)
 
@@ -623,16 +697,16 @@ def test_rank_loop_builds_no_tuple_differential(monkeypatch, tmp_path):
     def dumped(path):
         return [(os.path.basename(p), open(p).read()) for p in dump_blocks(1, 6, "B", path)]
 
-    _clear_stores()
+    clear_brute_force_caches()
     try:
         want = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4),
                 dumped(tmp_path / "before"))
         monkeypatch.setattr(dga, "differential_monomial", tuple_d)
-        _clear_stores()
+        clear_brute_force_caches()
         got = (cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4),
                dumped(tmp_path / "after"))
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
     assert got == want
 
 
@@ -640,41 +714,36 @@ def test_negative_dimension_raises(monkeypatch):
     # a rank above the group size is caught even under python -O, at the
     # point that grows the store and at the points it serves
     monkeypatch.setattr(dga, "prefix_ranks", lambda matrix: list(range(2, matrix.n_cols + 2)))
-    _clear_stores()
+    clear_brute_force_caches()
     try:
         for n in (4, 2):
             with pytest.raises(ArithmeticError, match=r"\(block, weight\)"):
                 cohomology_dims(1, n)
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
 
 
 def test_cohomology_genus0_n1_is_the_sphere():
     # H(F_1) = span{1, p}: s1 and sp have deg3 2, and d is 0 on both, so
     # the sphere's H^2 sits in block (2, 0); here from a fresh store
     for model in ("A", "B"):
-        _clear_stores()
+        clear_brute_force_caches()
         try:
             assert cohomology_dims(0, 1, model) == {(0, 0): 1, (2, 0): 1}, model
         finally:
-            _clear_stores()
+            clear_brute_force_caches()
 
 
 def test_genus0_n1_is_the_sphere_on_a_store_that_covers_it():
     # the same answer read from a store already grown past n = 1
-    _clear_stores()
+    clear_brute_force_caches()
     try:
         for model in ("A", "B"):
             cohomology_dims(0, 5, model)
             assert dga._store(0, model).top == 5
             assert cohomology_dims(0, 1, model) == {(0, 0): 1, (2, 0): 1}, model
     finally:
-        _clear_stores()
-
-
-def _clear_stores():
-    """Forget the step functions of every genus and model."""
-    dga._store.cache_clear()
+        clear_brute_force_caches()
 
 
 # every (g, model) with g <= 3, and genus 0 up to n = 12, both models
@@ -704,7 +773,7 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
             dumps = [top // 2, ("dump", low), *range(low, -1, -1), ("dump", top),
                      *range(top, -1, -1)]
             for order in (range(top + 1), range(top, -1, -1), shuffled, dumps):
-                _clear_stores()
+                clear_brute_force_caches()
                 for n in order:
                     if isinstance(n, tuple):
                         dump_blocks(g, n[1], model, tmp_path / f"g{g}_{model}_{n[1]}")
@@ -712,7 +781,7 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
                         got = dga._cohomology_by_weight(g, n, model)
                         assert got == want[n], (g, model, list(order), n)
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
 
 
 def test_store_inserts_each_column_once(monkeypatch):
@@ -734,7 +803,7 @@ def test_store_inserts_each_column_once(monkeypatch):
     monkeypatch.setattr(dga, "_dominant_groups", counting_groups)
     try:
         for g, top, model in STORE_SWEEPS:
-            _clear_stores()
+            clear_brute_force_caches()
             low = top // 2
             for n, served in ((low, -1), (top, low)):
                 groups = decoded_groups(g, n, model)
@@ -753,7 +822,7 @@ def test_store_inserts_each_column_once(monkeypatch):
                 dga._cohomology_by_weight(g, n, model)
             assert (inserted, enumerated) == ([], []), (g, model)
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
 
 
 def test_regrowth_keeps_groups_without_a_new_member():
@@ -762,7 +831,7 @@ def test_regrowth_keeps_groups_without_a_new_member():
     # store grown to N' would
     try:
         for g, top, model in STORE_SWEEPS:
-            _clear_stores()
+            clear_brute_force_caches()
             store = dga._store(g, model)
             kept = rebuilt = 0
             for n in (top // 3, top // 2, top):
@@ -780,7 +849,7 @@ def test_regrowth_keeps_groups_without_a_new_member():
                         rebuilt += 1
             assert kept and rebuilt, (g, model)
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
 
 
 def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
@@ -796,7 +865,7 @@ def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
 def test_repeat_read_returns_the_same_result(tmp_path):
     # the store answers a repeat call at one n with the dict it gave last,
     # until a dump replaces the store
-    _clear_stores()
+    clear_brute_force_caches()
     try:
         first = dga._cohomology_by_weight(1, 5, "A")
         assert dga._cohomology_by_weight(1, 5, "A") is first
@@ -804,7 +873,7 @@ def test_repeat_read_returns_the_same_result(tmp_path):
         assert dga._store(1, "A").last == (-1, None)
         assert dga._cohomology_by_weight(1, 5, "A") == first
     finally:
-        _clear_stores()
+        clear_brute_force_caches()
 
 
 def _restrict(matrix, rows, cols):

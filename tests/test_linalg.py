@@ -4,7 +4,13 @@ import pytest
 
 from confcoh import dga
 from confcoh.linalg import SparseIntMatrix, prefix_ranks, rank, write_matrix_market
-from reference import from_entries, rank_dense_bareiss, read_matrix_market, transpose
+from reference import (
+    clear_brute_force_caches,
+    from_entries,
+    rank_dense_bareiss,
+    read_matrix_market,
+    transpose,
+)
 from test_dga import sweep_points
 
 
@@ -128,10 +134,10 @@ def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
     monkeypatch.setattr(dga, "prefix_ranks", recording)
     try:
         for g, n, model in sweep_points() + [(1, 24, "A")]:
-            dga._store.cache_clear()
+            clear_brute_force_caches()
             dga.cohomology_dims(g, n, model)
     finally:
-        dga._store.cache_clear()
+        clear_brute_force_caches()
     assert len(eliminated) > 1000
     for m, got in eliminated:
         before = from_entries(m.n_rows, m.n_cols, m.entries())

@@ -326,18 +326,20 @@ def test_orbit_size_matches_signed_permutations():
 
 
 @pytest.mark.parametrize(
-    "g, char",
+    "g, char, under",
     [
-        pytest.param(2, {(1, -1): 1}, id="negative-coordinate"),
-        pytest.param(2, {(0, 1): 1}, id="increasing"),
+        pytest.param(2, {(1, -1): 1}, None, id="negative-coordinate"),
+        pytest.param(2, {(0, 1): 1}, None, id="increasing"),
         # V(0,2) peels off first and leaves (0, 1) as the highest weight
-        pytest.param(
-            2, {**irreducible_character(2, RepLabel(0, 2)), (0, 1): 1}, id="left-over"
-        ),
-        pytest.param(1, {(1, 1): 1}, id="wrong-length"),
+        pytest.param(2, {(0, 1): 1}, RepLabel(0, 2), id="left-over"),
+        pytest.param(1, {(1, 1): 1}, None, id="wrong-length"),
     ],
 )
-def test_peel_rejects_non_dominant_weight(g, char):
+def test_peel_rejects_non_dominant_weight(g, char, under):
+    # ``under``'s character is built here, not at collection, so that a
+    # broken Freudenthal recursion fails this case alone
+    if under is not None:
+        char = {**irreducible_character(g, under), **char}
     with pytest.raises(NotACharacter, match="not of hook form"):
         peel_character(g, char)
 
