@@ -16,6 +16,7 @@ window above the largest u it holds, so each term is written and checked
 once per process.  A table reads each column's sum at u = n by bisection,
 and builds no series; ``build_Q`` spreads each column's sums over every
 u <= N, as a {(t, s, u): VirtualRep} dict, for the q-series;
+``stabilization_bound`` reads the last u at which a column changes;
 ``euler_series`` sums the alternating dimensions of a whole bracket per u.
 
 The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
@@ -328,11 +329,7 @@ def betti(g, n):
 
 def euler_binomials(g, N):
     """Coefficients of (1+u)^(2-2g) through u^N."""
-    e = 2 - 2 * g
-    if e >= 0:
-        return [comb(e, n) if n <= e else 0 for n in range(N + 1)]
-    m = -e
-    return [(-1) ** n * comb(m + n - 1, n) for n in range(N + 1)]
+    return [_euler_coefficient(g, n) for n in range(N + 1)]
 
 
 def euler_series(g, N):
@@ -353,14 +350,16 @@ def stabilization_bound(g, k, h):
     """Least n0 such that the (k, h) table entry is constant for n >= n0.
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
-    largest u-exponent with which the bracket meets (k, h).  Every bracket
-    term satisfies u <= t + s + 1 = k + 1 and u <= t + 2s = h (q_bracket
-    checks both), so scanning up to k + 2 is exhaustive and the bound is at
-    most h.
+    largest u-exponent with which the bracket meets (k, h): the last point
+    at which the store's (t, s) = (2k - h, h - k) column changes, or 0 when
+    the bracket has no such column.  Every bracket term satisfies
+    u <= t + s + 1 = k + 1 and u <= t + 2s = h (q_bracket checks both), so
+    a store grown to k + 1 holds the whole column and the bound is at most
+    h.
     """
     _check_genus(g)
     t, s = 2 * k - h, h - k
     if t < 0 or s < 0:
         return 0
-    terms = q_bracket(g, k + 2)
-    return max((u for tt, ss, u, _ in terms if (tt, ss) == (t, s)), default=0)
+    column = _covering(g, k + 1).columns.get((t, s))
+    return column[0][-1] if column else 0

@@ -17,10 +17,10 @@ cohomology gives the weight-graded cohomology of the n-point unordered
 configuration space after the regrading
 (k, h) = (deg1 + deg2, deg1 + 2*deg2).
 
-A monomial is a 5-tuple (ext, s1, p, sp, sym): a bitmask of the exterior
-generators a_1..a_g, b_1..b_g, the s1 and sp flags, the p exponent, and
-the tuple of exponents of sa_1..sa_g, sb_1..sb_g; ``Monomial`` names those
-fields.  The rank loop codes each monomial of F_n as one int under a
+A monomial is a plain 5-tuple (ext, s1, p, sp, sym), read by position: a
+bitmask of the exterior generators a_1..a_g, b_1..b_g, the s1 flag, the p
+exponent, the sp flag and the tuple of exponents of sa_1..sa_g,
+sb_1..sb_g.  The rank loop codes each monomial of F_n as one int under a
 ``_Layout``: the fields sit at fixed bit offsets, ext highest, then s1, p,
 sp and sym_1 .. sym_2g, each wide enough for F_n, so int order is basis
 (tuple) order.  deg3 sits above the code, so sorting a group's ints sorts
@@ -53,14 +53,12 @@ import os
 from bisect import bisect_right
 from functools import lru_cache
 from operator import gt, itemgetter
-from typing import NamedTuple
 
 from .closedform import MixedTable
 from .linalg import SparseIntMatrix, prefix_ranks, write_matrix_market
 from .reps import orbit_size, peel_character
 
 __all__ = [
-    "Monomial",
     "enumerate_basis",
     "differential_monomial",
     "cohomology_dims",
@@ -80,24 +78,6 @@ __all__ = [
 #: g = 2, and is still bound by creating one file per group at g = 1
 #: (4.6-5.4 s, 10 595 files) and genus 0 (5.8-20.2 s, 45 997 files).
 ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
-
-
-class Monomial(NamedTuple):
-    """Canonical monomial: exterior bits for a_1..a_g, b_1..b_g, flags for
-    s1 and sp, the p exponent, and the exponents of sa_1..sa_g, sb_1..sb_g.
-
-    The fields of every monomial, named: ``differential_monomial`` takes
-    and returns plain tuples in this field order, which hash and compare
-    equal to the ``Monomial`` with the same fields, so the two mix freely as
-    dict keys.  Read a monomial's fields by position.  The rank loop holds
-    each monomial as its int code under a ``_Layout`` instead.
-    """
-
-    ext: int
-    s1: int
-    p: int
-    sp: int
-    sym: tuple
 
 
 def mono_degrees(g, m):
@@ -168,7 +148,7 @@ class _Layout:
         self.s1_terms, self.terms = {}, {}
 
     def encode(self, m):
-        """The code of a monomial, fields in ``Monomial`` order."""
+        """The code of a monomial, fields in (ext, s1, p, sp, sym) order."""
         ext, s1, p, sp, sym = m
         if len(sym) != 2 * self.g:
             raise ValueError(f"sym has {len(sym)} exponents, not {2 * self.g}")
@@ -188,7 +168,7 @@ class _Layout:
         return code
 
     def decode(self, code):
-        """The monomial of a code as a plain tuple in ``Monomial`` field
+        """The monomial of a code as a plain tuple in (ext, s1, p, sp, sym)
         order; the bits from ``width`` up are ignored."""
         sym_mask = (1 << self.sym_bits) - 1
         return (
@@ -259,7 +239,7 @@ class _Layout:
 
 def differential_monomial(g, model, m):
     """d of a monomial of the model by the Leibniz rule, as a list of
-    (coeff, image), each image a plain tuple in ``Monomial`` field order.
+    (coeff, image), each image a plain tuple in (ext, s1, p, sp, sym) order.
 
     The rank loop's rule on one monomial: ``m`` is coded under the layout
     of F_deg3(m), which holds its images too, and each term decoded."""
@@ -299,7 +279,7 @@ def enumerate_basis(g, n, model="A"):
                     used = ext.bit_count() + 2 * s1 + p + 2 * sp
                     if used <= n:
                         for sym in _sym_exponents(2 * g, (n - used) // 2):
-                            out.append(Monomial(ext, s1, p, sp, sym))
+                            out.append((ext, s1, p, sp, sym))
     out.sort()
     return tuple(out)
 

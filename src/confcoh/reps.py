@@ -350,7 +350,6 @@ def _dominant_weights_below(g, lam):
     return out
 
 
-@lru_cache(maxsize=None)
 def _dominant_mults(g, lam):
     """Freudenthal recursion: multiplicities of the dominant weights of the
     irreducible with highest weight ``lam``; returns ((weight, mult), ...).

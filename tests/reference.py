@@ -620,8 +620,8 @@ def differential_block(g, n, model, block):
 
 def tuple_differential(g, model, m):
     """d of a monomial of the model by the Leibniz rule on its tuple fields,
-    as a list of (coeff, image), each image a plain tuple in ``Monomial``
-    field order.
+    as a list of (coeff, image), each image a plain tuple in (ext, s1, p,
+    sp, sym) order.
 
     In the canonical order a < b < s1 < p < sp < sa < sb each Koszul sign is
     a parity of exterior bits: d(s1) and d(sp) sit behind ext (and s1), and

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -341,6 +342,10 @@ def test_store_reads_below_its_top_write_no_term(windows):
             mixed_table(g, n)
             betti(g, n)
             build_Q(g, n)
+        # a bound of degree k reads the store when it covers k + 1
+        for k in range(20):
+            for h in range(k, 2 * k + 1):
+                stabilization_bound(g, k, h)
     assert windows == []
 
 
@@ -482,6 +487,38 @@ def test_stabilization_examples():
     assert stabilization_bound(2, 1, 3) == 0  # t-exponent would be negative
 
 
+def scanned_stabilization_bound(g, k, h):
+    """The largest u among the (2k - h, h - k) column's terms of a fresh
+    q_bracket(g, k + 2), or 0: the slow reference for stabilization_bound."""
+    t, s = 2 * k - h, h - k
+    if t < 0 or s < 0:
+        return 0
+    terms = q_bracket(g, k + 2)
+    return max((u for tt, ss, u, _ in terms if (tt, ss) == (t, s)), default=0)
+
+
+@pytest.mark.parametrize("store", ["empty", "grown"])
+def test_stabilization_bound_matches_the_bracket_scan(store):
+    # the store's last change point of a column is its largest u, on a
+    # store grown just to k + 1 and on one grown past it
+    for g in range(1, 7):
+        if store == "grown":
+            closedform._bracket.cache_clear()
+            build_Q(g, 30)
+        for k in range(25):
+            if store == "empty":
+                closedform._bracket.cache_clear()
+            for h in range(k, 2 * k + 1):
+                want = scanned_stabilization_bound(g, k, h)
+                assert stabilization_bound(g, k, h) == want, (store, g, k, h)
+    closedform._bracket.cache_clear()
+
+
+def test_stabilization_bound_rejects_genus_zero():
+    with pytest.raises(ValueError, match="genus >= 1"):
+        stabilization_bound(0, 2, 2)
+
+
 def test_stabilization_bound_is_at_most_the_weight():
     # every bracket term has u <= t + 2s = h, and the entry settles at the
     # largest such u
@@ -519,11 +556,24 @@ def test_euler_series_rejects_a_negative_truncation():
             euler_series(g, -1)
 
 
+def split_euler_binomials(g, N):
+    """(1+u)^(2-2g) through u^N, by the binomial theorem for e = 2 - 2g >= 0
+    and by the negative binomial series otherwise: the slow reference for
+    euler_binomials and _euler_coefficient."""
+    e = 2 - 2 * g
+    if e >= 0:
+        return [comb(e, n) if n <= e else 0 for n in range(N + 1)]
+    m = -e
+    return [(-1) ** n * comb(m + n - 1, n) for n in range(N + 1)]
+
+
 def test_euler_coefficient_matches_binomials():
     for g in range(0, 9):
-        want = euler_binomials(g, 40)
+        want = split_euler_binomials(g, 40)
+        assert euler_binomials(g, 40) == want, g
         for n in range(0, 41):
             assert _euler_coefficient(g, n) == want[n], (g, n)
+    assert euler_binomials(2, -1) == []
 
 
 def test_genus0_mixed_table():

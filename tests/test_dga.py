@@ -8,7 +8,6 @@ import pytest
 from confcoh import dga
 from confcoh.closedform import MixedTable, build_Q, mixed_table
 from confcoh.dga import (
-    Monomial,
     cohomology_dims,
     cohomology_reps,
     cohomology_weights,
@@ -65,7 +64,7 @@ def sweep_points():
 
 
 def one(g):
-    return Monomial(0, 0, 0, 0, (0,) * (2 * g))
+    return (0, 0, 0, 0, (0,) * (2 * g))
 
 
 # --- generators and basis ----------------------------------------------------
@@ -75,25 +74,34 @@ def test_generator_degrees_match_table():
     g = 2
     z = (0,) * 4
     # a_1, b_2, p, s1, sa_1, sb_2 probed through single-generator monomials
-    assert mono_degrees(g, Monomial(1, 0, 0, 0, z)) == (1, 0, 1)
-    assert mono_degrees(g, Monomial(8, 0, 0, 0, z)) == (1, 0, 1)
-    assert mono_degrees(g, Monomial(0, 0, 1, 0, z)) == (2, 0, 1)
-    assert mono_degrees(g, Monomial(0, 1, 0, 0, z)) == (0, 1, 2)
-    assert mono_degrees(g, Monomial(0, 0, 0, 1, z)) == (2, 1, 2)
-    assert mono_degrees(g, Monomial(0, 0, 0, 0, (1, 0, 0, 0))) == (1, 1, 2)
-    assert mono_degrees(g, Monomial(0, 0, 0, 0, (0, 0, 0, 1))) == (1, 1, 2)
+    assert mono_degrees(g, (1, 0, 0, 0, z)) == (1, 0, 1)
+    assert mono_degrees(g, (8, 0, 0, 0, z)) == (1, 0, 1)
+    assert mono_degrees(g, (0, 0, 1, 0, z)) == (2, 0, 1)
+    assert mono_degrees(g, (0, 1, 0, 0, z)) == (0, 1, 2)
+    assert mono_degrees(g, (0, 0, 0, 1, z)) == (2, 1, 2)
+    assert mono_degrees(g, (0, 0, 0, 0, (1, 0, 0, 0))) == (1, 1, 2)
+    assert mono_degrees(g, (0, 0, 0, 0, (0, 0, 0, 1))) == (1, 1, 2)
 
 
 def test_degree_formulas_consistent():
     # deg1, deg2, deg3 of a monomial from its exponents
     for g, n, model in INSTANCES:
         for m in enumerate_basis(g, n, model):
-            ext_bits = bin(m.ext).count("1")
-            sym = sum(m.sym)
+            ext, s1, p, sp, sym = m
+            ext_bits = bin(ext).count("1")
+            sym = sum(sym)
             d1, d2, d3 = mono_degrees(g, m)
-            assert d1 == ext_bits + 2 * m.p + 2 * m.sp + sym
-            assert d2 == m.s1 + m.sp + sym
-            assert d3 == ext_bits + m.p + 2 * m.s1 + 2 * m.sp + 2 * sym
+            assert d1 == ext_bits + 2 * p + 2 * sp + sym
+            assert d2 == s1 + sp + sym
+            assert d3 == ext_bits + p + 2 * s1 + 2 * sp + 2 * sym
+
+
+def test_basis_members_are_plain_tuples():
+    # a monomial is a plain (ext, s1, p, sp, sym) tuple, read by position
+    for g, n, model in INSTANCES:
+        basis = enumerate_basis(g, n, model)
+        assert basis
+        assert all(type(m) is tuple and len(m) == 5 for m in basis), (g, n, model)
 
 
 def test_basis_examples():
@@ -120,42 +128,43 @@ def test_basis_deterministic():
 
 def test_d_of_s1():
     g = 1
-    m = Monomial(0, 1, 0, 0, (0, 0))
+    m = (0, 1, 0, 0, (0, 0))
     terms = dict(
         ((mono, c) for c, mono in differential_monomial(g, "A", m))
     )
     assert terms == {
-        Monomial(0, 0, 1, 0, (0, 0)): 1,  # p
-        Monomial(3, 0, 0, 0, (0, 0)): -1,  # a1 b1
+        (0, 0, 1, 0, (0, 0)): 1,  # p
+        (3, 0, 0, 0, (0, 0)): -1,  # a1 b1
     }
 
 
 def test_d_of_sa1():
     g = 1
-    m = Monomial(0, 0, 0, 0, (1, 0))
+    m = (0, 0, 0, 0, (1, 0))
     assert differential_monomial(g, "A", m) == [
-        (1, Monomial(1, 0, 1, 0, (0, 0)))  # a1 p
+        (1, (1, 0, 1, 0, (0, 0)))  # a1 p
     ]
 
 
 def test_d_of_sa1_times_p_vanishes_in_A():
     g = 1
-    m = Monomial(0, 0, 1, 0, (1, 0))
+    m = (0, 0, 1, 0, (1, 0))
     assert differential_monomial(g, "A", m) == []
     # but survives in model B as a1 p^2
-    assert differential_monomial(g, "B", m) == [(1, Monomial(1, 0, 2, 0, (0, 0)))]
+    assert differential_monomial(g, "B", m) == [(1, (1, 0, 2, 0, (0, 0)))]
 
 
 def test_d_of_sp():
     g = 1
-    m = Monomial(0, 0, 0, 1, (0, 0))
-    assert differential_monomial(g, "B", m) == [(1, Monomial(0, 0, 2, 0, (0, 0)))]
+    m = (0, 0, 0, 1, (0, 0))
+    assert differential_monomial(g, "B", m) == [(1, (0, 0, 2, 0, (0, 0)))]
 
 
 def reference_differential(g, model, m):
     """d by the Leibniz rule on the spelled-out generator word, each term
     resorted with its Koszul sign: the slow reference for
-    differential_monomial, as {Monomial: coeff}."""
+    differential_monomial, as {monomial: coeff}, each monomial a plain
+    tuple in (ext, s1, p, sp, sym) order."""
     # generator codes in the canonical order a < b < s1 < p < sp < sa < sb
     s1, p, sp = 2 * g, 2 * g + 1, 2 * g + 2
     sym = [sp + 1 + j for j in range(2 * g)]  # sa_1..sa_g, sb_1..sb_g
@@ -165,9 +174,10 @@ def reference_differential(g, model, m):
 
     d_gen = {s1: [(1, [p])] + [(-1, [i, g + i]) for i in range(g)], sp: [(1, [p, p])]}
     d_gen.update({sym[j]: [(1, [j, p])] for j in range(2 * g)})  # a_i p, b_i p
-    word = [code for code in range(2 * g) if m.ext >> code & 1]
-    word += [s1] * m.s1 + [p] * m.p + [sp] * m.sp
-    word += [sym[j] for j, e in enumerate(m.sym) for _ in range(e)]
+    m_ext, m_s1, m_p, m_sp, m_sym = m
+    word = [code for code in range(2 * g) if m_ext >> code & 1]
+    word += [s1] * m_s1 + [p] * m_p + [sp] * m_sp
+    word += [sym[j] for j, e in enumerate(m_sym) for _ in range(e)]
     out = Counter()
     for k, code in enumerate(word):
         before = sum(map(odd, word[:k]))
@@ -179,7 +189,7 @@ def reference_differential(g, model, m):
             if model == "A" and (new.count(p) > 1 or sp in new):
                 continue  # model A is the quotient by (sp, p^2)
             inversions = sum(x > y for i, x in enumerate(odds) for y in odds[i + 1:])
-            mono = Monomial(
+            mono = (
                 sum(1 << x for x in set(new) if x < 2 * g),
                 new.count(s1),
                 new.count(p),
@@ -623,9 +633,9 @@ def test_layout_rejects_a_value_that_does_not_fit(m, field):
         layout.encode(m)
 
 
-SOURCE = Monomial(0, 0, 0, 0, (1, 0))
-OTHER_SOURCE = Monomial(0, 0, 0, 0, (0, 1))
-IMAGE = Monomial(1, 0, 1, 0, (0, 0))
+SOURCE = (0, 0, 0, 0, (1, 0))
+OTHER_SOURCE = (0, 0, 0, 0, (0, 1))
+IMAGE = (1, 0, 1, 0, (0, 0))
 
 
 def _inject(monkeypatch, layout, terms):

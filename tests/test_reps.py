@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from confcoh import reps
 from confcoh.reps import (
     NotACharacter,
     RepLabel,
@@ -306,6 +307,30 @@ def test_dominant_mults_match_the_whole_weight_walk():
     for g, label in sorted(labels):
         lam = highest_weight(g, label)
         assert _dominant_mults(g, lam) == dominant_mults(g, lam), (g, label)
+
+
+def test_irreducible_character_runs_the_recursion_once_per_label(monkeypatch):
+    # _dominant_mults keeps nothing itself: irreducible_character keeps each
+    # character per (genus, label), so a second read runs no recursion
+    calls = []
+
+    def counted(g, lam):
+        calls.append((g, lam))
+        return _dominant_mults(g, lam)
+
+    monkeypatch.setattr(reps, "_dominant_mults", counted)
+    irreducible_character.cache_clear()
+    try:
+        labels = sorted(
+            {(g, rep_label(g, i, j)) for g in (2, 3) for i in range(3) for j in range(g + 1)}
+            - {(g, ZERO) for g in (2, 3)}
+        )
+        first = [irreducible_character(g, label) for g, label in labels]
+        again = [irreducible_character(g, label) for g, label in labels]
+        assert all(a is b for a, b in zip(first, again))
+        assert len(calls) == len(labels) == len(set(calls))
+    finally:
+        irreducible_character.cache_clear()
 
 
 def _orbit(w):

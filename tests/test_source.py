@@ -1,6 +1,7 @@
 import ast
 import doctest
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import confcoh
 import reference
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "confcoh"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "confcoh"
+BENCH = ROOT / "bench"
 
 
 def test_no_bare_assert_in_package():
@@ -211,3 +214,63 @@ def test_src_definitions_have_a_product_caller():
     # mentions any more, is stale
     assert [q for q in CALLED_THROUGH_AN_INSTANCE if q not in found] == []
     assert [q for q in CALLED_THROUGH_AN_INSTANCE if q.split(".")[1] not in attrs] == []
+
+
+# --- the package still serves the benchmark as it stands ----------------------
+
+
+def _bench_module(name):
+    """A module of bench/, loaded from its file under a private name."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_span_resolves_to_a_callable():
+    # a src/ deletion that leaves a span absent changes the bench's metrics
+    tracer = _bench_module("tracer")
+    resolver = tracer.Tracer()
+    absent = [
+        f"{mod}.{path}"
+        for _, mod, path, _ in tracer.SPANS
+        if not callable(resolver._resolve(mod, path)[2])
+    ]
+    assert absent == []
+
+
+def _bench_attributes(path):
+    """(module, attribute) for each ``closedform.x`` or ``dga.x`` that a
+    bench file reads, and for each (module, "x") pair it lists in a tuple,
+    the form its monkeypatched routes take."""
+    modules = {"closedform", "dga"}
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                used.add((node.value.id, node.attr))
+        elif isinstance(node, ast.Tuple):
+            for first, second in zip(node.elts, node.elts[1:]):
+                if (isinstance(first, ast.Name) and first.id in modules
+                        and isinstance(second, ast.Constant) and isinstance(second.value, str)):
+                    used.add((first.id, second.value))
+    return used
+
+
+def test_every_bench_attribute_exists():
+    used = set()
+    for name in ("workloads.py", "test_bench.py"):
+        used |= _bench_attributes(BENCH / name)
+    assert ("dga", "cohomology_reps") in used and ("closedform", "mixed_table") in used
+    missing = sorted(
+        f"{mod}.{attr}" for mod, attr in used
+        if not hasattr(importlib.import_module(f"confcoh.{mod}"), attr)
+    )
+    assert missing == []
+
+
+def test_every_bench_workload_passes_its_toy_points():
+    workloads = _bench_module("workloads")
+    for name in workloads.WORKLOADS:
+        attempted, failed, errors = workloads.run(name, workloads.points(name, 0, toy=True))
+        assert attempted > 0 and failed == 0 and errors == [], (name, errors)
