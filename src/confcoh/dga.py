@@ -39,12 +39,15 @@ F_n is a subcomplex of F_N for n <= N, since d never raises deg3.  The
 rank loop therefore keeps one store per genus and model, built by one
 elimination per group at the largest n reached so far, top: with each
 group's members sorted by deg3, the rank of d on F_n's part of the group
-is a prefix rank of that elimination, for every n <= top.  A call at
-n <= top only reads the store; a call at n > top enumerates F_n once and
-eliminates again only the groups that have a member of deg3 > top.  A
-group whose members all have deg3 <= top is a group of F_top with the
-same members, and their images lie in F_top too, so its F_n matrix is
-its F_top matrix plus zero rows: the store already holds its tuple.
+is a prefix rank of that elimination, for every n <= top.  ``_matrix``
+writes a group's matrix as a list of row dicts, which go straight to
+``linalg.prefix_ranks``; only ``dump_blocks`` wraps them in a
+``SparseIntMatrix`` to write them.  A call at n <= top only reads the
+store; a call at n > top enumerates F_n once and eliminates again only
+the groups that have a member of deg3 > top.  A group whose members all
+have deg3 <= top is a group of F_top with the same members, and their
+images lie in F_top too, so its F_n matrix is its F_top matrix plus zero
+rows: the store already holds its tuple.
 """
 
 from __future__ import annotations
@@ -285,15 +288,17 @@ def enumerate_basis(g, n, model="A"):
 
 
 def _matrix(layout, source, target):
-    """Matrix of d from the ``source`` codes (columns, in the order given)
-    to the ``target`` codes (rows, in basis order); each code may carry
-    deg3 above the layout's ``width``.
+    """The rows of the matrix of d from the ``source`` codes (columns, in
+    the order given) to the ``target`` codes: one {col: coeff} dict per
+    target member, in basis order, empty where no term lands.  Each code
+    may carry deg3 above the layout's ``width``.
 
     Each term is written straight into its target row, at the source's
-    code plus the term's offset.  An image missing from ``target`` raises
-    KeyError, and ``SparseIntMatrix`` rejects a zero coefficient.  A
-    duplicate term overwrites an entry, so it raises ValueError here, where
-    the entries kept are compared with the terms written."""
+    code plus the term's offset.  A repeated target member raises
+    ValueError, and an image missing from ``target`` KeyError.  Once the
+    rows are written, a zero coefficient raises ValueError, and so does a
+    duplicate term, which overwrites an entry: the entries kept are
+    compared with the terms written."""
     mask, keep, terms = layout.mask, layout.keep, layout.terms
     slots = {code: {} for code in sorted([m & mask for m in target])}
     if len(slots) != len(target):
@@ -308,10 +313,13 @@ def _matrix(layout, source, target):
         written += len(images)
         for coeff, offset in images:
             slots[code + offset][col] = coeff
-    matrix = SparseIntMatrix(len(target), len(source), dict(enumerate(slots.values())))
-    if matrix.nnz() != written:
-        raise ValueError(f"{matrix.nnz()} entries written for {written} terms")
-    return matrix
+    rows = list(slots.values())
+    if not all(map(all, map(dict.values, rows))):
+        raise ValueError("zero coefficient in d")
+    kept = sum(map(len, rows))
+    if kept != written:
+        raise ValueError(f"{kept} entries written for {written} terms")
+    return rows
 
 
 def _coordinate_states(n):
@@ -420,8 +428,10 @@ class _Store:
         raises deg3, so its F_n matrix is its F_top matrix plus zero rows
         for the members its target gains; and it is a group of F_top with
         the same members.  On an empty store (top = -1) every group is
-        rebuilt.  ``write(key, matrix)``, if given, receives each rebuilt
-        group's matrix before its elimination.
+        rebuilt.  Each group's rows from ``_matrix`` go straight to
+        ``prefix_ranks``, with no matrix object between them; only when
+        ``write`` is given are they wrapped in a ``SparseIntMatrix``, which
+        ``write(key, matrix)`` receives before the elimination.
 
         The groups come as codes under this call's ``_Layout`` with deg3
         above them, sorted, so a member's deg3 is one shift and the columns
@@ -436,7 +446,7 @@ class _Store:
         width = layout.width
         fresh = _dominant_groups(g, n, model)
         for key, source in fresh.items():
-            if max(source) >> width <= self.top:
+            if source[-1] >> width <= self.top:
                 continue
             (d1, d2), w = key
             if d2 > d1 + 1:
@@ -445,10 +455,10 @@ class _Store:
                 )
             target = fresh.get(((d1 + 2, d2 - 1), w))
             if target:
-                matrix = _matrix(layout, source, target)
+                rows = _matrix(layout, source, target)
                 if write:
-                    write(key, matrix)
-                ranks = prefix_ranks(matrix)
+                    write(key, SparseIntMatrix(len(rows), len(source), dict(enumerate(rows))))
+                ranks = prefix_ranks(rows, len(source))
             else:
                 ranks = [0] * len(source)
             self.steps[key] = (*[m >> width for m in source], *ranks)

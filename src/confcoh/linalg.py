@@ -1,13 +1,15 @@
 """Exact ranks of sparse integer matrices, and their Matrix Market output.
 
-``prefix_ranks`` is the one elimination: it gives the rank of every
-leading block of columns at once, and ``rank`` is its last entry.
-Elimination is fraction-free, so every intermediate value is an integer
-and the result is exact.  Each row is reduced at its lowest column by the
-pivot row that leads there, as piv*row - f*prow scaled down by
-gcd(piv, f), and a row that was scaled is divided by its content, the gcd
-of its entries, so the entries stay small.  The order is deterministic;
-the ranks do not depend on it."""
+``prefix_ranks`` is the one elimination: it takes the rows as plain
+{col: value} dicts, with no matrix object around them, and gives the rank
+of every leading block of columns at once.  ``rank`` is its last entry on
+a ``SparseIntMatrix``, the checked matrix that the dump writes and the
+tests build.  Elimination is fraction-free, so every intermediate value
+is an integer and the result is exact.  Each row is reduced at its lowest
+column by the pivot row that leads there, as piv*row - f*prow scaled down
+by gcd(piv, f), and a row that was scaled is divided by its content, the
+gcd of its entries, so the entries stay small.  The order is
+deterministic; the ranks do not depend on it."""
 
 from itertools import accumulate
 from math import gcd
@@ -19,12 +21,11 @@ class SparseIntMatrix:
 
     ``SparseIntMatrix(n_rows, n_cols, rows)`` takes a {row: {col: value}}
     dict and takes its row dicts over, not copied, dropping the empty ones.
-    It raises ValueError on a negative shape, a row index outside it or a
-    zero value, each checked over whole rows at once.  Column indices are
-    taken as given, so the caller must write them below ``n_cols``: the
-    program's one writer, ``dga._matrix``, numbers its columns by
-    enumerating its source, and a bound check on every row measurably slows
-    the brute force on model B.
+    It raises ValueError on a negative shape, a row or column index outside
+    it or a zero value, each checked over whole rows at once.  The rank
+    path never builds one: ``dga`` eliminates the rows ``dga._matrix``
+    returns as they are, and wraps them only for ``dump_blocks``; the tests
+    build the rest.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
@@ -37,6 +38,10 @@ class SparseIntMatrix:
         self.rows = rows = {r: row for r, row in rows.items() if row} if rows else {}
         if rows and not (0 <= min(rows) and max(rows) < n_rows):
             raise ValueError(f"a row index falls outside {n_rows}x{n_cols}")
+        if rows and not (
+            0 <= min(map(min, rows.values())) and max(map(max, rows.values())) < n_cols
+        ):
+            raise ValueError(f"a column index falls outside {n_rows}x{n_cols}")
         if not all(map(all, map(dict.values, rows.values()))):
             raise ValueError("zero entry")
 
@@ -70,10 +75,11 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
 
 
-def prefix_ranks(m):
-    """The rank of each leading block of columns of ``m`` over the
-    rationals: entry k is the rank of columns 0..k.  ``m`` is left
-    unchanged.
+def prefix_ranks(rows, n_cols):
+    """The rank of each leading block of columns over the rationals of the
+    matrix with the given rows, each a {col: value} dict with every col
+    below ``n_cols``: entry k is the rank of columns 0..k.  Empty rows are
+    skipped, and no row is modified.
 
     One elimination inserts the rows in order, each reduced at its lowest
     column against the pivot row that leads there, and kept as a new pivot
@@ -81,17 +87,17 @@ def prefix_ranks(m):
     column prefix, and the pivot rows lead at distinct columns, so the rank
     of columns 0..k is the number of pivots that lead at k or below.
 
-    >>> prefix_ranks(SparseIntMatrix.from_dense([[1, 2, 0], [2, 4, 1]]))
+    >>> prefix_ranks([{0: 1, 1: 2}, {}, {0: 2, 1: 4, 2: 1}], 3)
     [1, 1, 2]
     """
     pivots = {}  # leading column -> pivot row
-    for row in m.rows.values():
-        if len(pivots) == m.n_cols:
+    for row in filter(None, rows):
+        if len(pivots) == n_cols:
             break  # the rank is full: every later row reduces to zero
         c = min(row)
         prow = pivots.get(c)
         if prow is not None:
-            row = dict(row)  # reduced in place; ``m`` keeps its own row
+            row = dict(row)  # reduced in place; the caller keeps its own row
         while prow is not None:
             # row <- a*row - b*prow clears column c; scaling by a nonzero
             # integer and adding a multiple of a pivot keeps the row span.
@@ -120,7 +126,7 @@ def prefix_ranks(m):
             prow = pivots.get(c)
         else:
             pivots[c] = row
-    leads = [0] * m.n_cols
+    leads = [0] * n_cols
     for c in pivots:
         leads[c] = 1
     return list(accumulate(leads))
@@ -133,8 +139,7 @@ def rank(m):
     >>> rank(SparseIntMatrix.from_dense([[1, 2], [2, 4]]))
     1
     """
-    ranks = prefix_ranks(m)
-    return ranks[-1] if ranks else 0
+    return prefix_ranks(m.rows.values(), m.n_cols)[-1] if m.n_cols else 0
 
 
 def write_matrix_market(m, path):

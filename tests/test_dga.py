@@ -537,7 +537,8 @@ def test_empty_target_groups_have_no_differential():
 def test_matrix_matches_the_checked_constructor():
     # the row writer against the tuple differential through from_entries,
     # which checks entry by entry, on every group the rank loop ranks, with
-    # one layout per point as in a grow
+    # one layout per point as in a grow: one row per target member, in
+    # basis order, empty where no term lands
     ranked = 0
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
@@ -550,7 +551,8 @@ def test_matrix_matches_the_checked_constructor():
                 g, model, list(map(layout.decode, source)), list(map(layout.decode, target))
             )
             got = dga._matrix(layout, source, target)
-            assert got == want, (g, n, model, (d1, d2), w)
+            assert got == [want.rows.get(r, {}) for r in range(len(target))], (
+                g, n, model, (d1, d2), w)
             ranked += 1
     assert ranked > 1000
 
@@ -720,10 +722,34 @@ def test_rank_loop_builds_no_tuple_differential(monkeypatch, tmp_path):
     assert got == want
 
 
+def test_rank_path_builds_no_sparse_matrix(monkeypatch, tmp_path):
+    # the rank loop eliminates the rows _matrix returns as they are; only
+    # the dump wraps them in a SparseIntMatrix, and it still writes the
+    # pinned bytes
+    def no_matrix(*args):
+        raise AssertionError("the rank loop built a SparseIntMatrix")
+
+    def results():
+        clear_brute_force_caches()
+        return cohomology_dims(2, 5), cohomology_dims(1, 6, "B"), cohomology_reps(3, 4)
+
+    try:
+        want = results()
+        with monkeypatch.context() as patched:
+            patched.setattr(dga, "SparseIntMatrix", no_matrix)
+            got = results()
+        clear_brute_force_caches()
+        for (g, n, model), digest in DUMP_SHA256.items():
+            assert _dump_sha256(g, n, model, tmp_path / f"g{g}_n{n}_{model}") == digest
+    finally:
+        clear_brute_force_caches()
+    assert got == want
+
+
 def test_negative_dimension_raises(monkeypatch):
     # a rank above the group size is caught even under python -O, at the
     # point that grows the store and at the points it serves
-    monkeypatch.setattr(dga, "prefix_ranks", lambda matrix: list(range(2, matrix.n_cols + 2)))
+    monkeypatch.setattr(dga, "prefix_ranks", lambda rows, n_cols: list(range(2, n_cols + 2)))
     clear_brute_force_caches()
     try:
         for n in (4, 2):
@@ -800,9 +826,9 @@ def test_store_inserts_each_column_once(monkeypatch):
     # have a member of deg3 > N and a target, and no other column
     inserted, enumerated = [], []
 
-    def counting_prefix_ranks(matrix):
-        inserted.append(matrix.n_cols)
-        return prefix_ranks(matrix)
+    def counting_prefix_ranks(rows, n_cols):
+        inserted.append(n_cols)
+        return prefix_ranks(rows, n_cols)
 
     def counting_groups(*args):
         enumerated.append(args)
@@ -924,7 +950,8 @@ def test_dump_blocks(tmp_path):
             dumped = read_matrix_market(path)
             assert dumped == _restrict(matrix, rows, cols), (g, n, model, key)
             step = dga._store(g, model).steps[key]
-            assert prefix_ranks(dumped) == list(step[len(step) // 2:]), (g, n, model, key)
+            assert prefix_ranks(dumped.rows.values(), dumped.n_cols) == list(
+                step[len(step) // 2:]), (g, n, model, key)
 
 
 # sha256 over each file name and its bytes, in name order: the per-group
@@ -936,11 +963,17 @@ DUMP_SHA256 = {
 }
 
 
+def _dump_sha256(g, n, model, dirpath):
+    """The sha256 of ``dump_blocks(g, n, model, dirpath)``'s files, as
+    pinned in DUMP_SHA256."""
+    digest = hashlib.sha256()
+    for path in sorted(dump_blocks(g, n, model, dirpath)):
+        digest.update(os.path.basename(path).encode() + b"\n")
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
 def test_dump_blocks_bytes_unchanged(tmp_path):
     for (g, n, model), want in DUMP_SHA256.items():
-        digest = hashlib.sha256()
-        for path in sorted(dump_blocks(g, n, model, tmp_path / f"g{g}_n{n}_{model}")):
-            digest.update(os.path.basename(path).encode() + b"\n")
-            with open(path, "rb") as f:
-                digest.update(f.read())
-        assert digest.hexdigest() == want, (g, n, model)
+        assert _dump_sha256(g, n, model, tmp_path / f"g{g}_n{n}_{model}") == want, (g, n, model)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import confcoh
 import reference
+from confcoh import linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "confcoh"
@@ -274,3 +275,24 @@ def test_every_bench_workload_passes_its_toy_points():
     for name in workloads.WORKLOADS:
         attempted, failed, errors = workloads.run(name, workloads.points(name, 0, toy=True))
         assert attempted > 0 and failed == 0 and errors == [], (name, errors)
+
+
+def test_traced_toy_run_fills_every_span():
+    # the bench tracer's counters read the arguments of the functions they
+    # wrap, so a signature change that breaks one fails here too
+    tracer = _bench_module("tracer")
+    workloads = _bench_module("workloads")
+    traced = tracer.Tracer().install()
+    try:
+        runs = {
+            name: workloads.run(name, workloads.points(name, 0, toy=True))
+            for name in workloads.WORKLOADS
+        }
+        linalg.rank(linalg.SparseIntMatrix.from_dense([[1, 2], [0, 3]]))
+    finally:
+        traced.uninstall()
+    for name, (attempted, failed, errors) in runs.items():
+        assert attempted > 0 and failed == 0 and errors == [], (name, errors)
+    assert traced.absent == []
+    report = traced.report()
+    assert report["linalg.rank.calls"] >= 1 and report["linalg.rank.nnz"] >= 3
