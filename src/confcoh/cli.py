@@ -153,8 +153,6 @@ def cmd_betti(args, parser):
 
 
 def cmd_dim(args, parser):
-    if args.genus < 1:
-        parser.error("dim needs genus >= 1")
     label = rep_label(args.genus, args.i, args.j)
     if label == ZERO:
         parser.error(f"label ({args.i}, {args.j}) is not dominant for genus {args.genus}")

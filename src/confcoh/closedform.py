@@ -14,7 +14,7 @@ multiplicity one.  One store per genus (``_bracket``) keeps the running
 sum of each (t, s) column at each u where it changes, and grows by the
 window above the largest u it holds, so each term is written and checked
 once per process.  A table reads each column's sum at u = n by bisection,
-and builds no series; ``build_Q`` spreads each column's sums over every
+and builds no series; ``build_Q`` reads the same column sums at every
 u <= N, as a {(t, s, u): VirtualRep} dict, for the q-series;
 ``stabilization_bound`` reads the last u at which a column changes;
 ``euler_series`` sums the alternating dimensions of a whole bracket per u.
@@ -190,19 +190,12 @@ def _covering(g, n):
 
 def build_Q(g, N):
     """Master series truncated at u^N, as {(t, s, u): VirtualRep}: the
-    bracket times 1/(1-u), which is the running sum of each (t, s) column
-    of the bracket over u, read off the genus' store.  Every coefficient is
-    nonzero, and one that does not change from u to u+1 is the same
-    (immutable) VirtualRep."""
-    series = {}
-    for (t, s), (us, reps) in _covering(g, N).columns.items():
-        k = bisect_right(us, N)
-        if not k:
-            break
-        for u, end, rep in zip(us, us[1:k] + [N + 1], reps):
-            for v in range(u, end):
-                series[(t, s, v)] = rep
-    return series
+    bracket times 1/(1-u), whose u^n coefficient is the column sums at n
+    off the genus' store, for each n <= N.  Every coefficient is nonzero,
+    and one that does not change from u to u+1 is the same (immutable)
+    VirtualRep."""
+    sums = _covering(g, N).column_sums
+    return {(t, s, u): rep for u in range(N + 1) for (t, s), rep in sums(u).items()}
 
 
 # ---------------------------------------------------------------------------

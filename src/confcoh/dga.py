@@ -47,8 +47,11 @@ store; a call at n > top enumerates F_n once and eliminates again only
 the groups that have a member of deg3 > top.  A group whose members all
 have deg3 <= top is a group of F_top with the same members, and their
 images lie in F_top too, so its F_n matrix is its F_top matrix plus zero
-rows: the store already holds its tuple.
-"""
+rows: the store already holds its tuple.  One walk over the store at n
+gives the per-block characters {(deg1, deg2): {dominant weight: dim}},
+which every reader shares: ``cohomology_weights`` returns them,
+``cohomology_dims`` sums each over the Weyl orbits, ``cohomology_reps``
+peels them."""
 
 from __future__ import annotations
 
@@ -477,13 +480,13 @@ def _store(g, model):
 
 
 def _cohomology_by_weight(g, n, model="A"):
-    """dim H per ((deg1, deg2), dominant weight) of F_n: the group's
-    members, minus the rank of d on them, minus the rank of d into them.
+    """The per-block characters {(deg1, deg2): {dominant weight: dim}} of
+    H(F_n), blocks sorted and zero dims dropped: a group's members, minus
+    the rank of d on them, minus the rank of d into them.
 
-    A call at n <= top reads every group off the store, with no enumeration
-    and no elimination; a call at n > top first grows the store to n.  A
-    repeat call at the same n returns the same dict, so callers must not
-    mutate the result."""
+    A call at n <= top reads every group off the store in one walk; a call
+    at n > top first grows the store to n.  A repeat call at the same n
+    returns the same dict, which every reader shares: do not mutate it."""
     _check_point(g, n, model)
     store = _store(g, model)
     if store.last[0] == n:
@@ -510,27 +513,30 @@ def _cohomology_by_weight(g, n, model="A"):
             f"negative cohomology dimension {dims[key]} at (block, weight) = "
             f"{key}: ranks exceed its monomials"
         )
-    result = {key: dim for key, dim in dims.items() if dim}
+    chars = {}
+    for (block, w), dim in dims.items():
+        if dim:
+            chars.setdefault(block, {})[w] = dim
+    result = dict(sorted(chars.items()))
     store.last = (n, result)
     return result
 
 
 def cohomology_dims(g, n, model="A"):
-    """Bigraded cohomology dimensions of F_n as a map (deg1, deg2) -> dim."""
-    out = {}
-    for (block, w), dim in _cohomology_by_weight(g, n, model).items():
-        out[block] = out.get(block, 0) + orbit_size(w) * dim
-    return dict(sorted(out.items()))
+    """Bigraded cohomology dimensions of F_n as a map (deg1, deg2) -> dim,
+    each dominant weight of a block counted once per member of its orbit."""
+    return {
+        block: sum(orbit_size(w) * dim for w, dim in char.items())
+        for block, char in _cohomology_by_weight(g, n, model).items()
+    }
 
 
 def cohomology_weights(g, n):
     """Per-block characters of the cohomology of F_n (model A): each block's
     torus character as a {dominant weight: dim} dict, the dominant part
-    that stands for every weight of its Weyl orbit."""
-    out = {}
-    for (block, w), dim in _cohomology_by_weight(g, n, "A").items():
-        out.setdefault(block, {})[w] = dim
-    return dict(sorted(out.items()))
+    that stands for every weight of its Weyl orbit.  The dict is the
+    store's own, shared by every call at this n: do not change it."""
+    return _cohomology_by_weight(g, n, "A")
 
 
 @lru_cache(maxsize=None)

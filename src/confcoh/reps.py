@@ -61,16 +61,17 @@ def rep_label(g, i, j):
 
     Since w_1 = e_1, the weight i*w1 (+ no fundamental) coincides with
     (i-1)*w1 + w_1; labels are normalized to the j >= 1 form so that equal
-    representations compare equal.  (0, 0) stays the trivial label.
+    representations compare equal.  (0, 0) stays the trivial label.  The
+    weight is dominant when the normalized j is at most g, so at genus 0
+    only (0, 0) is.
 
     >>> rep_label(2, 1, 3)
     RepLabel(i=-1, j=-1)
     >>> rep_label(2, 3, 0)
     RepLabel(i=2, j=1)
     """
-    if i < 0 or j < 0 or j > g:
-        return ZERO
-    return _normal(i, j)
+    label = _normal(i, j)
+    return ZERO if i < 0 or j < 0 or label.j > g else label
 
 
 def _normal(i, j):

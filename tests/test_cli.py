@@ -72,6 +72,14 @@ def test_q_series_grouped_u_text():
     assert _grouped_u_text(terms[:1]) == "1"
 
 
+def test_dim_genus0(capsys):
+    # sp(0) has the trivial representation as its only irreducible
+    code, out = run(capsys, "dim", "--genus", "0", "--i", "0", "--j", "0")
+    assert (code, out) == (0, "1")
+    assert run_expect_exit(capsys, "dim", "--genus", "0", "--i", "1", "--j", "0") == 2
+    assert "label (1, 0) is not dominant for genus 0" in capsys.readouterr().err
+
+
 def test_betti_genus0(capsys):
     code, out = run(capsys, "betti", "--genus", "0", "--n", "5")
     assert code == 0
@@ -344,7 +352,7 @@ def test_verify_reports_mismatch(
 
 
 # every subcommand at genus 0 with a small n, with each of its flags that
-# changes what it computes; q-series and dim refuse genus 0
+# changes what it computes; q-series refuses genus 0
 GENUS0_RUNS = {
     "q-series": [("--max-n", "3"), ("--max-n", "3", "--dims")],
     "table": [("--n", "3"), ("--n", "3", "--reps")],
@@ -354,7 +362,7 @@ GENUS0_RUNS = {
     "oracle": [("--n", "3"), ("--n", "3", "--reps"), ("--n", "3", "--model", "B")],
     "verify": [("--max-n", "3"), ("--max-n", "3", "--reps")],
 }
-REFUSED_AT_GENUS0 = {"q-series", "dim"}
+REFUSED_AT_GENUS0 = {"q-series"}
 
 
 def test_every_command_answers_or_refuses_genus0(capsys):
@@ -495,6 +503,18 @@ CLI_SHA256 = {
     ),
     "dim --genus 2 --i 1 --j 2 --format csv": (
         "a1abd54048fad2550c089f607d0ab399f530fbef779977f9c5fdc45bc0ec1fca", 0
+    ),
+    "dim --genus 0 --i 0 --j 0 --format text": (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", 0
+    ),
+    "dim --genus 0 --i 0 --j 0 --format json": (
+        "76038f5bd5702cc6e19c16b63f201a59208a3e72798a6c09bf7a5de63e097ffb", 0
+    ),
+    "dim --genus 0 --i 0 --j 0 --format csv": (
+        "33f27c0913a13e5124c7f2dadf2ea4d2c9f36523c07abcb5e8a56bfb9482a2a0", 0
+    ),
+    "dim --genus 0 --i 1 --j 0": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2
     ),
     "euler --genus 0 --max-n 5": (
         "da41b75ad82e453f30e52330db11c66f6aa4cc4b6d2491337a15abdec1cd884b", 0

@@ -320,12 +320,17 @@ def test_cohomology_weights_torus():
 
 
 def test_weights_mass_matches_dims():
-    for g, n in ((1, 4), (2, 3)):
-        dims = cohomology_dims(g, n)
-        weights = cohomology_weights(g, n)
-        assert set(weights) == set(dims)
+    # model A through cohomology_weights, model B through the per-block
+    # characters the store walk hands both readers
+    for g, n, model in sweep_points():
+        dims = cohomology_dims(g, n, model)
+        if model == "A":
+            weights = cohomology_weights(g, n)
+        else:
+            weights = dga._cohomology_by_weight(g, n, "B")
+        assert set(weights) == set(dims), (g, n, model)
         for block, char in weights.items():
-            assert character_mass(char) == dims[block]
+            assert character_mass(char) == dims[block], (g, n, model, block)
 
 
 def test_cohomology_reps_torus():
@@ -798,11 +803,11 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
         for g, top, model in STORE_SWEEPS:
             want = {}
             for n in range(top + 1):
-                want[n] = {
-                    (block, w): dim
-                    for (block, w), dim in reference_cohomology_by_weight(g, n, model).items()
-                    if is_dominant(w)
-                }
+                chars = {}
+                for (block, w), dim in reference_cohomology_by_weight(g, n, model).items():
+                    if is_dominant(w):
+                        chars.setdefault(block, {})[w] = dim
+                want[n] = chars
             shuffled = list(range(top + 1))
             rng.shuffle(shuffled)
             low = top // 3
@@ -816,6 +821,7 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
                     else:
                         got = dga._cohomology_by_weight(g, n, model)
                         assert got == want[n], (g, model, list(order), n)
+                        assert list(got) == sorted(got), (g, model, n)
     finally:
         clear_brute_force_caches()
 

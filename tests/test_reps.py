@@ -51,6 +51,14 @@ def test_rep_label_clamps_to_zero():
     assert rep_label(2, 0, 0) == TRIVIAL
 
 
+def test_rep_label_normalizes_before_clamping():
+    # i*w1 is (i-1)*w1 + w_1, which names no irreducible of sp(0)
+    assert rep_label(0, 2, 0) == ZERO
+    assert rep_label(0, 1, 0) == ZERO
+    assert rep_label(0, 0, 0) == TRIVIAL
+    assert rep_label(1, 2, 0) == RepLabel(1, 1)
+
+
 def test_rep_label_normalizes_pure_symmetric_powers():
     # i*w1 and (i-1)*w1 + w1 are the same representation
     assert rep_label(3, 4, 0) == RepLabel(3, 1)
