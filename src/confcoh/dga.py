@@ -25,10 +25,10 @@ sb_1..sb_g.  The rank loop codes each monomial of F_n as one int under a
 sp and sym_1 .. sym_2g, each wide enough for F_n, so int order is basis
 (tuple) order.  deg3 sits above the code, so sorting a group's ints sorts
 it by (deg3, basis order).  Every term of d is the source's code plus an
-offset, and its Koszul sign a parity of exterior bits: the Leibniz rule
-gives one (coeff, offset) list per monomial up to its power of p, which in
-model B every power of p shares.  Blocks are split by torus weight before
-the exact rank computation, which is valid because d preserves the weight.
+offset, and its Koszul sign a parity of exterior bits: ``_Layout.write``,
+the one statement of the Leibniz rule, writes each term of a group
+straight into its target row.  Blocks are split by torus weight before the
+exact rank computation, which is valid because d preserves the weight.
 Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
@@ -123,16 +123,13 @@ class _Layout:
     does not fit, so that no carry lands on another monomial; the bits from
     ``width`` up are free, and the rank loop keeps deg3 there.
 
-    ``terms`` maps ``code & keep`` to the (coeff, offset) terms of d on the
-    monomials of that code; ``keep`` drops p in model B, where every power
-    of p has the same terms.  ``s1_terms`` holds the d(s1) terms into ext
-    per ext.  A layout lives for one ``_Store.grow``, which fills both as
-    its matrices need them.
+    A layout holds field offsets and masks only, no terms: ``write``
+    derives every term of d from them, for each code it writes.
     """
 
     __slots__ = ("g", "sym_bits", "p_bits", "sym_at", "sp_at", "p_at",
-                 "s1_at", "ext_at", "width", "mask", "p_field", "raise_p", "keep",
-                 "s1_to_p", "sp_to_p2", "s1_terms", "terms")
+                 "s1_at", "ext_at", "width", "mask", "p_field", "raise_p",
+                 "s1_to_p", "sp_to_p2", "s1_pairs", "sym_digits")
 
     def __init__(self, g, n, model):
         self.g = g
@@ -145,13 +142,21 @@ class _Layout:
         self.ext_at = self.s1_at + 1
         self.width = self.ext_at + 2 * g
         self.mask = (1 << self.width) - 1
-        self.p_field = p_field = ((1 << self.p_bits) - 1) << self.p_at
+        self.p_field = ((1 << self.p_bits) - 1) << self.p_at
         # model B raises p on every term, model A only at p = 0, as p^2 = 0
         self.raise_p = model == "B"
-        self.keep = self.mask ^ p_field if self.raise_p else self.mask
         self.s1_to_p = (1 << self.p_at) - (1 << self.s1_at)
         self.sp_to_p2 = (2 << self.p_at) - (1 << self.sp_at)
-        self.s1_terms, self.terms = {}, {}
+        # per i: the bits of a_i b_i, the ext bits a_(i+1) .. b_(i-1) between
+        # them, and the offset that trades s1 for a_i b_i
+        self.s1_pairs = tuple(
+            (pair, (1 << (g + i)) - (2 << i), (pair << self.ext_at) - (1 << self.s1_at))
+            for i in range(g) for pair in [1 << i | 1 << (g + i)])
+        # per j: the digit of sym_j, the bit of its a_i or b_i in ext, the
+        # ext bits below that, and the offset that trades sym_j for it and p
+        self.sym_digits = tuple(
+            (at, 1 << j, (1 << j) - 1, (1 << (self.ext_at + j)) + (1 << self.p_at) - (1 << at))
+            for j, at in enumerate(self.sym_at))
 
     def encode(self, m):
         """The code of a monomial, fields in (ext, s1, p, sp, sym) order."""
@@ -185,70 +190,83 @@ class _Layout:
             tuple(code >> at & sym_mask for at in self.sym_at),
         )
 
-    def _s1_terms(self, ext):
-        """The terms of d(s1) that bring a_i b_i into ``ext``, built once per
-        ext: (coeff, offset) for each i with neither a_i nor b_i in ext."""
-        terms = self.s1_terms.get(ext)
-        if terms is None:
-            g = self.g
-            sign = -1 if ext.bit_count() & 1 else 1
-            terms = self.s1_terms[ext] = []
-            for i in range(g):
-                pair = 1 << i | 1 << (g + i)
-                if not ext & pair:
-                    above = (ext >> (i + 1)).bit_count() + (ext >> (g + i + 1)).bit_count()
-                    coeff = sign if above & 1 else -sign
-                    terms.append((coeff, (pair << self.ext_at) - (1 << self.s1_at)))
-        return terms
-
-    def leibniz(self, code):
-        """d of the monomial ``code`` (with no deg3 above it) by the
-        Leibniz rule, as a list of (coeff, offset): each image's code is
-        ``code + offset``.
+    def write(self, source, rows):
+        """Write d of the ``source`` codes (deg3 above ``width`` allowed)
+        by the Leibniz rule, each term of the col-th code straight into its
+        target row, ``rows[code + offset][col] = coeff``, and return the
+        number of terms written.  The layout's fields are read once per
+        call, so a group costs one call.
 
         In the canonical order a < b < s1 < p < sp < sa < sb each Koszul
         sign is a parity of exterior bits: d(s1) and d(sp) sit behind ext
         (and s1), and the a_i or b_i brought in by d(sa_i), d(sb_i) or d(s1)
         is sorted into ext.  The index j of sa_1..sa_g, sb_1..sb_g in sym is
-        also the bit of the matching a_i or b_i.  The terms come in the
-        order d(s1) (its p term first), d(sp), then d(sa_1) .. d(sb_g), and
-        model A drops every term with p >= 2.  No offset carries out of a
-        field for a monomial whose images lie in F_n."""
-        g, ext_at, p_at = self.g, self.ext_at, self.p_at
-        ext = code >> ext_at
-        sign = -1 if ext.bit_count() & 1 else 1
-        s1 = code >> self.s1_at & 1
-        raise_p = self.raise_p or not code & self.p_field
-        out = []
-        if s1:
+        also the bit of the matching a_i or b_i.  Each code's terms come in
+        the order d(s1) (its p term first), d(sp), then d(sa_1) .. d(sb_g),
+        and model A drops every term with p >= 2.  No offset carries out of
+        a field for a monomial whose images lie in F_n."""
+        mask, ext_at, s1_at, raise_all = self.mask, self.ext_at, self.s1_at, self.raise_p
+        sp_at, p_field, pairs, digits = self.sp_at, self.p_field, self.s1_pairs, self.sym_digits
+        s1_to_p, sp_to_p2, sym_mask = self.s1_to_p, self.sp_to_p2, (1 << self.sym_bits) - 1
+        written = 0
+        for col, code in enumerate(source):
+            code &= mask
+            ext = code >> ext_at
+            sign = -1 if ext.bit_count() & 1 else 1
+            s1 = code >> s1_at & 1
+            raise_p = raise_all or not code & p_field
+            if s1:
+                if raise_p:
+                    rows[code + s1_to_p][col] = sign
+                    written += 1
+                for pair, mid, offset in pairs:
+                    if not ext & pair:
+                        rows[code + offset][col] = sign if (ext & mid).bit_count() & 1 else -sign
+                        written += 1
+            if code >> sp_at & 1:
+                rows[code + sp_to_p2][col] = -sign if s1 else sign
+                written += 1
             if raise_p:
-                out.append((sign, self.s1_to_p))
-            out += self._s1_terms(ext)
-        if code >> self.sp_at & 1:
-            out.append((-sign if s1 else sign, self.sp_to_p2))
-        if raise_p:
-            bits = self.sym_bits
-            sym = code & (1 << self.sp_at) - 1
-            while sym:
-                # the highest nonzero digit is the first nonzero exponent
-                at = sym.bit_length() - 1
-                at -= at % bits
-                e = sym >> at
-                sym ^= e << at
-                j = 2 * g - 1 - at // bits
-                if not ext >> j & 1:
-                    below = (ext & ((1 << j) - 1)).bit_count()
-                    coeff = -e if below & 1 else e
-                    out.append((coeff, (1 << (ext_at + j)) + (1 << p_at) - (1 << at)))
-        return out
+                for at, bit, below, offset in digits:
+                    e = code >> at & sym_mask
+                    if e and not ext & bit:
+                        rows[code + offset][col] = -e if (ext & below).bit_count() & 1 else e
+                        written += 1
+        return written
+
+    def leibniz(self, code):
+        """d of the monomial ``code`` as a list of (coeff, offset), each
+        image's code ``code + offset``: what ``write`` writes for this code
+        alone, recorded in write order, duplicates included."""
+        rows = _Recorder(code & self.mask)
+        self.write([code], rows)
+        return rows.terms
+
+
+class _Recorder:
+    """Rows of one source ``code`` that record: ``rows[image][col] = coeff``
+    appends (coeff, image - code) to ``terms``, duplicates included."""
+
+    __slots__ = ("code", "terms", "image")
+
+    def __init__(self, code):
+        self.code, self.terms = code, []
+
+    def __getitem__(self, image):
+        self.image = image
+        return self
+
+    def __setitem__(self, col, coeff):
+        self.terms.append((coeff, self.image - self.code))
 
 
 def differential_monomial(g, model, m):
     """d of a monomial of the model by the Leibniz rule, as a list of
     (coeff, image), each image a plain tuple in (ext, s1, p, sp, sym) order.
 
-    The rank loop's rule on one monomial: ``m`` is coded under the layout
-    of F_deg3(m), which holds its images too, and each term decoded."""
+    ``_Layout.leibniz``, the rank loop's writer on one monomial: ``m`` is
+    coded under the layout of F_deg3(m), which holds its images too, and
+    each term decoded."""
     ext, s1, p, sp, sym = m
     layout = _Layout(g, ext.bit_count() + p + 2 * (s1 + sp + sum(sym)), model)
     code = layout.encode(m)
@@ -296,26 +314,16 @@ def _matrix(layout, source, target):
     target member, in basis order, empty where no term lands.  Each code
     may carry deg3 above the layout's ``width``.
 
-    Each term is written straight into its target row, at the source's
-    code plus the term's offset.  A repeated target member raises
-    ValueError, and an image missing from ``target`` KeyError.  Once the
-    rows are written, a zero coefficient raises ValueError, and so does a
-    duplicate term, which overwrites an entry: the entries kept are
-    compared with the terms written."""
-    mask, keep, terms = layout.mask, layout.keep, layout.terms
-    slots = {code: {} for code in sorted([m & mask for m in target])}
+    One ``layout.write`` call writes every term of the group straight into
+    its target row, at the source's code plus the term's offset.  A
+    repeated target member raises ValueError, and an image missing from
+    ``target`` KeyError.  Once the rows are written, a zero coefficient
+    raises ValueError, and so does a duplicate term, which overwrites an
+    entry: the entries kept are compared with the terms written."""
+    slots = {code: {} for code in sorted(map(layout.mask.__and__, target))}
     if len(slots) != len(target):
         raise ValueError("repeated target monomial")
-    written = 0
-    for col, code in enumerate(source):
-        code &= mask
-        key = code & keep
-        images = terms.get(key)
-        if images is None:
-            images = terms[key] = layout.leibniz(key)
-        written += len(images)
-        for coeff, offset in images:
-            slots[code + offset][col] = coeff
+    written = layout.write(source, slots)
     rows = list(slots.values())
     if not all(map(all, map(dict.values, rows))):
         raise ValueError("zero coefficient in d")
@@ -438,9 +446,9 @@ class _Store:
 
         The groups come as codes under this call's ``_Layout`` with deg3
         above them, sorted, so a member's deg3 is one shift and the columns
-        are already in (deg3, basis) order.  The codes and the layout's
-        table of terms live for this call only: the store keeps the step
-        tuples, so the next grow may lay the fields out wider.
+        are already in (deg3, basis) order.  The codes and the layout live
+        for this call only: the store keeps the step tuples, so the next
+        grow may lay the fields out wider.
 
         A rebuilt group of deg2 > deg1 + 1 raises ArithmeticError: deg2 -
         deg1 = s1 - |ext| - 2p - sp <= 1, since s1 is exterior, which puts
@@ -465,10 +473,11 @@ class _Store:
             else:
                 ranks = [0] * len(source)
             self.steps[key] = (*[m >> width for m in source], *ranks)
-        # a group new to the store joins at the end: restore the order
+        # a group new to the store joins at the end: restore the order of
+        # least deg3, all that the walk needs
         least = list(map(itemgetter(0), self.steps.values()))
         if any(map(gt, least, least[1:])):
-            self.steps = dict(sorted(self.steps.items(), key=itemgetter(1)))
+            self.steps = dict(sorted(self.steps.items(), key=lambda item: item[1][0]))
         self.top = n
 
 

@@ -533,7 +533,7 @@ def test_empty_target_groups_have_no_differential():
         for ((d1, d2), w), source in groups.items():
             if ((d1 + 2, d2 - 1), w) not in groups:
                 for code in source:
-                    assert layout.leibniz(code & layout.keep) == [], (
+                    assert layout.leibniz(code) == [], (
                         g, n, model, layout.decode(code))
                 skipped += 1
     assert skipped
@@ -575,7 +575,7 @@ def test_coded_terms_match_the_tuple_differential():
                     code &= layout.mask
                     got = [
                         (coeff, layout.decode(code + offset))
-                        for coeff, offset in layout.leibniz(code & layout.keep)
+                        for coeff, offset in layout.leibniz(code)
                     ]
                     m = layout.decode(code)
                     assert got == tuple_differential(g, model, m), (g, n, model, m)
@@ -607,7 +607,7 @@ def test_widest_fields_carry_nothing(g, n):
         for code in source:
             code &= layout.mask
             terms = tuple_differential(g, "B", layout.decode(code))
-            coded = layout.leibniz(code & layout.keep)
+            coded = layout.leibniz(code)
             assert len(coded) == len(terms), layout.decode(code)
             for (coeff, offset), (want_coeff, want) in zip(coded, terms):
                 image = code + offset
@@ -646,13 +646,23 @@ IMAGE = (1, 0, 1, 0, (0, 0))
 
 
 def _inject(monkeypatch, layout, terms):
-    """Make ``layout.leibniz`` give each source monomial of ``terms`` its
-    (coeff, image) list, written as (coeff, offset)."""
+    """Make ``layout.write`` write, for each source monomial of ``terms``,
+    its (coeff, image) list into the image rows, and return how many
+    terms it wrote."""
     coded = {
-        layout.encode(m): [(c, layout.encode(image) - layout.encode(m)) for c, image in images]
+        layout.encode(m): [(c, layout.encode(image)) for c, image in images]
         for m, images in terms.items()
     }
-    monkeypatch.setattr(dga._Layout, "leibniz", lambda self, code: coded[code])
+
+    def write(self, source, rows):
+        written = 0
+        for col, code in enumerate(source):
+            for coeff, image in coded[code & self.mask]:
+                rows[image][col] = coeff
+                written += 1
+        return written
+
+    monkeypatch.setattr(dga._Layout, "write", write)
 
 
 @pytest.mark.parametrize(
@@ -682,6 +692,38 @@ def test_matrix_reports_overwritten_terms(monkeypatch):
     source = [layout.encode(SOURCE), layout.encode(OTHER_SOURCE)]
     with pytest.raises(ValueError, match="3 entries written for 4 terms"):
         dga._matrix(layout, source, [layout.encode(IMAGE), layout.encode(one(1))])
+
+
+def test_each_ranked_group_is_one_writer_call(monkeypatch):
+    # _matrix hands a whole group to one write call, not one per member
+    written, ranked = [], []
+    write = dga._Layout.write
+
+    def counting_write(self, source, rows):
+        written.append(len(source))
+        return write(self, source, rows)
+
+    def counting_prefix_ranks(rows, n_cols):
+        ranked.append(n_cols)
+        return prefix_ranks(rows, n_cols)
+
+    monkeypatch.setattr(dga._Layout, "write", counting_write)
+    monkeypatch.setattr(dga, "prefix_ranks", counting_prefix_ranks)
+    clear_brute_force_caches()
+    try:
+        for g, n, model in sweep_points():
+            cohomology_dims(g, n, model)
+    finally:
+        clear_brute_force_caches()
+    assert written == ranked and sum(written) > 2 * len(written)
+
+
+def test_layout_holds_no_term_table():
+    # write derives every term from the layout's field offsets and masks
+    for g, n, model in sweep_points():
+        layout = dga._Layout(g, n, model)
+        for name in dga._Layout.__slots__:
+            assert not isinstance(getattr(layout, name), (dict, list, set)), (g, n, model, name)
 
 
 def test_genus0_builds_no_coordinate_table(monkeypatch):
@@ -822,6 +864,9 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
                         got = dga._cohomology_by_weight(g, n, model)
                         assert got == want[n], (g, model, list(order), n)
                         assert list(got) == sorted(got), (g, model, n)
+                    # the walk stops at the first group with no member in F_n
+                    least = [step[0] for step in dga._store(g, model).steps.values()]
+                    assert least == sorted(least), (g, model, list(order), n)
     finally:
         clear_brute_force_caches()
 
