@@ -13,15 +13,19 @@ window lo < u <= N, as one checked flat list of (t, s, u, label) terms of
 multiplicity one.  One store per genus (``_bracket``) keeps the running
 sum of each (t, s) column at each u where it changes, and grows by the
 window above the largest u it holds, so each term is written and checked
-once per process.  A table reads each column's sum at u = n by bisection,
-and builds no series; ``build_Q`` reads the same column sums at every
-u <= N, as a {(t, s, u): VirtualRep} dict, for the q-series;
-``stabilization_bound`` reads the last u at which a column changes;
-``euler_series`` sums the alternating dimensions of a whole bracket per u.
+once per process.  The store keys each column by its table cell (k, h) =
+(t + s, t + 2s) and keeps the columns in cell order.  A table reads each
+column's sum at u = n by bisection, skipping the columns that start above
+n, so its cells arrive sorted and it builds no series; ``build_Q`` walks
+each column's change points once for the q-series, as a
+{(t, s, u): VirtualRep} dict; ``stabilization_bound`` reads the last u at
+which a column changes; ``euler_series`` sums the alternating dimensions
+of a whole bracket per u.
 
 The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
 with the trivial representation as its only irreducible, has its own
-table of multiples of V(0,0), checked and served like every other.
+table of multiples of V(0,0), checked and served like every other, and
+its stabilization bounds are read off that table.
 """
 
 from __future__ import annotations
@@ -120,15 +124,16 @@ def q_bracket(g, N, lo=-1):
 
 
 class _Bracket:
-    """The running sums of the bracket's (t, s) columns over u <= top, for
-    one genus.
+    """The running sums of the bracket's columns over u <= top, for one
+    genus.
 
-    ``columns`` maps each (t, s) column with a term at u <= top to two
-    lists: the u at which its running sum changes, in increasing order, and
-    the VirtualRep that it sums to from that u on, shared by every n up to
-    the next change.  A call at n <= top reads each column by bisection.
-    The columns are kept in order of their first u, so that a read at n
-    stops at the first column with no term at u <= n.
+    ``columns`` maps the table cell (k, h) = (t + s, t + 2s) of each (t, s)
+    column with a term at u <= top to two lists: the u at which its running
+    sum changes, in increasing order, and the VirtualRep that it sums to
+    from that u on, shared by every n up to the next change.  The columns
+    are kept in cell order, so that a read at n <= top, which takes each
+    column by bisection and skips the columns that start above n, gives a
+    table's cells sorted.
     """
 
     __slots__ = ("top", "columns")
@@ -140,16 +145,16 @@ class _Bracket:
     def cover(self, g, n):
         """Grow to top = n: ask ``q_bracket`` only for the terms with
         top < u <= n, and extend each column from its last sum.  A column
-        new to the store has its first u above top, where every old column
-        has a term, so adding the new ones in order of their first u keeps
-        the order."""
+        new to the store puts the columns out of cell order, so they are
+        sorted again when one is added."""
         fresh = {}
         for t, s, u, label in q_bracket(g, n, self.top):
-            fresh.setdefault((t, s), []).append((u, label))
-        for column in fresh.values():
+            fresh.setdefault((t + s, t + 2 * s), []).append((u, label))
+        columns = self.columns
+        added = not fresh.keys() <= columns.keys()
+        for cell, column in fresh.items():
             column.sort()
-        for ts, column in sorted(fresh.items(), key=lambda item: item[1][0]):
-            us, reps = self.columns.setdefault(ts, ([], []))
+            us, reps = columns.setdefault(cell, ([], []))
             counts = dict(reps[-1].items()) if reps else {}
             ends = [u for u, _ in column[1:]] + [n + 1]
             for (u, label), end in zip(column, ends):
@@ -158,17 +163,19 @@ class _Bracket:
                     us.append(u)
                     reps.append(VirtualRep.from_counts(counts))
                     counts = dict(counts)
+        if added:
+            self.columns = dict(sorted(columns.items()))
         self.top = n
 
     def column_sums(self, n):
-        """The master series' u^n coefficient as (t, s) -> VirtualRep: each
-        column's sum over u <= n, for n <= top."""
-        sums = {}
-        for ts, (us, reps) in self.columns.items():
-            if us[0] > n:
-                break
-            sums[ts] = reps[bisect_right(us, n) - 1]
-        return sums
+        """The master series' u^n coefficient as a table's entries,
+        (k, h) -> VirtualRep in cell order: the sum over u <= n of each
+        column that starts at or below n, for n <= top."""
+        return {
+            cell: reps[bisect_right(us, n) - 1]
+            for cell, (us, reps) in self.columns.items()
+            if us[0] <= n
+        }
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +198,19 @@ def _covering(g, n):
 def build_Q(g, N):
     """Master series truncated at u^N, as {(t, s, u): VirtualRep}: the
     bracket times 1/(1-u), whose u^n coefficient is the column sums at n
-    off the genus' store, for each n <= N.  Every coefficient is nonzero,
-    and one that does not change from u to u+1 is the same (immutable)
-    VirtualRep."""
-    sums = _covering(g, N).column_sums
-    return {(t, s, u): rep for u in range(N + 1) for (t, s), rep in sums(u).items()}
+    off the genus' store.  Each column's change points are walked once,
+    and the sum from each one fills every u up to the next, or to N, at
+    (t, s) = (2k - h, h - k).  Every coefficient is nonzero, and one that
+    does not change from u to u+1 is the same (immutable) VirtualRep."""
+    q = {}
+    for (k, h), (us, reps) in _covering(g, N).columns.items():
+        t, s = 2 * k - h, h - k
+        for u, end, rep in zip(us, us[1:] + [N + 1], reps):
+            if u > N:
+                break
+            for v in range(u, min(end, N + 1)):
+                q[(t, s, v)] = rep
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +220,16 @@ def build_Q(g, N):
 class MixedTable:
     """Per-(degree, weight) decomposition of the cohomology of UConf_n.
 
-    ``entries`` maps (k, h) to an effective VirtualRep; k is the
-    cohomological degree and h the weight.  Each cell's dimension is
-    computed once, at construction, in the same pass that rejects a
-    negative multiplicity (ValueError), and every method that reports a
-    dimension reads it from there; so that it cannot go stale, ``entries``
-    is a read-only mapping (``dict(table.entries)`` gives a copy to edit
-    and build a new table from).
+    ``entries`` maps (k, h) to an effective, nonzero VirtualRep; k is the
+    cohomological degree and h the weight.  The constructor makes one pass
+    over the cells it is given: it computes each cell's dimension once,
+    rejects a negative multiplicity (ValueError, naming the cell) and drops
+    a cell of dimension 0, which for an effective rep is the zero rep.
+    Every method that reports a dimension reads it from there; so that it
+    cannot go stale, ``entries`` is a read-only mapping
+    (``dict(table.entries)`` gives a copy to edit and build a new table
+    from).  Cells given in (k, h) order, as the closed form gives them,
+    keep that order, so ``dims`` sorts them in linear time.
     """
 
     __slots__ = ("genus", "n", "entries", "_dims")
@@ -219,23 +237,30 @@ class MixedTable:
     def __init__(self, genus, n, entries):
         self.genus = genus
         self.n = n
-        kept = {k: v for k, v in entries.items() if v}
-        self.entries = MappingProxyType(kept)
-        self._dims = {}
-        for (k, h), rep in kept.items():
+        kept, dims = {}, {}
+        for (k, h), rep in entries.items():
             dim = rep.effective_dim(genus)
             if dim is None:
                 raise ValueError(f"negative multiplicity at (k={k}, h={h})")
-            self._dims[(k, h)] = dim
+            if dim:
+                kept[(k, h)] = rep
+                dims[(k, h)] = dim
+        self.entries = MappingProxyType(kept)
+        self._dims = dims
 
     def validate(self):
+        """Checks, in one pass over the cells, that each lies in the weight
+        band (ArithmeticError) and that their Euler characteristic is that
+        of UConf_n (ValueError)."""
         g, n = self.genus, self.n
-        for k, h in self._dims:
+        euler = 0
+        for (k, h), dim in self._dims.items():
             if not (h >= k and 0 <= 3 * k - 2 * h <= 2 * g + 2):
                 raise ArithmeticError(
                     f"weight band violated at genus {g}, n={n}, (k={k}, h={h})"
                 )
-        if self.euler() != _euler_coefficient(g, n):
+            euler += -dim if k % 2 else dim
+        if euler != _euler_coefficient(g, n):
             raise ValueError(
                 f"Euler characteristic mismatch for genus {g}, n={n}"
             )
@@ -299,10 +324,10 @@ def mixed_table(g, n):
     """Table of gr-pieces of H^*(UConf_n) for genus g >= 0.
 
     For g >= 1 it is the u^n coefficient of the master series, read off
-    the genus' store, whose series key (t, s) becomes (k, h) =
-    (t+s, t+2s).  For the sphere it is one V(0,0) at (0, 0), the sphere
-    itself at (2, 2) when n = 1, and for n >= 3 one class at (3, 4), of
-    the weight of H^3(PGL_2(C)).
+    the genus' store, whose columns are already keyed by cell (k, h) =
+    (t+s, t+2s) and come in cell order.  For the sphere it is one V(0,0)
+    at (0, 0), the sphere itself at (2, 2) when n = 1, and for n >= 3 one
+    class at (3, 4), of the weight of H^3(PGL_2(C)).
     """
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0")
@@ -310,8 +335,7 @@ def mixed_table(g, n):
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
         entries = {kh: VirtualRep.unit() for kh in cells}
     else:
-        sums = _covering(g, n).column_sums(n)
-        entries = {(t + s, t + 2 * s): rep for (t, s), rep in sums.items()}
+        entries = _covering(g, n).column_sums(n)
     return MixedTable(g, n, entries).validate()
 
 
@@ -344,15 +368,18 @@ def stabilization_bound(g, k, h):
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
     largest u-exponent with which the bracket meets (k, h): the last point
-    at which the store's (t, s) = (2k - h, h - k) column changes, or 0 when
-    the bracket has no such column.  Every bracket term satisfies
-    u <= t + s + 1 = k + 1 and u <= t + 2s = h (q_bracket checks both), so
-    a store grown to k + 1 holds the whole column and the bound is at most
-    h.
+    at which the store's (k, h) column changes, or 0 when the bracket has
+    no such column.  Every bracket term satisfies u <= t + s + 1 = k + 1
+    and u <= t + 2s = h (q_bracket checks both), so a store grown to k + 1
+    holds the whole column and the bound is at most h.  For the sphere it
+    is read off its table: (2, 2) is gone from n = 2 on, (3, 4) is there
+    from n = 3 on, and every other cell is constant from n = 0.
     """
-    _check_genus(g)
-    t, s = 2 * k - h, h - k
-    if t < 0 or s < 0:
+    if g < 0:
+        raise ValueError("need g >= 0")
+    if g == 0:
+        return {(2, 2): 2, (3, 4): 3}.get((k, h), 0)
+    if not k <= h <= 2 * k:  # the (t, s) = (2k - h, h - k) column has t, s >= 0
         return 0
-    column = _covering(g, k + 1).columns.get((t, s))
+    column = _covering(g, k + 1).columns.get((k, h))
     return column[0][-1] if column else 0

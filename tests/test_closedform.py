@@ -249,15 +249,18 @@ def test_bracket_invariants_raise(bad_bracket_term, term, message):
 def test_slice_matches_the_checked_constructor():
     # each column sum that the store reads off its change points against
     # the same column rebuilt from the bracket's terms through the
-    # constructor that normalises
+    # constructor that normalises, keyed by its cell (k, h) = (t+s, t+2s);
+    # the read gives the cells in increasing (k, h) order
     for g in range(1, 9):
         store = closedform._covering(g, 24)
         for n in range(25):
             columns = {}
             for t, s, _, label in q_bracket(g, n):
-                columns.setdefault((t, s), []).append((label, 1))
-            want = {ts: VirtualRep(column) for ts, column in columns.items()}
-            assert store.column_sums(n) == want, (g, n)
+                columns.setdefault((t + s, t + 2 * s), []).append((label, 1))
+            want = {kh: VirtualRep(column) for kh, column in columns.items()}
+            sums = store.column_sums(n)
+            assert sums == want, (g, n)
+            assert list(sums) == sorted(sums), (g, n)
 
 
 def bracket_sums(g, N):
@@ -462,6 +465,21 @@ def test_negative_cell_rejected_at_construction():
             MixedTable(1, 1, {(0, 0): VirtualRep.unit(), (1, 2): cell})
 
 
+def test_zero_cell_dropped_at_construction():
+    # a zero cell is no cell: it is in none of the table's readings
+    cells = {(0, 0): VirtualRep.unit(), (1, 1): VirtualRep.single(rep_label(1, 0, 1)),
+             (2, 2): VirtualRep.unit()}
+    table = MixedTable(1, 2, cells)
+    padded = MixedTable(1, 2, {**cells, (1, 2): VirtualRep.zero()})
+    assert (1, 2) not in padded.entries
+    assert padded.entries == table.entries
+    assert list(padded.dims()) == [(0, 0), (1, 1), (2, 2)]
+    assert padded.betti() == table.betti() == (1, 2, 1)
+    assert padded.euler() == table.euler() == 0
+    assert padded.to_json() == table.to_json()
+    assert padded == table
+
+
 def test_table_monotone_in_n():
     for g in (1, 2):
         for n in range(0, 6):
@@ -514,9 +532,21 @@ def test_stabilization_bound_matches_the_bracket_scan(store):
     closedform._bracket.cache_clear()
 
 
-def test_stabilization_bound_rejects_genus_zero():
-    with pytest.raises(ValueError, match="genus >= 1"):
-        stabilization_bound(0, 2, 2)
+def test_stabilization_bound_at_genus_zero_matches_the_table_scan():
+    # the sphere's bound is read off its table: the least n0 from which a
+    # cell of mixed_table(0, n) stays the same up to n = 8
+    tables = [mixed_table(0, n).entries for n in range(9)]
+    for k in range(7):
+        for h in range(7):
+            cells = [table.get((k, h)) for table in tables]
+            want = min(n0 for n0 in range(9) if all(c == cells[n0] for c in cells[n0:]))
+            assert stabilization_bound(0, k, h) == want, (k, h)
+    assert [stabilization_bound(0, *kh) for kh in [(0, 0), (2, 2), (3, 4)]] == [0, 2, 3]
+
+
+def test_stabilization_bound_rejects_a_negative_genus():
+    with pytest.raises(ValueError, match="need g >= 0"):
+        stabilization_bound(-1, 2, 2)
 
 
 def test_stabilization_bound_is_at_most_the_weight():
