@@ -362,6 +362,11 @@ def _dominant_groups(g, n, model):
     w_i <= w_(i-1) from ``_coordinate_states``, and s1, p and sp come last,
     so no monomial of another weight is ever made.  The part table has
     O(n^2) entries; genus 0 has no coordinates and never builds it.
+
+    Members go into one {(deg1, deg2): members} bucket per weight, fetched
+    once per prefix, so each member costs one lookup and one append, and a
+    list is made only for a new group.  The order of the returned keys
+    carries no meaning.
     """
     _check_point(g, n, model)
     layout = _Layout(g, n, model)
@@ -397,15 +402,22 @@ def _dominant_groups(g, n, model):
                 code = t3 << width | s1 << layout.s1_at | p << layout.p_at | sp << layout.sp_at
                 tails.append((t3, 2 * p + 2 * sp, s1 + sp, code))
     tails.sort()
-    groups = {}
+    buckets = {}  # weight -> {(deg1, deg2): members}
     for d3, d1, d2, code, w in prefixes:
+        bucket = buckets.setdefault(w, {})
         code |= d3 << width
         for t3, t1, t2, tail in tails:
             if d3 + t3 > n:
                 break
-            groups.setdefault(((d1 + t1, d2 + t2), w), []).append(code + tail)
-    for members in groups.values():
-        members.sort()
+            members = bucket.get((d1 + t1, d2 + t2))
+            if members is None:
+                members = bucket[d1 + t1, d2 + t2] = []
+            members.append(code + tail)
+    groups = {}
+    for w, bucket in buckets.items():
+        for block, members in bucket.items():
+            members.sort()
+            groups[block, w] = members
     return groups
 
 

@@ -7,9 +7,10 @@ a ``SparseIntMatrix``, the checked matrix that the dump writes and the
 tests build.  Elimination is fraction-free, so every intermediate value
 is an integer and the result is exact.  Each row is reduced at its lowest
 column by the pivot row that leads there, as piv*row - f*prow scaled down
-by gcd(piv, f), and a row that was scaled is divided by its content, the
-gcd of its entries, so the entries stay small.  The order is
-deterministic; the ranks do not depend on it."""
+by gcd(piv, f).  The multiplier is made positive, so only a row scaled by
+a factor above 1 is divided by its content, the gcd of its entries, which
+keeps the entries small.  The order is deterministic; the ranks do not
+depend on it."""
 
 from itertools import accumulate
 from math import gcd
@@ -86,6 +87,9 @@ def prefix_ranks(rows, n_cols):
     once it leads at a free column.  Row operations keep the rank of every
     column prefix, and the pivot rows lead at distinct columns, so the rank
     of columns 0..k is the number of pivots that lead at k or below.
+    Each reduction is a*row - b*prow, and the multiplier a is made
+    positive, so only a row scaled by a factor above 1 is divided by its
+    content.
 
     >>> prefix_ranks([{0: 1, 1: 2}, {}, {0: 2, 1: 4, 2: 1}], 3)
     [1, 1, 2]
@@ -100,11 +104,14 @@ def prefix_ranks(rows, n_cols):
             row = dict(row)  # reduced in place; the caller keeps its own row
         while prow is not None:
             # row <- a*row - b*prow clears column c; scaling by a nonzero
-            # integer and adding a multiple of a pivot keeps the row span.
+            # integer and adding a multiple of a pivot keeps the row span,
+            # and so does negating both, which makes a > 0.
             piv = prow[c]
             f = row.pop(c)
             d = gcd(piv, f)
             a, b = piv // d, f // d
+            if a < 0:
+                a, b = -a, -b
             if a != 1:
                 for k in row:
                     row[k] *= a

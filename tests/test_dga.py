@@ -939,6 +939,30 @@ def test_regrowth_keeps_groups_without_a_new_member():
         clear_brute_force_caches()
 
 
+def test_store_results_do_not_depend_on_group_key_order(monkeypatch):
+    # the order of _dominant_groups' keys carries no meaning: with the keys
+    # reversed, every store grown over the sweep gives the same results
+    def results():
+        clear_brute_force_caches()
+        out = {}
+        for g, n, model in sweep_points():
+            out[g, n, model] = dga.cohomology_dims(g, n, model)
+            if model == "A":
+                out[g, n, "weights"] = cohomology_weights(g, n)
+        return out
+
+    def reversed_groups(*args):
+        return dict(reversed(dominant_groups(*args).items()))
+
+    dominant_groups = dga._dominant_groups
+    try:
+        want = results()
+        monkeypatch.setattr(dga, "_dominant_groups", reversed_groups)
+        assert results() == want
+    finally:
+        clear_brute_force_caches()
+
+
 def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
     # deg2 <= deg1 + 1 holds in both models (s1 is exterior); a group that
     # breaks it would put a cell at 2h > 3k + 1, past verify's degree claim

@@ -164,6 +164,27 @@ def test_prefix_ranks_of_random_matrices():
         assert rows == before
 
 
+def test_prefix_ranks_with_negative_pivots():
+    # pivots -1 at column 0 and -2 at column 1.  The third row meets the -1
+    # pivot, a -1 multiplier made positive, and leaves {1: 1, 2: 1, 3: 1};
+    # against the -2 pivot that becomes 2*row plus the pivot row, which is
+    # {2: 3, 3: 3}, of content 3.  The fifth row meets the -2 pivot with
+    # multiplier 2, and the sixth the -1 pivot with multiplier 1.
+    rows = [
+        {0: -1, 1: 1, 3: 2},
+        {1: -2, 2: 1, 3: 1},
+        {0: 1, 2: 1, 3: -1},
+        {2: 2, 3: 2},
+        {1: 3, 3: 1},
+        {0: 2, 3: 4},
+    ]
+    dense = [[row.get(c, 0) for c in range(5)] for row in rows]
+    want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, 6)]
+    before = [dict(row) for row in rows]
+    assert prefix_ranks(rows, 5) == want == [1, 2, 3, 4, 4]
+    assert rows == before
+
+
 def test_rank_transpose_and_bounds():
     rng = random.Random(11)
     values = [0, 0, 1, -1, 3]
