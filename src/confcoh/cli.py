@@ -239,7 +239,7 @@ def cmd_verify(args, parser):
         what = "dims and representations" if args.reps else "dims"
         # both routes hold the weight-h cells fixed for n >= h, and put a
         # cell of degree k at 2h <= 3k + 1 (``_Store.grow`` checks it) or
-        # 2h <= 3k (``MixedTable.validate``), so at weight h <= N when
+        # 2h <= 3k (``_Bracket.cover`` checks it), so at weight h <= N when
         # 3k <= 2N - 1
         N = args.max_n
         span = f"n <= {N}, and every n at weight h <= {N}"

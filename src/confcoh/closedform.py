@@ -14,9 +14,13 @@ multiplicity one.  One store per genus (``_bracket``) keeps the running
 sum of each (t, s) column at each u where it changes, and grows by the
 window above the largest u it holds, so each term is written and checked
 once per process.  The store keys each column by its table cell (k, h) =
-(t + s, t + 2s) and keeps the columns in cell order.  A table reads each
-column's sum at u = n by bisection, skipping the columns that start above
-n, so its cells arrive sorted and it builds no series; ``build_Q`` walks
+(t + s, t + 2s), keeps the columns in cell order, and keeps each change
+point's dimension next to its VirtualRep, added up from ``dim_irrep`` once
+per change point.  It checks a cell's weight band once, when its column
+joins, and each change point's dimension as it is added.  A table is then
+one pass over the columns: it bisects each at u = n, skipping the columns
+that start above n, so its cells arrive sorted with their dimensions, and
+it checks its Euler characteristic and builds no series; ``build_Q`` walks
 each column's change points once for the q-series, as a
 {(t, s, u): VirtualRep} dict; ``stabilization_bound`` reads the last u at
 which a column changes; ``euler_series`` sums the alternating dimensions
@@ -128,12 +132,16 @@ class _Bracket:
     genus.
 
     ``columns`` maps the table cell (k, h) = (t + s, t + 2s) of each (t, s)
-    column with a term at u <= top to two lists: the u at which its running
-    sum changes, in increasing order, and the VirtualRep that it sums to
-    from that u on, shared by every n up to the next change.  The columns
-    are kept in cell order, so that a read at n <= top, which takes each
-    column by bisection and skips the columns that start above n, gives a
-    table's cells sorted.
+    column with a term at u <= top to three lists: the u at which its
+    running sum changes, in increasing order, the VirtualRep that it sums
+    to from that u on, shared by every n up to the next change, and that
+    rep's dimension.  The columns are kept in cell order, so that a read at
+    n <= top, which takes each column by bisection and skips the columns
+    that start above n, gives a table's cells sorted, each with its
+    dimension.
+
+    Every cell in the store has been checked once: its weight band when its
+    column joined, and its dimension, positive, at each change point.
     """
 
     __slots__ = ("top", "columns")
@@ -144,38 +152,57 @@ class _Bracket:
 
     def cover(self, g, n):
         """Grow to top = n: ask ``q_bracket`` only for the terms with
-        top < u <= n, and extend each column from its last sum.  A column
-        new to the store puts the columns out of cell order, so they are
-        sorted again when one is added."""
+        top < u <= n, and extend each column from its last sum and
+        dimension, adding the ``dim_irrep`` of each new term.
+
+        A column new to the store must have its cell (k, h) in the weight
+        band, h >= k and 0 <= 3k - 2h <= 2g + 2 (ArithmeticError), and each
+        new change point a positive dimension (ValueError): a sum of
+        multiplicity-one terms is an effective rep that is not zero.  Both
+        errors name the cell and the n from which it holds, and leave the
+        store as it was.  A column new to the store puts the columns out of
+        cell order, so they are sorted again when one is added.
+        """
         fresh = {}
         for t, s, u, label in q_bracket(g, n, self.top):
             fresh.setdefault((t + s, t + 2 * s), []).append((u, label))
         columns = self.columns
-        added = not fresh.keys() <= columns.keys()
-        for cell, column in fresh.items():
+        grown = []
+        for (k, h), column in fresh.items():
             column.sort()
-            us, reps = columns.setdefault(cell, ([], []))
-            counts = dict(reps[-1].items()) if reps else {}
+            old = columns.get((k, h))
+            if old is not None:
+                counts, dim = dict(old[1][-1].items()), old[2][-1]
+            elif h >= k and 0 <= 3 * k - 2 * h <= 2 * g + 2:
+                counts, dim = {}, 0
+            else:
+                raise ArithmeticError(
+                    f"weight band violated at genus {g}, n={column[0][0]}, (k={k}, h={h})"
+                )
+            us, reps, dims = [], [], []
             ends = [u for u, _ in column[1:]] + [n + 1]
             for (u, label), end in zip(column, ends):
                 counts[label] = counts.get(label, 0) + 1
+                dim += dim_irrep(g, label)
                 if end > u:
+                    if dim <= 0:
+                        raise ValueError(
+                            f"dimension {dim} at genus {g}, n={u}, (k={k}, h={h})"
+                        )
                     us.append(u)
                     reps.append(VirtualRep.from_counts(counts))
+                    dims.append(dim)
                     counts = dict(counts)
+            grown.append(((k, h), us, reps, dims))
+        added = not fresh.keys() <= columns.keys()
+        for cell, us, reps, dims in grown:
+            column = columns.setdefault(cell, ([], [], []))
+            column[0].extend(us)
+            column[1].extend(reps)
+            column[2].extend(dims)
         if added:
             self.columns = dict(sorted(columns.items()))
         self.top = n
-
-    def column_sums(self, n):
-        """The master series' u^n coefficient as a table's entries,
-        (k, h) -> VirtualRep in cell order: the sum over u <= n of each
-        column that starts at or below n, for n <= top."""
-        return {
-            cell: reps[bisect_right(us, n) - 1]
-            for cell, (us, reps) in self.columns.items()
-            if us[0] <= n
-        }
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +230,7 @@ def build_Q(g, N):
     (t, s) = (2k - h, h - k).  Every coefficient is nonzero, and one that
     does not change from u to u+1 is the same (immutable) VirtualRep."""
     q = {}
-    for (k, h), (us, reps) in _covering(g, N).columns.items():
+    for (k, h), (us, reps, _) in _covering(g, N).columns.items():
         t, s = 2 * k - h, h - k
         for u, end, rep in zip(us, us[1:] + [N + 1], reps):
             if u > N:
@@ -221,31 +248,48 @@ class MixedTable:
     """Per-(degree, weight) decomposition of the cohomology of UConf_n.
 
     ``entries`` maps (k, h) to an effective, nonzero VirtualRep; k is the
-    cohomological degree and h the weight.  The constructor makes one pass
-    over the cells it is given: it computes each cell's dimension once,
-    rejects a negative multiplicity (ValueError, naming the cell) and drops
-    a cell of dimension 0, which for an effective rep is the zero rep.
-    Every method that reports a dimension reads it from there; so that it
-    cannot go stale, ``entries`` is a read-only mapping
-    (``dict(table.entries)`` gives a copy to edit and build a new table
-    from).  Cells given in (k, h) order, as the closed form gives them,
-    keep that order, so ``dims`` sorts them in linear time.
+    cohomological degree and h the weight.  The cells are always kept in
+    (k, h) order, each with its dimension, which every method that reports
+    a dimension reads; so that it cannot go stale, ``entries`` is a
+    read-only mapping (``dict(table.entries)`` gives a copy to edit and
+    build a new table from).
+
+    The constructor takes cells in any order, as the brute force and
+    hand-built tables give them, and makes one pass over them sorted: it
+    computes each cell's dimension once, rejects a negative multiplicity
+    (ValueError, naming the cell) and drops a cell of dimension 0, which
+    for an effective rep is the zero rep.  ``validate`` then checks the
+    weight band and the Euler characteristic.  A closed-form table is
+    built by ``mixed_table`` from its genus' store instead, whose cells
+    come sorted with their dimensions and already checked.
     """
 
     __slots__ = ("genus", "n", "entries", "_dims")
 
     def __init__(self, genus, n, entries):
-        self.genus = genus
-        self.n = n
         kept, dims = {}, {}
-        for (k, h), rep in entries.items():
+        for (k, h), rep in sorted(entries.items()):
             dim = rep.effective_dim(genus)
             if dim is None:
                 raise ValueError(f"negative multiplicity at (k={k}, h={h})")
             if dim:
                 kept[(k, h)] = rep
                 dims[(k, h)] = dim
-        self.entries = MappingProxyType(kept)
+        self._set(genus, n, kept, dims)
+
+    @classmethod
+    def _checked(cls, genus, n, entries, dims):
+        """The table of cells that are checked already and given in (k, h)
+        order, with their dimensions, as {(k, h): VirtualRep} and
+        {(k, h): dim}; both dicts are taken over, not copied."""
+        self = cls.__new__(cls)
+        self._set(genus, n, entries, dims)
+        return self
+
+    def _set(self, genus, n, entries, dims):
+        self.genus = genus
+        self.n = n
+        self.entries = MappingProxyType(entries)
         self._dims = dims
 
     def validate(self):
@@ -260,14 +304,11 @@ class MixedTable:
                     f"weight band violated at genus {g}, n={n}, (k={k}, h={h})"
                 )
             euler += -dim if k % 2 else dim
-        if euler != _euler_coefficient(g, n):
-            raise ValueError(
-                f"Euler characteristic mismatch for genus {g}, n={n}"
-            )
+        _check_euler(g, n, euler)
         return self
 
     def dims(self):
-        return dict(sorted(self._dims.items()))
+        return dict(self._dims)
 
     def max_degree(self):
         return max((k for k, _ in self.entries), default=0)
@@ -301,13 +342,13 @@ class MixedTable:
                     "dim": self._dims[(k, h)],
                     "decomposition": rep.to_json(),
                 }
-                for (k, h), rep in sorted(self.entries.items())
+                for (k, h), rep in self.entries.items()
             ],
         }
 
     def __repr__(self):
         cells = ", ".join(
-            f"({k},{h}): {rep.text()}" for (k, h), rep in sorted(self.entries.items())
+            f"({k},{h}): {rep.text()}" for (k, h), rep in self.entries.items()
         )
         return f"MixedTable(g={self.genus}, n={self.n}, {{{cells}}})"
 
@@ -320,23 +361,42 @@ def _euler_coefficient(g, n):
     return (-1) ** n * comb(n - e - 1, n)
 
 
+def _check_euler(g, n, euler):
+    """Raises ValueError unless ``euler`` is the Euler characteristic of
+    UConf_n."""
+    if euler != _euler_coefficient(g, n):
+        raise ValueError(f"Euler characteristic mismatch for genus {g}, n={n}")
+
+
 def mixed_table(g, n):
     """Table of gr-pieces of H^*(UConf_n) for genus g >= 0.
 
     For g >= 1 it is the u^n coefficient of the master series, read off
-    the genus' store, whose columns are already keyed by cell (k, h) =
-    (t+s, t+2s) and come in cell order.  For the sphere it is one V(0,0)
-    at (0, 0), the sphere itself at (2, 2) when n = 1, and for n >= 3 one
-    class at (3, 4), of the weight of H^3(PGL_2(C)).
+    the genus' store in one pass: each column whose first change point is
+    at most n is bisected once, which gives the cell's VirtualRep and its
+    dimension, computed by the store once per change point.  The store's
+    columns are keyed by cell (k, h) = (t+s, t+2s) and come in cell order,
+    and it has checked each cell's weight band and dimension, so the pass
+    only adds up the Euler characteristic and checks it (ValueError).  For
+    the sphere it is one V(0,0) at (0, 0), the sphere itself at (2, 2) when
+    n = 1, and for n >= 3 one class at (3, 4), of the weight of
+    H^3(PGL_2(C)), built and checked like any table of given cells.
     """
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0")
     if g == 0:
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
-        entries = {kh: VirtualRep.unit() for kh in cells}
-    else:
-        entries = _covering(g, n).column_sums(n)
-    return MixedTable(g, n, entries).validate()
+        return MixedTable(0, n, {kh: VirtualRep.unit() for kh in cells}).validate()
+    entries, dims = {}, {}
+    euler = 0
+    for cell, (us, reps, ds) in _covering(g, n).columns.items():
+        if us[0] <= n:
+            i = bisect_right(us, n) - 1
+            entries[cell] = reps[i]
+            dim = dims[cell] = ds[i]
+            euler += -dim if cell[0] % 2 else dim
+    _check_euler(g, n, euler)
+    return MixedTable._checked(g, n, entries, dims)
 
 
 def betti(g, n):

@@ -155,10 +155,13 @@ def test_table_json_round_trip(capsys):
 
 
 def test_each_cell_dim_is_computed_once(capsys, monkeypatch):
-    # a table computes each cell's dim at construction, and nothing that
-    # reports dims, the table command in every format included, computes
-    # it again, by either method
-    from confcoh.closedform import mixed_table
+    # a closed-form table takes each cell's dim from its genus' store, which
+    # adds it up from dim_irrep once per change point, so neither a table
+    # read off an empty store nor anything that reports its dims, the table
+    # command in every format included, calls either VirtualRep method; a
+    # brute-force table computes each cell's dim at most once, at
+    # construction
+    from confcoh import closedform, dga
 
     calls = []
 
@@ -171,15 +174,19 @@ def test_each_cell_dim_is_computed_once(capsys, monkeypatch):
 
     for name in ("dim", "effective_dim"):
         monkeypatch.setattr(VirtualRep, name, counted(getattr(VirtualRep, name)))
-    table = mixed_table(3, 7)
-    cells = len(table.entries)
-    assert cells > 10 and len(calls) == cells
-    table.dims(), table.betti(), table.euler(), table.to_json()
-    assert len(calls) == cells
+    closedform._bracket.cache_clear()
+    table = closedform.mixed_table(3, 7)
+    assert len(table.entries) > 10
+    table.dims(), table.betti(), table.euler(), table.to_json(), repr(table)
+    assert calls == []
     for fmt in ("text", "json", "csv"):
-        calls.clear()
         code, _ = run(capsys, "table", "--genus", "3", "--n", "7", "--format", fmt)
-        assert code == 0 and len(calls) == cells, fmt
+        assert code == 0 and calls == [], fmt
+    table = dga.cohomology_reps(2, 4)
+    cells = len(table.entries)
+    assert cells > 5 and 0 < len(calls) <= cells
+    table.dims(), table.betti(), table.euler(), table.to_json(), repr(table)
+    assert len(calls) <= cells
 
 
 def test_oracle_matches_table(capsys):

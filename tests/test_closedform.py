@@ -210,8 +210,9 @@ def test_tables_never_build_the_master_series(monkeypatch):
 
 @pytest.fixture
 def bad_bracket_term(monkeypatch):
-    """Adds one scalar term (t, s, u) to the bracket before its checks, on
-    empty stores, so that no store read hides it."""
+    """Empty stores before and after the test, and ``inject(t, s, u)``,
+    which adds one scalar term (t, s, u) to the bracket before its checks,
+    so that no store read hides it."""
 
     def inject(t, s, u):
         terms = closedform._bracket_terms
@@ -246,21 +247,63 @@ def test_bracket_invariants_raise(bad_bracket_term, term, message):
         euler_series(1, 4)
 
 
+def test_store_rejects_a_cell_outside_the_weight_band(bad_bracket_term):
+    # (t, s, u) = (5, 0, 3) meets every bound of q_bracket, but its cell
+    # (k, h) = (5, 5) has 3k - 2h = 5 > 2g + 2 = 4; the error holds at every
+    # read, since the store takes in no term of the window that failed
+    bad_bracket_term(5, 0, 3)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"weight band violated at genus 1, "
+                           r"n=\d+, \(k=5, h=5\)"):
+            mixed_table(1, 4)
+
+
+def test_euler_mismatch_raises(bad_bracket_term, monkeypatch):
+    # a table read off the store and one built from given cells meet the
+    # same check; the fixture starts from an empty store
+    table = mixed_table(2, 5)
+    cells = dict(table.entries)
+    real = _euler_coefficient
+    monkeypatch.setattr(closedform, "_euler_coefficient", lambda g, n: real(g, n) + 1)
+    for read in (lambda: mixed_table(2, 5), lambda: MixedTable(2, 5, cells).validate()):
+        with pytest.raises(ValueError, match=r"Euler characteristic mismatch for genus 2, n=5"):
+            read()
+
+
+@pytest.mark.parametrize("dim, message", [(0, "dimension 0"), (-1, "dimension -1")])
+def test_store_rejects_a_cell_of_dimension_at_most_zero(bad_bracket_term, monkeypatch,
+                                                         dim, message):
+    # the store adds up each change point's dim from dim_irrep; a column
+    # sum of multiplicity-one terms of positive dim has a positive dim, so
+    # given a wrong dim for V(0,1), the (1, 1) cell of genus 1, which is
+    # V(0,1) from n = 1 on, makes the store raise, naming the cell, and
+    # keep no term of the window
+    std = rep_label(1, 0, 1)
+    monkeypatch.setattr(
+        closedform, "dim_irrep", lambda g, label: dim if label == std else dim_irrep(g, label)
+    )
+    assert mixed_table(1, 0).dims() == {(0, 0): 1}
+    with pytest.raises(ValueError, match=rf"{message} at genus 1, n=1, \(k=1, h=1\)"):
+        mixed_table(1, 3)
+    assert closedform._bracket(1).top == 0 and list(closedform._bracket(1).columns) == [(0, 0)]
+
+
 def test_slice_matches_the_checked_constructor():
-    # each column sum that the store reads off its change points against
-    # the same column rebuilt from the bracket's terms through the
-    # constructor that normalises, keyed by its cell (k, h) = (t+s, t+2s);
-    # the read gives the cells in increasing (k, h) order
+    # each table cell that the store reads off its change points, and the
+    # dim it stores there, against the same column rebuilt from the
+    # bracket's terms through the constructor that normalises, keyed by its
+    # cell (k, h) = (t+s, t+2s), and that rep's VirtualRep.dim; the table
+    # gives its cells in increasing (k, h) order
     for g in range(1, 9):
-        store = closedform._covering(g, 24)
         for n in range(25):
             columns = {}
             for t, s, _, label in q_bracket(g, n):
                 columns.setdefault((t + s, t + 2 * s), []).append((label, 1))
             want = {kh: VirtualRep(column) for kh, column in columns.items()}
-            sums = store.column_sums(n)
-            assert sums == want, (g, n)
-            assert list(sums) == sorted(sums), (g, n)
+            table = mixed_table(g, n)
+            assert table.entries == want, (g, n)
+            assert table.dims() == {kh: rep.dim(g) for kh, rep in want.items()}, (g, n)
+            assert list(table.entries) == list(table.dims()) == sorted(want), (g, n)
 
 
 def bracket_sums(g, N):
@@ -496,6 +539,16 @@ def test_band_on_computed_tables():
             for (k, h), rep in mixed_table(g, n).entries.items():
                 assert h >= k
                 assert 0 <= 3 * k - 2 * h <= 2 * g + 2
+
+
+def test_tables_are_stable_in_genus():
+    # measured, not a theorem: each table is the same dict of labels for
+    # every genus from n to n + 6, and differs at genus n - 1
+    for n in range(2, 13):
+        stable = mixed_table(n, n).entries
+        for g in range(n + 1, n + 7):
+            assert mixed_table(g, n).entries == stable, (g, n)
+        assert mixed_table(n - 1, n).entries != stable, n
 
 
 def test_stabilization_examples():

@@ -347,6 +347,15 @@ def test_cohomology_reps_match_closed_form():
         assert cohomology_reps(g, n) == mixed_table(g, n), (g, n)
 
 
+def test_cohomology_reps_are_stable_in_genus():
+    # measured, not a theorem: each brute-force table is the same dict of
+    # labels at genus n, n + 1 and n + 2
+    for n in range(1, 8):
+        stable = cohomology_reps(n, n).entries
+        for g in (n + 1, n + 2):
+            assert cohomology_reps(g, n).entries == stable, (g, n)
+
+
 def test_cohomology_reps_store_the_right_dims():
     # the dims a brute-force table stores at construction against each
     # cell's VirtualRep.dim, recomputed
