@@ -228,7 +228,7 @@ def _verify_point(g, n, reps):
 
 def cmd_verify(args, parser):
     _check_oracle_budget(args, parser, args.max_n)
-    # one elimination at the top serves every n of the sweep
+    # one reduction at the top serves every n of the sweep
     dga.cohomology_dims(args.genus, args.max_n)
     lines = []
     for n in range(args.max_n + 1):

@@ -26,9 +26,11 @@ sp and sym_1 .. sym_2g, each wide enough for F_n, so int order is basis
 (tuple) order.  deg3 sits above the code, so sorting a group's ints sorts
 it by (deg3, basis order).  Every term of d is the source's code plus an
 offset, and its Koszul sign a parity of exterior bits: ``_Layout.write``,
-the one statement of the Leibniz rule, writes each term of a group
-straight into its target row.  Blocks are split by torus weight before the
-exact rank computation, which is valid because d preserves the weight.
+the one statement of the Leibniz rule, writes a group's terms as one
+column per member, keyed by each image's code with its deg3 above it, so
+the row keys sort as the target group does.  Blocks are split by torus
+weight before the exact rank computation, which is valid because d
+preserves the weight.
 Only dominant weights are ranked: d also commutes with the Weyl group, so
 every weight has the cohomology of its dominant representative, and each
 dominant weight counts once per member of its orbit.  The dominant-weight
@@ -37,17 +39,31 @@ filtering the whole basis.
 
 F_n is a subcomplex of F_N for n <= N, since d never raises deg3.  The
 rank loop therefore keeps one store per genus and model, built by one
-elimination per group at the largest n reached so far, top: with each
-group's members sorted by deg3, the rank of d on F_n's part of the group
-is a prefix rank of that elimination, for every n <= top.  ``_matrix``
-writes a group's matrix as a list of row dicts, which go straight to
-``linalg.prefix_ranks``; only ``dump_blocks`` wraps them in a
-``SparseIntMatrix`` to write them.  A call at n <= top only reads the
-store; a call at n > top enumerates F_n once and eliminates again only
-the groups that have a member of deg3 > top.  A group whose members all
-have deg3 <= top is a group of F_top with the same members, and their
-images lie in F_top too, so its F_n matrix is its F_top matrix plus zero
-rows: the store already holds its tuple.  One walk over the store at n
+column reduction per group at the largest n reached so far, top: with
+each group's members sorted by deg3, the rank of d on F_n's part of the
+group is a prefix rank of that reduction, for every n <= top.
+``_columns`` checks a group's columns, which go straight to
+``linalg.reduce_columns``; only ``dump_blocks`` has ``_matrix`` transpose
+a group's whole columns into a ``SparseIntMatrix`` to write them.  A call at n <= top only
+reads the store; a call at n > top enumerates F_n once and reduces again
+only the groups that have a member of deg3 > top.  A group whose members
+all have deg3 <= top is a group of F_top with the same members, and
+their images lie in F_top too, so its F_n matrix is its F_top matrix
+plus zero rows: the store already holds its tuple.
+
+d maps the group of ((deg1, deg2), w) to that of ((deg1 + 2, deg2 - 1),
+w), so the groups of one torus weight w and one h = deg1 + 2*deg2 form a
+chain, each a filtered cochain complex with filtration deg3, and a grow
+reduces each chain in increasing deg1 with clearing (the twist of
+Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011;
+Bauer-Kerber-Reininghaus, "Clear and compress: computing persistent
+homology in chunks", arXiv 1303.0477).  If a reduced column of the
+source's matrix S = d(v) ends at row r, its low, then d(d(v)) = 0 puts
+d of the target's r-th member in the span of the target's earlier
+members' images: that member's column reduces to zero.  So every low of
+S is a column of the target's matrix that is passed empty, neither
+written nor reduced, and that adds nothing to the rank.  One walk over
+the store at n
 gives the per-block characters {(deg1, deg2): {dominant weight: dim}},
 which every reader shares: ``cohomology_weights`` returns them,
 ``cohomology_dims`` sums each over the Weyl orbits, ``cohomology_reps``
@@ -58,10 +74,11 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import chain
 from operator import gt, itemgetter
 
 from .closedform import MixedTable
-from .linalg import SparseIntMatrix, prefix_ranks, write_matrix_market
+from .linalg import SparseIntMatrix, reduce_columns, write_matrix_market
 from .reps import orbit_size, peel_character
 
 __all__ = [
@@ -77,12 +94,16 @@ __all__ = [
 #: Largest n per genus at which one model A point with characters
 #: (``cohomology_reps``) and one model B point (``cohomology_dims(g, n,
 #: "B")``) each took at most 1 s, timed in fresh processes on a 2-core x86
-#: box; at genus 0 model B sets it, and ``oracle --reps`` at n = 23000
-#: took 0.06-0.07 s (3 fresh processes).  The budget covers the
-#: computation only: a whole ``oracle --model B --debug-dir`` run at the
-#: budget (3 fresh processes) took 0.2-0.5 s at 3 <= g <= 7, 0.4-1.4 s at
-#: g = 2, and is still bound by creating one file per group at g = 1
-#: (4.6-5.4 s, 10 595 files) and genus 0 (5.8-20.2 s, 45 997 files).
+#: box before the rank loop reduced columns with clearing; at genus 0
+#: model B sets it, and ``oracle --reps`` at n = 23000 took 0.06-0.07 s
+#: (3 fresh processes).  With clearing each of these points took at most
+#: 0.5 s (model B at genus 0: 0.42-0.48 s; at g >= 1 at most 0.22 s, 3
+#: fresh processes each); the values stay until a measured frontier
+#: replaces them.  The budget covers the computation only: a whole
+#: ``oracle --model B --debug-dir`` run at the budget (3 fresh processes)
+#: took 0.1-0.2 s at 3 <= g <= 7, 0.25-0.27 s at g = 2, and is still
+#: bound by creating one file per group at g = 1 (1.7-3.5 s, 10 595
+#: files) and genus 0 (2.1-9.8 s, 45 997 files).
 ORACLE_BUDGET = {0: 23000, 1: 60, 2: 19, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
 
 
@@ -145,7 +166,8 @@ class _Layout:
         self.p_field = ((1 << self.p_bits) - 1) << self.p_at
         # model B raises p on every term, model A only at p = 0, as p^2 = 0
         self.raise_p = model == "B"
-        self.s1_to_p = (1 << self.p_at) - (1 << self.s1_at)
+        # p has deg3 1 and s1 deg3 2: the one offset that lowers deg3
+        self.s1_to_p = (1 << self.p_at) - (1 << self.s1_at) - (1 << self.width)
         self.sp_to_p2 = (2 << self.p_at) - (1 << self.sp_at)
         # per i: the bits of a_i b_i, the ext bits a_(i+1) .. b_(i-1) between
         # them, and the offset that trades s1 for a_i b_i
@@ -190,12 +212,14 @@ class _Layout:
             tuple(code >> at & sym_mask for at in self.sym_at),
         )
 
-    def write(self, source, rows):
-        """Write d of the ``source`` codes (deg3 above ``width`` allowed)
-        by the Leibniz rule, each term of the col-th code straight into its
-        target row, ``rows[code + offset][col] = coeff``, and return the
-        number of terms written.  The layout's fields are read once per
-        call, so a group costs one call.
+    def write(self, source, cleared=()):
+        """d of the ``source`` codes, each with its deg3 above ``width``, by
+        the Leibniz rule, as (columns, written): one {row key: coeff}
+        column per code, in order, and the number of terms written.  A row
+        key is the image's code with the image's deg3 above it, so keys sort
+        as the target group does.  A code in ``cleared`` gets an empty
+        column, and none of its terms is written.  The layout's fields are
+        read once per call, so a group costs one call.
 
         In the canonical order a < b < s1 < p < sp < sa < sb each Koszul
         sign is a parity of exterior bits: d(s1) and d(sp) sit behind ext
@@ -203,61 +227,50 @@ class _Layout:
         is sorted into ext.  The index j of sa_1..sa_g, sb_1..sb_g in sym is
         also the bit of the matching a_i or b_i.  Each code's terms come in
         the order d(s1) (its p term first), d(sp), then d(sa_1) .. d(sb_g),
-        and model A drops every term with p >= 2.  No offset carries out of
-        a field for a monomial whose images lie in F_n."""
-        mask, ext_at, s1_at, raise_all = self.mask, self.ext_at, self.s1_at, self.raise_p
-        sp_at, p_field, pairs, digits = self.sp_at, self.p_field, self.s1_pairs, self.sym_digits
+        and model A drops every term with p >= 2.  Only the p term of d(s1)
+        lowers deg3, by one; every other term keeps it.  No offset carries
+        out of a field for a monomial whose images lie in F_n."""
+        ext_at, s1_at, sp_at, raise_all = self.ext_at, self.s1_at, self.sp_at, self.raise_p
+        ext_mask, p_field = self.mask >> ext_at, self.p_field
+        pairs, digits = self.s1_pairs, self.sym_digits
         s1_to_p, sp_to_p2, sym_mask = self.s1_to_p, self.sp_to_p2, (1 << self.sym_bits) - 1
-        written = 0
-        for col, code in enumerate(source):
-            code &= mask
-            ext = code >> ext_at
+        columns, written = [], 0
+        for code in source:
+            column = {}
+            columns.append(column)
+            if code in cleared:
+                continue
+            ext = code >> ext_at & ext_mask
             sign = -1 if ext.bit_count() & 1 else 1
             s1 = code >> s1_at & 1
             raise_p = raise_all or not code & p_field
             if s1:
                 if raise_p:
-                    rows[code + s1_to_p][col] = sign
+                    column[code + s1_to_p] = sign
                     written += 1
                 for pair, mid, offset in pairs:
                     if not ext & pair:
-                        rows[code + offset][col] = sign if (ext & mid).bit_count() & 1 else -sign
+                        column[code + offset] = sign if (ext & mid).bit_count() & 1 else -sign
                         written += 1
             if code >> sp_at & 1:
-                rows[code + sp_to_p2][col] = -sign if s1 else sign
+                column[code + sp_to_p2] = -sign if s1 else sign
                 written += 1
             if raise_p:
                 for at, bit, below, offset in digits:
                     e = code >> at & sym_mask
                     if e and not ext & bit:
-                        rows[code + offset][col] = -e if (ext & below).bit_count() & 1 else e
+                        column[code + offset] = -e if (ext & below).bit_count() & 1 else e
                         written += 1
-        return written
+        return columns, written
 
     def leibniz(self, code):
         """d of the monomial ``code`` as a list of (coeff, offset), each
-        image's code ``code + offset``: what ``write`` writes for this code
-        alone, recorded in write order, duplicates included."""
-        rows = _Recorder(code & self.mask)
-        self.write([code], rows)
-        return rows.terms
-
-
-class _Recorder:
-    """Rows of one source ``code`` that record: ``rows[image][col] = coeff``
-    appends (coeff, image - code) to ``terms``, duplicates included."""
-
-    __slots__ = ("code", "terms", "image")
-
-    def __init__(self, code):
-        self.code, self.terms = code, []
-
-    def __getitem__(self, image):
-        self.image = image
-        return self
-
-    def __setitem__(self, col, coeff):
-        self.terms.append((coeff, self.image - self.code))
+        image's code ``code + offset``: the one column that ``write`` writes
+        for this code alone, in write order; the bits from ``width`` up are
+        ignored."""
+        code &= self.mask
+        (column,), _ = self.write([code])
+        return [(coeff, (key & self.mask) - code) for key, coeff in column.items()]
 
 
 def differential_monomial(g, model, m):
@@ -308,29 +321,41 @@ def enumerate_basis(g, n, model="A"):
     return tuple(out)
 
 
-def _matrix(layout, source, target):
-    """The rows of the matrix of d from the ``source`` codes (columns, in
-    the order given) to the ``target`` codes: one {col: coeff} dict per
-    target member, in basis order, empty where no term lands.  Each code
-    may carry deg3 above the layout's ``width``.
+def _columns(layout, source, target, cleared=()):
+    """The columns of the matrix of d from the ``source`` codes, in the
+    order given, to the ``target`` codes: ``layout.write``'s one {row key:
+    coeff} dict per source member, each code with its deg3 above the
+    layout's ``width``.  A member in ``cleared`` gets an empty column, and
+    no term of it is written.
 
-    One ``layout.write`` call writes every term of the group straight into
-    its target row, at the source's code plus the term's offset.  A
-    repeated target member raises ValueError, and an image missing from
-    ``target`` KeyError.  Once the rows are written, a zero coefficient
+    A repeated target member raises ValueError, and an image missing from
+    ``target`` KeyError.  Once the columns are written, a zero coefficient
     raises ValueError, and so does a duplicate term, which overwrites an
     entry: the entries kept are compared with the terms written."""
-    slots = {code: {} for code in sorted(map(layout.mask.__and__, target))}
-    if len(slots) != len(target):
+    members = set(target)
+    if len(members) != len(target):
         raise ValueError("repeated target monomial")
-    written = layout.write(source, slots)
-    rows = list(slots.values())
-    if not all(map(all, map(dict.values, rows))):
+    columns, written = layout.write(source, cleared)
+    if not members.issuperset(chain.from_iterable(columns)):
+        raise KeyError(min(set().union(*columns) - members))
+    if not all(map(all, map(dict.values, columns))):
         raise ValueError("zero coefficient in d")
-    kept = sum(map(len, rows))
+    kept = sum(map(len, columns))
     if kept != written:
         raise ValueError(f"{kept} entries written for {written} terms")
-    return rows
+    return columns
+
+
+def _matrix(layout, source, target):
+    """The dump's matrix of d from the ``source`` codes to the ``target``
+    codes: every column from ``_columns``, none cleared, transposed into a
+    ``SparseIntMatrix`` with one row per target member, in basis order."""
+    row_at = {code: r for r, code in enumerate(sorted(target, key=layout.mask.__and__))}
+    rows = {}
+    for col, column in enumerate(_columns(layout, source, target)):
+        for key, coeff in column.items():
+            rows.setdefault(row_at[key], {})[col] = coeff
+    return SparseIntMatrix(len(target), len(source), rows)
 
 
 def _coordinate_states(n):
@@ -425,7 +450,8 @@ class _Store:
     """The step functions of one genus and model: for every
     ((deg1, deg2), dominant weight) group of F_top, one flat tuple that
     holds the deg3 of its k members in increasing order, then, for each
-    j < k, the rank of d on the first j + 1 of them.
+    j < k, the rank of d on the first j + 1 of them, read off one column
+    reduction of the group's matrix.
 
     F_n holds the members of deg3 <= n, and d never raises deg3, so the F_n
     matrix of d on a group is the column prefix of deg3 <= n of its F_top
@@ -444,23 +470,29 @@ class _Store:
         self.last = (-1, None)
 
     def grow(self, g, n, model, write=None):
-        """Cover F_n: enumerate it once, and rebuild, by one elimination
-        over its members sorted by deg3, the tuple of each group that has a
-        member of deg3 > top.  Every other group keeps its tuple.  Its
-        members all lie in F_top, and so do their images, since d never
-        raises deg3, so its F_n matrix is its F_top matrix plus zero rows
-        for the members its target gains; and it is a group of F_top with
-        the same members.  On an empty store (top = -1) every group is
-        rebuilt.  Each group's rows from ``_matrix`` go straight to
-        ``prefix_ranks``, with no matrix object between them; only when
-        ``write`` is given are they wrapped in a ``SparseIntMatrix``, which
-        ``write(key, matrix)`` receives before the elimination.
+        """Cover F_n: enumerate it once, and rebuild, by one column
+        reduction over its members sorted by deg3, the tuple of each group
+        that has a member of deg3 > top.  Every other group keeps its
+        tuple.  Its members all lie in F_top, and so do their images, since
+        d never raises deg3, so its F_n matrix is its F_top matrix plus
+        zero rows for the members its target gains; and it is a group of
+        F_top with the same members.  On an empty store (top = -1) every
+        group is rebuilt.  Each group's columns from ``_columns`` go
+        straight to ``reduce_columns``, with no matrix object between
+        them.  Only when ``write`` is given does ``_matrix`` build each
+        group's whole matrix, which ``write(key, matrix)`` receives before
+        the reduction.
+
+        The groups are rebuilt in increasing deg1, so a group's source
+        comes before it in its chain.  A rebuilt group is cleared from the
+        lows of its source when that source was reduced in this grow:
+        those members get empty columns.  Otherwise it gets no clearing.
 
         The groups come as codes under this call's ``_Layout`` with deg3
         above them, sorted, so a member's deg3 is one shift and the columns
-        are already in (deg3, basis) order.  The codes and the layout live
-        for this call only: the store keeps the step tuples, so the next
-        grow may lay the fields out wider.
+        are already in (deg3, basis) order.  The codes, the layout and the
+        lows live for this call only: the store keeps the step tuples, so
+        the next grow may lay the fields out wider.
 
         A rebuilt group of deg2 > deg1 + 1 raises ArithmeticError: deg2 -
         deg1 = s1 - |ext| - 2p - sp <= 1, since s1 is exterior, which puts
@@ -468,7 +500,9 @@ class _Store:
         layout = _Layout(g, n, model)
         width = layout.width
         fresh = _dominant_groups(g, n, model)
-        for key, source in fresh.items():
+        lows = {}  # target key -> the lows of its source, reduced in this grow
+        for key in sorted(fresh):
+            source = fresh[key]
             if source[-1] >> width <= self.top:
                 continue
             (d1, d2), w = key
@@ -476,12 +510,13 @@ class _Store:
                 raise ArithmeticError(
                     f"bidegree bound deg2 <= deg1 + 1 violated at (block, weight) = {key}"
                 )
-            target = fresh.get(((d1 + 2, d2 - 1), w))
+            target_key = (d1 + 2, d2 - 1), w
+            target = fresh.get(target_key)
             if target:
-                rows = _matrix(layout, source, target)
                 if write:
-                    write(key, SparseIntMatrix(len(rows), len(source), dict(enumerate(rows))))
-                ranks = prefix_ranks(rows, len(source))
+                    write(key, _matrix(layout, source, target))
+                columns = _columns(layout, source, target, lows.pop(key, ()))
+                ranks, lows[target_key] = reduce_columns(columns, len(target))
             else:
                 ranks = [0] * len(source)
             self.steps[key] = (*[m >> width for m in source], *ranks)
@@ -593,8 +628,9 @@ def dump_blocks(g, n, model, dirpath):
     ``g{g}_n{n}_{model}_d{deg1}_{deg2}_w{w1.w2...}.mtx``, rows in basis
     order and columns sorted by deg3, then in basis order; a dominant
     weight's matrix stands for its whole Weyl orbit.  The files are the
-    matrices that a fresh store eliminates as it grows to n; it then
-    serves the genus and model.  Returns the paths written, in key order."""
+    whole matrices that a fresh store reduces as it grows to n, cleared
+    columns included; it then serves the genus and model.  Returns the
+    paths written, in key order."""
     os.makedirs(dirpath, exist_ok=True)
     paths = {}
 

@@ -1,18 +1,27 @@
 """Exact ranks of sparse integer matrices, and their Matrix Market output.
 
-``prefix_ranks`` is the one elimination: it takes the rows as plain
-{col: value} dicts, with no matrix object around them, and gives the rank
-of every leading block of columns at once.  ``rank`` is its last entry on
-a ``SparseIntMatrix``, the checked matrix that the dump writes and the
-tests build.  Elimination is fraction-free, so every intermediate value
-is an integer and the result is exact.  Each row is reduced at its lowest
-column by the pivot row that leads there, as piv*row - f*prow scaled down
-by gcd(piv, f).  The multiplier is made positive, so only a row scaled by
+``reduce_columns`` is the one elimination: the column reduction of
+persistent homology.  It takes the columns as plain {row: value} dicts,
+with no matrix object around them, reduces them left to right, and gives
+the rank of every leading block of columns at once, with the set of lows,
+the rows at which the reduced columns end.  ``dga`` passes a column that
+is known to reduce to zero as an empty one (clearing), which adds nothing
+to the rank.  ``rank`` reduces the rows of a ``SparseIntMatrix``, the
+checked matrix that the dump writes and the tests build, as columns,
+since a matrix and its transpose have the same rank.  The reduction is
+fraction-free, so every intermediate value is an integer and the result
+is exact.  Each column is reduced at its low, its largest row, by the
+pivot column that ends there, as piv*col - f*pcol scaled down by
+gcd(piv, f).  The multiplier is made positive, so only a column scaled by
 a factor above 1 is divided by its content, the gcd of its entries, which
-keeps the entries small.  The order is deterministic; the ranks do not
-depend on it."""
+keeps the entries small.  The order is deterministic, and neither the
+ranks nor the lows depend on the order of the rows within a column.
 
-from itertools import accumulate
+>>> ranks, lows = reduce_columns([{0: 2, 1: 1}, {0: 4, 1: 2}, {2: 1}, {1: 1}], 3)
+>>> ranks, sorted(lows)
+([1, 1, 2, 3], [0, 1, 2])
+"""
+
 from math import gcd
 
 
@@ -24,9 +33,9 @@ class SparseIntMatrix:
     dict and takes its row dicts over, not copied, dropping the empty ones.
     It raises ValueError on a negative shape, a row or column index outside
     it or a zero value, each checked over whole rows at once.  The rank
-    path never builds one: ``dga`` eliminates the rows ``dga._matrix``
-    returns as they are, and wraps them only for ``dump_blocks``; the tests
-    build the rest.
+    path never builds one: ``dga`` reduces the columns ``dga._columns``
+    returns as they are, and ``dga._matrix`` transposes them into one only
+    for ``dump_blocks``; the tests build the rest.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
@@ -76,77 +85,79 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
 
 
-def prefix_ranks(rows, n_cols):
-    """The rank of each leading block of columns over the rationals of the
-    matrix with the given rows, each a {col: value} dict with every col
-    below ``n_cols``: entry k is the rank of columns 0..k.  Empty rows are
-    skipped, and no row is modified.
+def reduce_columns(columns, n_rows):
+    """Reduce the given columns, each a {row: value} dict with at most
+    ``n_rows`` distinct rows among them all, left to right over the
+    rationals, and return (ranks, lows): entry k of ranks is the rank of
+    columns 0..k, and lows is the set of rows at which the reduced columns
+    end.  Empty columns add nothing, and no column is modified.
 
-    One elimination inserts the rows in order, each reduced at its lowest
-    column against the pivot row that leads there, and kept as a new pivot
-    once it leads at a free column.  Row operations keep the rank of every
-    column prefix, and the pivot rows lead at distinct columns, so the rank
-    of columns 0..k is the number of pivots that lead at k or below.
-    Each reduction is a*row - b*prow, and the multiplier a is made
-    positive, so only a row scaled by a factor above 1 is divided by its
-    content.
+    Each column is reduced at its low, its largest row, against the pivot
+    column that ends there, until it is zero or ends at a free row, where
+    it is kept as a new pivot.  Column operations keep the span of every
+    column prefix, and the pivot columns end at distinct rows, so the rank
+    of columns 0..k is the number of pivots kept among them.  Once the
+    pivots fill all ``n_rows`` rows, every later column lies in their span
+    and is passed over.  Each reduction is a*col - b*pcol, and the
+    multiplier a is made positive, so only a column scaled by a factor
+    above 1 is divided by its content.
 
-    >>> prefix_ranks([{0: 1, 1: 2}, {}, {0: 2, 1: 4, 2: 1}], 3)
-    [1, 1, 2]
+    >>> reduce_columns([{0: 1, 1: 2}, {}, {0: 2, 1: 4}, {2: 1}], 3)
+    ([1, 1, 1, 2], {1, 2})
     """
-    pivots = {}  # leading column -> pivot row
-    for row in filter(None, rows):
-        if len(pivots) == n_cols:
-            break  # the rank is full: every later row reduces to zero
-        c = min(row)
-        prow = pivots.get(c)
-        if prow is not None:
-            row = dict(row)  # reduced in place; the caller keeps its own row
-        while prow is not None:
-            # row <- a*row - b*prow clears column c; scaling by a nonzero
-            # integer and adding a multiple of a pivot keeps the row span,
-            # and so does negating both, which makes a > 0.
-            piv = prow[c]
-            f = row.pop(c)
-            d = gcd(piv, f)
-            a, b = piv // d, f // d
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in prow.items():
-                if k != c:
-                    nv = row.get(k, 0) - b * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        del row[k]
-            if not row:
-                break
-            if a != 1:
-                d = gcd(*row.values())
-                if d > 1:
-                    for k in row:
-                        row[k] //= d
-            c = min(row)
-            prow = pivots.get(c)
-        else:
-            pivots[c] = row
-    leads = [0] * n_cols
-    for c in pivots:
-        leads[c] = 1
-    return list(accumulate(leads))
+    pivots = {}  # low -> pivot column
+    ranks = []
+    for col in columns:
+        if col and len(pivots) < n_rows:
+            r = max(col)
+            pcol = pivots.get(r)
+            if pcol is not None:
+                col = dict(col)  # reduced in place; the caller keeps its own column
+            while pcol is not None:
+                # col <- a*col - b*pcol clears row r; scaling by a nonzero
+                # integer and adding a multiple of a pivot keeps the span,
+                # and so does negating both, which makes a > 0.
+                piv = pcol[r]
+                f = col.pop(r)
+                d = gcd(piv, f)
+                a, b = piv // d, f // d
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    for k in col:
+                        col[k] *= a
+                for k, v in pcol.items():
+                    if k != r:
+                        nv = col.get(k, 0) - b * v
+                        if nv:
+                            col[k] = nv
+                        else:
+                            del col[k]
+                if not col:
+                    break
+                if a != 1:
+                    d = gcd(*col.values())
+                    if d > 1:
+                        for k in col:
+                            col[k] //= d
+                r = max(col)
+                pcol = pivots.get(r)
+            else:
+                pivots[r] = col
+        ranks.append(len(pivots))
+    return ranks, set(pivots)
 
 
 def rank(m):
-    """Exact rank of ``m`` over the rationals: the prefix rank of all its
-    columns; ``m`` is left unchanged.
+    """Exact rank of ``m`` over the rationals: its rows reduced as columns,
+    since a matrix and its transpose have the same rank; ``m`` is left
+    unchanged.
 
     >>> rank(SparseIntMatrix.from_dense([[1, 2], [2, 4]]))
     1
     """
-    return prefix_ranks(m.rows.values(), m.n_cols)[-1] if m.n_cols else 0
+    ranks, _ = reduce_columns(m.rows.values(), m.n_cols)
+    return ranks[-1] if ranks else 0
 
 
 def write_matrix_market(m, path):

@@ -24,9 +24,10 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``dga.cohomology_dims``.
 - ``from_entries``: a ``linalg.SparseIntMatrix`` built from (row, col,
   value) triples, each checked in turn for a duplicate and for its bounds,
-  which checks the rows ``dga._matrix`` writes.
+  which checks the columns ``dga._columns`` writes.
 - ``rank_dense_bareiss`` and ``transpose``: dense fraction-free rank and the
-  transposed matrix, which check ``linalg.rank``.
+  transposed matrix, which check ``linalg.rank`` and the prefix ranks of
+  ``linalg.reduce_columns``.
 - ``read_matrix_market``: reads back what ``linalg.write_matrix_market``
   writes, and so the per-group matrices of ``dga.dump_blocks``.
 - ``geom_u``: the truncated geometric series; its product with
@@ -45,14 +46,14 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``closedform.MixedTable`` stores at construction.
 - ``basis_count_series``, ``blocks`` and ``differential_block``:
   generating-function basis counts, the whole basis grouped by (deg1,
-  deg2) and one whole differential block, its rows written by
-  ``dga._matrix`` from the block's codes, which check
+  deg2) and one whole differential block, its columns written by
+  ``dga._columns`` from the block's codes, which check
   ``dga.enumerate_basis``, ``dga.differential_monomial`` and, restricted to one weight with the
   columns sorted by deg3, the matrices of ``dga.dump_blocks``.
 - ``tuple_differential`` and ``tuple_matrix``: d of one monomial computed
   on its tuple fields, and the matrix it gives through ``from_entries``,
-  which check the coded terms of ``dga._Layout`` and the rows of
-  ``dga._matrix``.
+  which check the coded terms of ``dga._Layout`` and the columns of
+  ``dga._columns``.
 - ``decoded_groups``: ``dga._dominant_groups`` with each member decoded
   to its monomial tuple, in the groups' (deg3, basis) order.
 
@@ -608,16 +609,18 @@ def blocks(g, n, model="A"):
 def differential_block(g, n, model, block):
     """d on the (deg1, deg2) block of F_n as (source, target, matrix): the
     matrix maps the source basis (columns) to the (deg1+2, deg2-1) target
-    basis (rows), its rows written by ``dga._matrix`` from the codes of
-    F_n and checked by the ``SparseIntMatrix`` constructor."""
+    basis (rows), its columns written by ``dga._columns`` from the codes
+    of F_n, deg3 above each, and transposed by ``dga._matrix``."""
     by_block = blocks(g, n, model)
     d1, d2 = block
     source = tuple(by_block.get(block, ()))
     target = tuple(by_block.get((d1 + 2, d2 - 1), ()))
     layout = _Layout(g, n, model)
-    codes = [list(map(layout.encode, monos)) for monos in (source, target)]
-    rows = _matrix(layout, *codes)
-    return source, target, SparseIntMatrix(len(target), len(source), dict(enumerate(rows)))
+    source_codes, target_codes = [
+        [mono_degrees(g, m)[2] << layout.width | layout.encode(m) for m in monos]
+        for monos in (source, target)
+    ]
+    return source, target, _matrix(layout, source_codes, target_codes)
 
 
 def tuple_differential(g, model, m):

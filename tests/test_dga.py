@@ -17,7 +17,7 @@ from confcoh.dga import (
     mono_degrees,
     mono_weight,
 )
-from confcoh.linalg import prefix_ranks, rank
+from confcoh.linalg import rank, reduce_columns
 from confcoh.reps import NotACharacter, RepLabel, VirtualRep, peel_character
 from reference import (
     basis_count_series,
@@ -31,6 +31,7 @@ from reference import (
     is_dominant,
     per_cell_dims,
     read_matrix_market,
+    transpose,
     tuple_differential,
     tuple_matrix,
     u_slice,
@@ -218,6 +219,30 @@ def test_d_squared_is_zero():
                 for c2, m2 in differential_monomial(g, model, m1):
                     acc[m2] = acc.get(m2, 0) + c1 * c2
             assert not any(acc.values()), (g, n, model, m)
+
+
+def test_coded_d_squared_is_zero_on_every_group():
+    # clearing rests on d o d = 0: at every group of sweep_points() that has
+    # a target, each column the rank loop writes, followed by the columns of
+    # its target group, gives zero
+    products = 0
+    for g, n, model in sweep_points():
+        layout = dga._Layout(g, n, model)
+        groups = dga._dominant_groups(g, n, model)
+        for ((d1, d2), w), source in groups.items():
+            target = groups.get(((d1 + 2, d2 - 1), w))
+            if not target:
+                continue
+            columns, _ = layout.write(source)
+            next_columns = dict(zip(target, layout.write(target)[0]))
+            for code, column in zip(source, columns):
+                composed = {}
+                for key, coeff in column.items():
+                    for key2, coeff2 in next_columns[key].items():
+                        composed[key2] = composed.get(key2, 0) + coeff * coeff2
+                        products += 1
+                assert not any(composed.values()), (g, n, model, layout.decode(code))
+    assert products > 50000
 
 
 def test_d_is_bidegree_homogeneous():
@@ -549,10 +574,10 @@ def test_empty_target_groups_have_no_differential():
 
 
 def test_matrix_matches_the_checked_constructor():
-    # the row writer against the tuple differential through from_entries,
-    # which checks entry by entry, on every group the rank loop ranks, with
-    # one layout per point as in a grow: one row per target member, in
-    # basis order, empty where no term lands
+    # the column writer, transposed as the dump does, against the tuple
+    # differential through from_entries, which checks entry by entry, on
+    # every group the rank loop ranks, with one layout per point as in a
+    # grow: one row per target member, in basis order
     ranked = 0
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
@@ -565,8 +590,7 @@ def test_matrix_matches_the_checked_constructor():
                 g, model, list(map(layout.decode, source)), list(map(layout.decode, target))
             )
             got = dga._matrix(layout, source, target)
-            assert got == [want.rows.get(r, {}) for r in range(len(target))], (
-                g, n, model, (d1, d2), w)
+            assert got == want, (g, n, model, (d1, d2), w)
             ranked += 1
     assert ranked > 1000
 
@@ -656,20 +680,21 @@ IMAGE = (1, 0, 1, 0, (0, 0))
 
 def _inject(monkeypatch, layout, terms):
     """Make ``layout.write`` write, for each source monomial of ``terms``,
-    its (coeff, image) list into the image rows, and return how many
-    terms it wrote."""
+    its (coeff, image) list into its column, keyed by the image's code, and
+    return the columns and how many terms it wrote."""
     coded = {
         layout.encode(m): [(c, layout.encode(image)) for c, image in images]
         for m, images in terms.items()
     }
 
-    def write(self, source, rows):
-        written = 0
-        for col, code in enumerate(source):
+    def write(self, source, cleared=()):
+        columns, written = [], 0
+        for code in source:
+            columns.append({})
             for coeff, image in coded[code & self.mask]:
-                rows[image][col] = coeff
+                columns[-1][image] = coeff
                 written += 1
-        return written
+        return columns, written
 
     monkeypatch.setattr(dga._Layout, "write", write)
 
@@ -687,7 +712,7 @@ def test_matrix_rejects_bad_terms(monkeypatch, terms, target, error):
     layout = dga._Layout(1, 2, "A")
     _inject(monkeypatch, layout, {SOURCE: terms})
     with pytest.raises(error):
-        dga._matrix(layout, [layout.encode(SOURCE)], list(map(layout.encode, target)))
+        dga._columns(layout, [layout.encode(SOURCE)], list(map(layout.encode, target)))
 
 
 def test_matrix_reports_overwritten_terms(monkeypatch):
@@ -700,24 +725,25 @@ def test_matrix_reports_overwritten_terms(monkeypatch):
     })
     source = [layout.encode(SOURCE), layout.encode(OTHER_SOURCE)]
     with pytest.raises(ValueError, match="3 entries written for 4 terms"):
-        dga._matrix(layout, source, [layout.encode(IMAGE), layout.encode(one(1))])
+        dga._columns(layout, source, [layout.encode(IMAGE), layout.encode(one(1))])
 
 
 def test_each_ranked_group_is_one_writer_call(monkeypatch):
-    # _matrix hands a whole group to one write call, not one per member
+    # _columns hands a whole group to one write call, not one per member,
+    # and each group's columns go to one reduction
     written, ranked = [], []
     write = dga._Layout.write
 
-    def counting_write(self, source, rows):
+    def counting_write(self, source, cleared=()):
         written.append(len(source))
-        return write(self, source, rows)
+        return write(self, source, cleared)
 
-    def counting_prefix_ranks(rows, n_cols):
-        ranked.append(n_cols)
-        return prefix_ranks(rows, n_cols)
+    def counting_reduce_columns(columns, n_rows):
+        ranked.append(len(columns))
+        return reduce_columns(columns, n_rows)
 
     monkeypatch.setattr(dga._Layout, "write", counting_write)
-    monkeypatch.setattr(dga, "prefix_ranks", counting_prefix_ranks)
+    monkeypatch.setattr(dga, "reduce_columns", counting_reduce_columns)
     clear_brute_force_caches()
     try:
         for g, n, model in sweep_points():
@@ -779,9 +805,9 @@ def test_rank_loop_builds_no_tuple_differential(monkeypatch, tmp_path):
 
 
 def test_rank_path_builds_no_sparse_matrix(monkeypatch, tmp_path):
-    # the rank loop eliminates the rows _matrix returns as they are; only
-    # the dump wraps them in a SparseIntMatrix, and it still writes the
-    # pinned bytes
+    # the rank loop reduces the columns _columns returns as they are; only
+    # the dump transposes them into a SparseIntMatrix, and it still writes
+    # the pinned bytes
     def no_matrix(*args):
         raise AssertionError("the rank loop built a SparseIntMatrix")
 
@@ -805,7 +831,8 @@ def test_rank_path_builds_no_sparse_matrix(monkeypatch, tmp_path):
 def test_negative_dimension_raises(monkeypatch):
     # a rank above the group size is caught even under python -O, at the
     # point that grows the store and at the points it serves
-    monkeypatch.setattr(dga, "prefix_ranks", lambda rows, n_cols: list(range(2, n_cols + 2)))
+    monkeypatch.setattr(
+        dga, "reduce_columns", lambda columns, n_rows: (list(range(2, len(columns) + 2)), set()))
     clear_brute_force_caches()
     try:
         for n in (4, 2):
@@ -882,20 +909,29 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
 
 def test_store_inserts_each_column_once(monkeypatch):
     # after a call at (g, N), a call at any n <= N neither enumerates nor
-    # eliminates; a call at N' > N inserts the sources of the groups that
-    # have a member of deg3 > N and a target, and no other column
-    inserted, enumerated = [], []
+    # reduces; a call at N' > N assembles the sources of the groups that
+    # have a member of deg3 > N and a target, minus the cleared members,
+    # and no other column.  The members cleared in a group are the lows of
+    # its source's reduction in that call, and no others
+    written, reduced, enumerated = [], [], []
+    cleared_in_all = 0
 
-    def counting_prefix_ranks(rows, n_cols):
-        inserted.append(n_cols)
-        return prefix_ranks(rows, n_cols)
+    def counting_write(self, source, cleared=()):
+        written.append((source, set(cleared)))
+        return write(self, source, cleared)
+
+    def counting_reduce_columns(columns, n_rows):
+        ranks, lows = reduce_columns(columns, n_rows)
+        reduced.append(lows)
+        return ranks, lows
 
     def counting_groups(*args):
         enumerated.append(args)
         return dominant_groups(*args)
 
-    dominant_groups = dga._dominant_groups
-    monkeypatch.setattr(dga, "prefix_ranks", counting_prefix_ranks)
+    write, dominant_groups = dga._Layout.write, dga._dominant_groups
+    monkeypatch.setattr(dga._Layout, "write", counting_write)
+    monkeypatch.setattr(dga, "reduce_columns", counting_reduce_columns)
     monkeypatch.setattr(dga, "_dominant_groups", counting_groups)
     try:
         for g, top, model in STORE_SWEEPS:
@@ -908,17 +944,63 @@ def test_store_inserts_each_column_once(monkeypatch):
                     if max(mono_degrees(g, m)[2] for m in source) > served
                     and ((d1 + 2, d2 - 1), w) in groups
                 )
-                inserted.clear()
+                written.clear()
+                reduced.clear()
                 enumerated.clear()
                 dga._cohomology_by_weight(g, n, model)
-                assert (sum(inserted), len(enumerated)) == (want, 1), (g, model, n)
-            inserted.clear()
+                assert (sum(len(source) for source, _ in written), len(enumerated)) == (
+                    want, 1), (g, model, n)
+                # each write is one group's, followed by its reduction
+                layout = dga._Layout(g, n, model)
+                calls = {}
+                for (source, cleared), lows in zip(written, reduced, strict=True):
+                    m = layout.decode(source[0])
+                    calls[mono_degrees(g, m)[:2], mono_weight(g, m)] = source, cleared, lows
+                for ((d1, d2), w), (source, cleared, _) in calls.items():
+                    _, _, lows = calls.get(((d1 - 2, d2 + 1), w), (None, None, set()))
+                    assert cleared == lows and cleared <= set(source), (g, model, n, (d1, d2), w)
+                    cleared_in_all += len(cleared)
+            written.clear()
+            reduced.clear()
             enumerated.clear()
             for n in range(top, -1, -1):
                 dga._cohomology_by_weight(g, n, model)
-            assert (inserted, enumerated) == ([], []), (g, model)
+            assert (written, reduced, enumerated) == ([], [], []), (g, model)
     finally:
         clear_brute_force_caches()
+    assert cleared_in_all > 400
+
+
+def test_clearing_leaves_every_store_tuple_unchanged(monkeypatch):
+    # over sweep_points(), each genus and model grown point by point from an
+    # empty store: with clearing, the store holds the very tuples of a store
+    # whose reductions report no lows, so that it clears no column
+    cleared_counts = []
+    write = dga._Layout.write
+
+    def counting_write(self, source, cleared=()):
+        cleared_counts[-1] += len(cleared)
+        return write(self, source, cleared)
+
+    def grown():
+        cleared_counts.append(0)
+        clear_brute_force_caches()
+        steps = {}
+        for g, n, model in sweep_points():
+            dga._cohomology_by_weight(g, n, model)
+            steps[g, n, model] = dict(dga._store(g, model).steps)
+        return steps
+
+    monkeypatch.setattr(dga._Layout, "write", counting_write)
+    try:
+        want = grown()
+        monkeypatch.setattr(
+            dga, "reduce_columns",
+            lambda columns, n_rows: (reduce_columns(columns, n_rows)[0], set()))
+        assert grown() == want
+    finally:
+        clear_brute_force_caches()
+    assert cleared_counts[0] > 1000 and cleared_counts[1] == 0
 
 
 def test_regrowth_keeps_groups_without_a_new_member():
@@ -1034,8 +1116,10 @@ def test_dump_blocks(tmp_path):
             dumped = read_matrix_market(path)
             assert dumped == _restrict(matrix, rows, cols), (g, n, model, key)
             step = dga._store(g, model).steps[key]
-            assert prefix_ranks(dumped.rows.values(), dumped.n_cols) == list(
-                step[len(step) // 2:]), (g, n, model, key)
+            columns = transpose(dumped).rows
+            ranks, _ = reduce_columns(
+                [columns.get(c, {}) for c in range(dumped.n_cols)], dumped.n_rows)
+            assert ranks == list(step[len(step) // 2:]), (g, n, model, key)
 
 
 # sha256 over each file name and its bytes, in name order: the per-group

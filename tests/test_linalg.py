@@ -3,7 +3,7 @@ import random
 import pytest
 
 from confcoh import dga
-from confcoh.linalg import SparseIntMatrix, prefix_ranks, rank, write_matrix_market
+from confcoh.linalg import SparseIntMatrix, rank, reduce_columns, write_matrix_market
 from reference import (
     clear_brute_force_caches,
     from_entries,
@@ -118,71 +118,87 @@ def test_rank_matches_dense_reference_200():
     assert rank(SparseIntMatrix.from_dense(dense)) == rank_dense_bareiss(dense)
 
 
-def _dense(m):
-    return [[m.rows.get(r, {}).get(c, 0) for c in range(m.n_cols)] for r in range(m.n_rows)]
-
-
 def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
-    # every matrix the store eliminates at the sweep points and at genus 1
-    # n = 24 in model A, each point grown from an empty store: the rank of
-    # each column prefix, and rank, against the dense rank of that prefix
-    eliminated = []
+    # every group the store reduces at the sweep points and at genus 1
+    # n = 24 in model A, each point grown from an empty store: its prefix
+    # ranks, cleared members included, against the dense rank of each
+    # column prefix of the whole group matrix, every column assembled; and
+    # linalg.rank of the whole matrix
+    reduced, cleared_in_all = [], 0
+    write = dga._Layout.write
 
-    def recording(rows, n_cols):
-        before = [dict(row) for row in rows]
-        got = prefix_ranks(rows, n_cols)
-        assert rows == before  # the elimination leaves every row unchanged
-        eliminated.append((SparseIntMatrix(len(rows), n_cols, dict(enumerate(rows))), got))
+    def recording_write(self, source, cleared=()):
+        nonlocal cleared_in_all
+        cleared_in_all += len(cleared)
+        reduced.append([write(self, source)[0]])
+        return write(self, source, cleared)
+
+    def recording(columns, n_rows):
+        before = [dict(column) for column in columns]
+        got = reduce_columns(columns, n_rows)
+        assert columns == before  # the reduction leaves every column unchanged
+        reduced[-1].append(got[0])
         return got
 
-    monkeypatch.setattr(dga, "prefix_ranks", recording)
+    monkeypatch.setattr(dga._Layout, "write", recording_write)
+    monkeypatch.setattr(dga, "reduce_columns", recording)
     try:
         for g, n, model in sweep_points() + [(1, 24, "A")]:
             clear_brute_force_caches()
             dga.cohomology_dims(g, n, model)
     finally:
         clear_brute_force_caches()
-    assert len(eliminated) > 1000
-    for m, got in eliminated:
-        dense = _dense(m)
-        want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, m.n_cols + 1)]
+    assert len(reduced) > 1000 and cleared_in_all > 1000
+    for whole, got in reduced:
+        keys = sorted(set().union(*whole))
+        dense = [[column.get(key, 0) for column in whole] for key in keys]
+        want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, len(whole) + 1)]
         assert got == want
-        assert rank(m) == want[-1]
+        assert rank(SparseIntMatrix.from_dense(dense)) == want[-1]
 
 
 def test_prefix_ranks_of_random_matrices():
-    # the rows as plain dicts, the zero ones among them empty
+    # the columns as plain dicts, the zero ones among them empty, and rows
+    # that no column reaches among the n_rows.  Column operations keep the
+    # rank of the rows from r on, and the reduced columns end at distinct
+    # rows, so r is a low when that rank exceeds the rank of the rows past r
     rng = random.Random(3)
     values = [0, 0, 0, 1, -1, 2, -3]
     for _ in range(300):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         dense = _random_dense(rng, nr, nc, values)
         want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, nc + 1)]
-        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        before = [dict(row) for row in rows]
-        assert prefix_ranks(rows, nc) == want
-        assert rows == before
+        columns = [{r: dense[r][c] for r in range(nr) if dense[r][c]} for c in range(nc)]
+        before = [dict(column) for column in columns]
+        ranks, lows = reduce_columns(columns, nr)
+        assert ranks == want
+        assert columns == before
+        from_r = [rank_dense_bareiss(dense[r:]) for r in range(nr + 1)]
+        assert lows == {r for r in range(nr) if from_r[r] > from_r[r + 1]}
 
 
 def test_prefix_ranks_with_negative_pivots():
-    # pivots -1 at column 0 and -2 at column 1.  The third row meets the -1
-    # pivot, a -1 multiplier made positive, and leaves {1: 1, 2: 1, 3: 1};
-    # against the -2 pivot that becomes 2*row plus the pivot row, which is
-    # {2: 3, 3: 3}, of content 3.  The fifth row meets the -2 pivot with
-    # multiplier 2, and the sixth the -1 pivot with multiplier 1.
-    rows = [
-        {0: -1, 1: 1, 3: 2},
-        {1: -2, 2: 1, 3: 1},
-        {0: 1, 2: 1, 3: -1},
-        {2: 2, 3: 2},
-        {1: 3, 3: 1},
-        {0: 2, 3: 4},
+    # pivots -1 at row 4 and -2 at row 3.  The third column meets the -1
+    # pivot, a -1 multiplier made positive, and leaves {3: 1, 2: 1, 1: 1};
+    # against the -2 pivot that becomes 2*col plus the pivot column, which
+    # is {2: 3, 1: 3}, of content 3, a new pivot at row 2.  The fourth
+    # column reduces to zero.  The fifth meets the -2 pivot with multiplier
+    # 2 and ends as a pivot at row 1, and the sixth meets the -1 pivot with
+    # multiplier 1 and reduces to zero.
+    columns = [
+        {4: -1, 3: 1, 1: 2},
+        {3: -2, 2: 1, 1: 1},
+        {4: 1, 2: 1, 1: -1},
+        {2: 2, 1: 2},
+        {3: 3, 1: 1},
+        {4: 2, 1: 4},
     ]
-    dense = [[row.get(c, 0) for c in range(5)] for row in rows]
-    want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, 6)]
-    before = [dict(row) for row in rows]
-    assert prefix_ranks(rows, 5) == want == [1, 2, 3, 4, 4]
-    assert rows == before
+    dense = [[column.get(r, 0) for column in columns] for r in range(5)]
+    want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, 7)]
+    before = [dict(column) for column in columns]
+    assert reduce_columns(columns, 5) == (want, {1, 2, 3, 4})
+    assert want == [1, 2, 3, 3, 4, 4]
+    assert columns == before
 
 
 def test_rank_transpose_and_bounds():
