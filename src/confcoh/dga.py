@@ -39,17 +39,28 @@ filtering the whole basis.
 
 F_n is a subcomplex of F_N for n <= N, since d never raises deg3.  The
 rank loop therefore keeps one store per genus and model, built by one
-column reduction per group at the largest n reached so far, top: with
-each group's members sorted by deg3, the rank of d on F_n's part of the
-group is a prefix rank of that reduction, for every n <= top.
+column reduction per group, carried to the largest n reached so far, top:
+with each group's members sorted by deg3, the rank of d on F_n's part of
+the group is a prefix rank of that reduction, for every n <= top.
 ``_columns`` checks a group's columns, which go straight to
 ``linalg.reduce_columns``; only ``dump_blocks`` has ``_matrix`` transpose
-a group's whole columns into a ``SparseIntMatrix`` to write them.  A call at n <= top only
-reads the store; a call at n > top enumerates F_n once and reduces again
-only the groups that have a member of deg3 > top.  A group whose members
-all have deg3 <= top is a group of F_top with the same members, and
-their images lie in F_top too, so its F_n matrix is its F_top matrix
-plus zero rows: the store already holds its tuple.
+a group's whole columns into a ``SparseIntMatrix`` to write them.  A call
+at n <= top only reads the store.  A call at n > top grows it, and does
+only the work that the members of deg3 > top add.  It enumerates only the
+groups of deg1 + deg2 >= top, since deg3 = deg1 + deg2 - p - sp + s1 <=
+deg1 + deg2 + 1 keeps every other group inside F_top.  A group whose
+members all have deg3 <= top is a group of F_top with the same members,
+and their images lie in F_top too, so its F_n matrix is its F_top matrix
+plus zero rows: the store already holds its tuple.  A group with new
+members resumes its column reduction when the store kept its pivots: a
+new member sorts after every old one, and no old column has an entry in
+a new row, so only the new columns are written and reduced, and the old
+prefix ranks stand.  The store keeps the pivots of the groups that can
+still gain a member and have none below top - 1: in model A every such
+group, in model B all but the deep powers of p, which are rebuilt whole
+(``_Store`` says why).  The pivots hold codes, so they are dropped when a grow lays the
+fields out wider, and ``dump_blocks`` replaces the whole store, pivots
+included.
 
 d maps the group of ((deg1, deg2), w) to that of ((deg1 + 2, deg2 - 1),
 w), so the groups of one torus weight w and one h = deg1 + 2*deg2 form a
@@ -377,16 +388,25 @@ def _coordinate_states(n):
     return by_weight
 
 
-def _dominant_groups(g, n, model):
+def _dominant_groups(g, n, model, floor):
     """The monomials of F_n whose torus weight is dominant, grouped by
-    ((deg1, deg2), weight): each member is its code under ``_Layout(g, n,
-    model)`` with deg3 above the layout's width, so each group, sorted,
-    is in (deg3, basis) order.
+    ((deg1, deg2), weight), for the groups with deg1 + deg2 >= floor
+    only; floor 0 gives every group.  Each member is its code under
+    ``_Layout(g, n, model)`` with deg3 above the layout's width, so each
+    group, sorted, is in (deg3, basis) order.
 
     Built one coordinate at a time: coordinate i takes a part of weight
     w_i <= w_(i-1) from ``_coordinate_states``, and s1, p and sp come last,
     so no monomial of another weight is ever made.  The part table has
     O(n^2) entries; genus 0 has no coordinates and never builds it.
+
+    A part of a coordinate adds as much to deg1 + deg2 as to deg3, and the
+    factor s1 p^p sp adds 2p + 3sp + s1 to deg1 + deg2.  So a prefix of all
+    g coordinates below the floor takes only the factors that lift it
+    there, listed once per deg3, and a group is made whole or not at all.
+    With floor = top, a grow from top makes only the groups that can hold
+    a member of deg3 > top: deg3 = deg1 + deg2 - p - sp + s1 <= deg1 +
+    deg2 + 1.
 
     Members go into one {(deg1, deg2): members} bucket per weight, fetched
     once per prefix, so each member costs one lookup and one append, and a
@@ -427,11 +447,19 @@ def _dominant_groups(g, n, model):
                 code = t3 << width | s1 << layout.s1_at | p << layout.p_at | sp << layout.sp_at
                 tails.append((t3, 2 * p + 2 * sp, s1 + sp, code))
     tails.sort()
+    lifted = {}  # deg3 below the floor -> the factors that lift a prefix to it
     buckets = {}  # weight -> {(deg1, deg2): members}
     for d3, d1, d2, code, w in prefixes:
+        factors = tails
+        if d3 < floor:
+            factors = lifted.get(d3)
+            if factors is None:
+                factors = lifted[d3] = [tail for tail in tails if d3 + tail[1] + tail[2] >= floor]
+            if not factors:
+                continue
         bucket = buckets.setdefault(w, {})
         code |= d3 << width
-        for t3, t1, t2, tail in tails:
+        for t3, t1, t2, tail in factors:
             if d3 + t3 > n:
                 break
             members = bucket.get((d1 + t1, d2 + t2))
@@ -460,72 +488,116 @@ class _Store:
     kept in order of their least deg3, so that a call at n stops at the
     first group with no member in F_n.  ``last`` holds the (n, result) of
     the latest read, which a repeat call at the same n returns as is.
+
+    ``pivots`` holds, for a group that can still gain a member and has no
+    member below top - 1, the {low: pivot column} of its reduction, under
+    the layout of field width ``width``, so that a grow reduces only the
+    columns of its new members.  A group of deg1 + deg2 = k has members of
+    deg3 <= k + 1, so it can gain one above top only when k >= top.  In
+    model A, where deg3 >= k - 1, that is every such group.  Model B's
+    powers of p reach down to deg3 near top / 2, and those deeper groups
+    are rebuilt instead: on the benchmark's model B points, keeping their
+    pivots too raised the peak memory by 5 %, and saved 0.4 % of the
+    columns.
     """
 
-    __slots__ = ("top", "steps", "last")
+    __slots__ = ("top", "steps", "last", "pivots", "width")
 
     def __init__(self):
         self.top = -1
         self.steps = {}
         self.last = (-1, None)
+        self.pivots = {}
+        self.width = -1
 
     def grow(self, g, n, model, write=None):
-        """Cover F_n: enumerate it once, and rebuild, by one column
-        reduction over its members sorted by deg3, the tuple of each group
-        that has a member of deg3 > top.  Every other group keeps its
+        """Cover F_n: enumerate the groups of deg1 + deg2 >= top, the only
+        ones that can hold a member of deg3 > top, and reduce the columns
+        of each group's members of deg3 > top.  Every other group keeps its
         tuple.  Its members all lie in F_top, and so do their images, since
         d never raises deg3, so its F_n matrix is its F_top matrix plus
         zero rows for the members its target gains; and it is a group of
         F_top with the same members.  On an empty store (top = -1) every
-        group is rebuilt.  Each group's columns from ``_columns`` go
-        straight to ``reduce_columns``, with no matrix object between
-        them.  Only when ``write`` is given does ``_matrix`` build each
-        group's whole matrix, which ``write(key, matrix)`` receives before
-        the reduction.
+        group is built.  Each group's columns from ``_columns`` go straight
+        to ``reduce_columns``, with no matrix object between them.  Only
+        when ``write`` is given does ``_matrix`` build each group's whole
+        matrix, which ``write(key, matrix)`` receives before the reduction.
 
-        The groups are rebuilt in increasing deg1, so a group's source
-        comes before it in its chain.  A rebuilt group is cleared from the
-        lows of its source when that source was reduced in this grow:
-        those members get empty columns.  Otherwise it gets no clearing.
+        A group with kept pivots resumes its reduction: only its new
+        members' columns are written and reduced, into those pivots, and
+        its old prefix ranks are read off its tuple.  This is exact.  A new
+        member sorts after every old one, since deg3 sits above the code.
+        An old member's image lies in F_top, so no old column has an entry
+        in a new row, and the old ranks stand.  Any other group with a new
+        member is rebuilt whole, from no pivots.  The kept pivots are
+        dropped when the layout's field widths change, since they hold
+        codes, and when the group can no longer gain a member or has one
+        below n - 1.
+
+        The groups are reduced in increasing deg1, so a group's source
+        comes before it in its chain.  A group's new columns are cleared
+        at the lows of its source when that source was reduced in this
+        grow: those members get empty columns.  Otherwise it gets no
+        clearing.  An old low of a resumed source is an old member of the
+        group, whose column is not written again.
 
         The groups come as codes under this call's ``_Layout`` with deg3
         above them, sorted, so a member's deg3 is one shift and the columns
-        are already in (deg3, basis) order.  The codes, the layout and the
-        lows live for this call only: the store keeps the step tuples, so
-        the next grow may lay the fields out wider.
+        are already in (deg3, basis) order.
 
         A rebuilt group of deg2 > deg1 + 1 raises ArithmeticError: deg2 -
         deg1 = s1 - |ext| - 2p - sp <= 1, since s1 is exterior, which puts
         every cell of degree k at weight h <= (3k + 1) / 2."""
         layout = _Layout(g, n, model)
-        width = layout.width
-        fresh = _dominant_groups(g, n, model)
-        lows = {}  # target key -> the lows of its source, reduced in this grow
+        width, top = layout.width, self.top
+        if width != self.width:
+            self.pivots = {}
+        kept = self.pivots
+
+        def keeps(key):
+            # can still gain a member, and has none below n - 1
+            return sum(key[0]) >= n and self.steps[key][0] >= n - 1
+
+        fresh = _dominant_groups(g, n, model, top)
+        lows = {}  # target key -> the pivots of its source, reduced in this grow
         for key in sorted(fresh):
             source = fresh[key]
-            if source[-1] >> width <= self.top:
+            if source[-1] >> width <= top:
                 continue
             (d1, d2), w = key
             if d2 > d1 + 1:
                 raise ArithmeticError(
                     f"bidegree bound deg2 <= deg1 + 1 violated at (block, weight) = {key}"
                 )
+            pivots = kept.pop(key, None)
+            if pivots is None:
+                pivots, old, new = {}, 0, source
+            else:
+                old = len(self.steps[key]) // 2
+                new = source[old:]
             target_key = (d1 + 2, d2 - 1), w
             target = fresh.get(target_key)
             if target:
                 if write:
                     write(key, _matrix(layout, source, target))
-                columns = _columns(layout, source, target, lows.pop(key, ()))
-                ranks, lows[target_key] = reduce_columns(columns, len(target))
+                columns = _columns(layout, new, target, lows.pop(key, ()))
+                ranks, lows[target_key] = reduce_columns(columns, len(target), pivots)
             else:
-                ranks = [0] * len(source)
-            self.steps[key] = (*[m >> width for m in source], *ranks)
+                ranks = [0] * len(new)
+            deg3 = [m >> width for m in new]
+            if old:
+                step = self.steps[key]
+                deg3[:0], ranks[:0] = step[:old], step[old:]
+            self.steps[key] = (*deg3, *ranks)
+            if keeps(key):
+                kept[key] = pivots
         # a group new to the store joins at the end: restore the order of
         # least deg3, all that the walk needs
         least = list(map(itemgetter(0), self.steps.values()))
         if any(map(gt, least, least[1:])):
             self.steps = dict(sorted(self.steps.items(), key=lambda item: item[1][0]))
-        self.top = n
+        self.pivots = {key: pivots for key, pivots in kept.items() if keeps(key)}
+        self.top, self.width = n, width
 
 
 @lru_cache(maxsize=None)
@@ -643,5 +715,6 @@ def dump_blocks(g, n, model, dirpath):
     fresh = _Store()
     fresh.grow(g, n, model, write)
     store = _store(g, model)
-    store.top, store.steps, store.last = fresh.top, fresh.steps, fresh.last
+    for name in _Store.__slots__:
+        setattr(store, name, getattr(fresh, name))
     return [paths[key] for key in sorted(paths)]

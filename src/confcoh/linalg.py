@@ -3,8 +3,11 @@
 ``reduce_columns`` is the one elimination: the column reduction of
 persistent homology.  It takes the columns as plain {row: value} dicts,
 with no matrix object around them, reduces them left to right, and gives
-the rank of every leading block of columns at once, with the set of lows,
-the rows at which the reduced columns end.  ``dga`` passes a column that
+the rank of every leading block of columns at once, with the pivot
+columns keyed by their lows, the rows at which the reduced columns end.
+It extends the pivot dict it is given, so a reduction can resume where an
+earlier one stopped: ``dga`` keeps a group's pivots and later reduces only
+the columns that its new members add.  ``dga`` also passes a column that
 is known to reduce to zero as an empty one (clearing), which adds nothing
 to the rank.  ``rank`` reduces the rows of a ``SparseIntMatrix``, the
 checked matrix that the dump writes and the tests build, as columns,
@@ -17,9 +20,12 @@ a factor above 1 is divided by its content, the gcd of its entries, which
 keeps the entries small.  The order is deterministic, and neither the
 ranks nor the lows depend on the order of the rows within a column.
 
->>> ranks, lows = reduce_columns([{0: 2, 1: 1}, {0: 4, 1: 2}, {2: 1}, {1: 1}], 3)
->>> ranks, sorted(lows)
-([1, 1, 2, 3], [0, 1, 2])
+>>> pivots = {}
+>>> reduce_columns([{0: 2, 1: 1}, {0: 4, 1: 2}], 3, pivots)[0]
+[1, 1]
+>>> ranks, pivots = reduce_columns([{2: 1}, {1: 1}], 3, pivots)
+>>> ranks, sorted(pivots)
+([2, 3], [0, 1, 2])
 """
 
 from math import gcd
@@ -85,12 +91,20 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
 
 
-def reduce_columns(columns, n_rows):
+def reduce_columns(columns, n_rows, pivots):
     """Reduce the given columns, each a {row: value} dict with at most
     ``n_rows`` distinct rows among them all, left to right over the
-    rationals, and return (ranks, lows): entry k of ranks is the rank of
-    columns 0..k, and lows is the set of rows at which the reduced columns
-    end.  Empty columns add nothing, and no column is modified.
+    rationals, against ``pivots``, a {low: pivot column} dict that the
+    reduction extends, and return (ranks, pivots): entry k of ranks is the
+    rank of the pivots passed in and columns 0..k together, and the keys
+    of pivots are the lows, the rows at which the reduced columns end.
+    Empty columns add nothing, and no column is modified; a column kept as
+    a pivot unreduced is the caller's own dict.
+
+    Reducing columns [0, k) into an empty dict, then [k, m) into the same
+    dict, gives the ranks and the pivots of one reduction of [0, m): each
+    column is reduced against the pivots of the columns before it only,
+    whichever call reduced them.
 
     Each column is reduced at its low, its largest row, against the pivot
     column that ends there, until it is zero or ends at a free row, where
@@ -102,10 +116,9 @@ def reduce_columns(columns, n_rows):
     multiplier a is made positive, so only a column scaled by a factor
     above 1 is divided by its content.
 
-    >>> reduce_columns([{0: 1, 1: 2}, {}, {0: 2, 1: 4}, {2: 1}], 3)
-    ([1, 1, 1, 2], {1, 2})
+    >>> reduce_columns([{0: 1, 1: 2}, {}, {0: 2, 1: 4}, {2: 1}], 3, {})
+    ([1, 1, 1, 2], {1: {0: 1, 1: 2}, 2: {2: 1}})
     """
-    pivots = {}  # low -> pivot column
     ranks = []
     for col in columns:
         if col and len(pivots) < n_rows:
@@ -145,7 +158,7 @@ def reduce_columns(columns, n_rows):
             else:
                 pivots[r] = col
         ranks.append(len(pivots))
-    return ranks, set(pivots)
+    return ranks, pivots
 
 
 def rank(m):
@@ -156,7 +169,7 @@ def rank(m):
     >>> rank(SparseIntMatrix.from_dense([[1, 2], [2, 4]]))
     1
     """
-    ranks, _ = reduce_columns(m.rows.values(), m.n_cols)
+    ranks, _ = reduce_columns(m.rows.values(), m.n_cols, {})
     return ranks[-1] if ranks else 0
 
 

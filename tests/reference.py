@@ -678,7 +678,7 @@ def decoded_groups(g, n, model):
     layout = _Layout(g, n, model)
     return {
         key: [layout.decode(code) for code in members]
-        for key, members in _dominant_groups(g, n, model).items()
+        for key, members in _dominant_groups(g, n, model, 0).items()
     }
 
 

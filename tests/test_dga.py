@@ -228,7 +228,7 @@ def test_coded_d_squared_is_zero_on_every_group():
     products = 0
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
-        groups = dga._dominant_groups(g, n, model)
+        groups = dga._dominant_groups(g, n, model, 0)
         for ((d1, d2), w), source in groups.items():
             target = groups.get(((d1 + 2, d2 - 1), w))
             if not target:
@@ -526,7 +526,7 @@ def test_dominant_groups_match_filtered_reference():
     # each member decoded, and its deg3 read above the code
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
-        groups = dga._dominant_groups(g, n, model)
+        groups = dga._dominant_groups(g, n, model, 0)
         assert all(members == sorted(members) for members in groups.values())
         decoded = {
             key: [(code >> layout.width, layout.decode(code)) for code in members]
@@ -539,11 +539,22 @@ def test_dominant_groups_match_filtered_reference():
         assert decoded == want, (g, n, model)
 
 
+def test_dominant_groups_above_a_floor_are_whole_groups():
+    # the floor drops whole groups of deg1 + deg2 < floor and nothing else
+    for g, n, model in sweep_points():
+        every = dga._dominant_groups(g, n, model, 0)
+        for floor in sorted({0, n // 2, n - 1, n}):
+            assert dga._dominant_groups(g, n, model, floor) == {
+                ((d1, d2), w): members for ((d1, d2), w), members in every.items()
+                if d1 + d2 >= floor
+            }, (g, n, model, floor)
+
+
 def test_dominant_groups_check_their_arguments():
     with pytest.raises(ValueError, match="model"):
         cohomology_dims(1, 3, "C")
     with pytest.raises(ValueError, match="n >= 0"):
-        dga._dominant_groups(1, -1, "A")
+        dga._dominant_groups(1, -1, "A", 0)
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
@@ -553,7 +564,7 @@ def test_dominant_groups_have_deg2_at_most_deg1_plus_one(model):
     # (deg3 = 2) meets the bound
     for g, top in ((0, 12), (1, 10), (2, 7), (3, 5)):
         for n in range(top + 1):
-            blocks = {block for block, _ in dga._dominant_groups(g, n, model)}
+            blocks = {block for block, _ in dga._dominant_groups(g, n, model, 0)}
             assert all(d2 <= d1 + 1 for d1, d2 in blocks), (g, n, model)
             assert ((0, 1) in blocks) == (n >= 2), (g, n, model)
 
@@ -563,7 +574,7 @@ def test_empty_target_groups_have_no_differential():
     skipped = 0
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
-        groups = dga._dominant_groups(g, n, model)
+        groups = dga._dominant_groups(g, n, model, 0)
         for ((d1, d2), w), source in groups.items():
             if ((d1 + 2, d2 - 1), w) not in groups:
                 for code in source:
@@ -581,7 +592,7 @@ def test_matrix_matches_the_checked_constructor():
     ranked = 0
     for g, n, model in sweep_points():
         layout = dga._Layout(g, n, model)
-        groups = dga._dominant_groups(g, n, model)
+        groups = dga._dominant_groups(g, n, model, 0)
         for ((d1, d2), w), source in groups.items():
             target = groups.get(((d1 + 2, d2 - 1), w))
             if not target:
@@ -603,7 +614,7 @@ def test_coded_terms_match_the_tuple_differential():
     for g, n in sorted({(g, n) for g, n, _ in sweep_points()}):
         for model in "AB":
             layout = dga._Layout(g, n, model)
-            for members in dga._dominant_groups(g, n, model).values():
+            for members in dga._dominant_groups(g, n, model, 0).values():
                 for code in members:
                     code &= layout.mask
                     got = [
@@ -632,7 +643,7 @@ def test_widest_fields_carry_nothing(g, n):
     # lands on a member of its target group, the tuple differential's image
     # with the same coefficient, and no field overflows
     layout = dga._Layout(g, n, "B")
-    groups = dga._dominant_groups(g, n, "B")
+    groups = dga._dominant_groups(g, n, "B", 0)
     assert max(map(max, groups.values())) >> layout.width == n
     images = 0
     for ((d1, d2), w), source in groups.items():
@@ -738,9 +749,9 @@ def test_each_ranked_group_is_one_writer_call(monkeypatch):
         written.append(len(source))
         return write(self, source, cleared)
 
-    def counting_reduce_columns(columns, n_rows):
+    def counting_reduce_columns(columns, n_rows, pivots):
         ranked.append(len(columns))
-        return reduce_columns(columns, n_rows)
+        return reduce_columns(columns, n_rows, pivots)
 
     monkeypatch.setattr(dga._Layout, "write", counting_write)
     monkeypatch.setattr(dga, "reduce_columns", counting_reduce_columns)
@@ -764,7 +775,7 @@ def test_layout_holds_no_term_table():
 def test_genus0_builds_no_coordinate_table(monkeypatch):
     # the table grows as n^2, and genus 0 is budgeted to large n
     monkeypatch.setattr(dga, "_coordinate_states", None)
-    assert dga._dominant_groups(0, 50, "B")
+    assert dga._dominant_groups(0, 50, "B", 0)
 
 
 def test_rank_loop_does_not_enumerate_the_basis(monkeypatch, tmp_path):
@@ -832,7 +843,8 @@ def test_negative_dimension_raises(monkeypatch):
     # a rank above the group size is caught even under python -O, at the
     # point that grows the store and at the points it serves
     monkeypatch.setattr(
-        dga, "reduce_columns", lambda columns, n_rows: (list(range(2, len(columns) + 2)), set()))
+        dga, "reduce_columns",
+        lambda columns, n_rows, pivots: (list(range(2, len(columns) + 2)), pivots))
     clear_brute_force_caches()
     try:
         for n in (4, 2):
@@ -909,21 +921,25 @@ def test_store_served_points_equal_fresh_recomputation(tmp_path):
 
 def test_store_inserts_each_column_once(monkeypatch):
     # after a call at (g, N), a call at any n <= N neither enumerates nor
-    # reduces; a call at N' > N assembles the sources of the groups that
-    # have a member of deg3 > N and a target, minus the cleared members,
-    # and no other column.  The members cleared in a group are the lows of
-    # its source's reduction in that call, and no others
+    # reduces.  A call at N' > N enumerates once and assembles the groups
+    # that have a member of deg3 > N and a target, minus the cleared
+    # members, and no other column: a group that kept its pivots at N, under
+    # the same layout, writes its members of deg3 > N only, and any other
+    # group all its members.  After the call the store keeps the pivots of
+    # the groups that can still gain a member and have none below N' - 1,
+    # among those it reduced or kept.  The members cleared in a group are
+    # the lows of its source's reduction in that call, and no others
     written, reduced, enumerated = [], [], []
-    cleared_in_all = 0
+    cleared_in_all = resumed = rebuilt = 0
 
     def counting_write(self, source, cleared=()):
         written.append((source, set(cleared)))
         return write(self, source, cleared)
 
-    def counting_reduce_columns(columns, n_rows):
-        ranks, lows = reduce_columns(columns, n_rows)
-        reduced.append(lows)
-        return ranks, lows
+    def counting_reduce_columns(columns, n_rows, pivots):
+        ranks, pivots = reduce_columns(columns, n_rows, pivots)
+        reduced.append(set(pivots))
+        return ranks, pivots
 
     def counting_groups(*args):
         enumerated.append(args)
@@ -936,30 +952,46 @@ def test_store_inserts_each_column_once(monkeypatch):
     try:
         for g, top, model in STORE_SWEEPS:
             clear_brute_force_caches()
-            low = top // 2
-            for n, served in ((low, -1), (top, low)):
-                groups = decoded_groups(g, n, model)
-                want = sum(
-                    len(source) for ((d1, d2), w), source in groups.items()
-                    if max(mono_degrees(g, m)[2] for m in source) > served
-                    and ((d1 + 2, d2 - 1), w) in groups
-                )
+            store = dga._store(g, model)
+            for n in (top // 3, top // 2, top - 1, top):
+                served, layout = store.top, dga._Layout(g, n, model)
+                width = layout.width
+                before = set(store.pivots) if store.width == width else set()
+                groups = dominant_groups(g, n, model, 0)
+                want, touched = {}, set()
+                for ((d1, d2), w), members in groups.items():
+                    if members[-1] >> width <= served:
+                        continue
+                    touched.add(((d1, d2), w))
+                    old = [m for m in members if m >> width <= served]
+                    if old and ((d1 + 2, d2 - 1), w) in groups:
+                        resumed += ((d1, d2), w) in before
+                        rebuilt += ((d1, d2), w) not in before
+                    if ((d1 + 2, d2 - 1), w) in groups:
+                        want[(d1, d2), w] = members[len(old):] if (
+                            ((d1, d2), w) in before) else members
                 written.clear()
                 reduced.clear()
                 enumerated.clear()
                 dga._cohomology_by_weight(g, n, model)
-                assert (sum(len(source) for source, _ in written), len(enumerated)) == (
-                    want, 1), (g, model, n)
+                assert len(enumerated) == 1, (g, model, n)
                 # each write is one group's, followed by its reduction
-                layout = dga._Layout(g, n, model)
                 calls = {}
                 for (source, cleared), lows in zip(written, reduced, strict=True):
                     m = layout.decode(source[0])
                     calls[mono_degrees(g, m)[:2], mono_weight(g, m)] = source, cleared, lows
+                assert {key: source for key, (source, _, _) in calls.items()} == want, (
+                    g, model, n)
                 for ((d1, d2), w), (source, cleared, _) in calls.items():
                     _, _, lows = calls.get(((d1 - 2, d2 + 1), w), (None, None, set()))
-                    assert cleared == lows and cleared <= set(source), (g, model, n, (d1, d2), w)
-                    cleared_in_all += len(cleared)
+                    assert cleared == lows, (g, model, n, (d1, d2), w)
+                    assert cleared <= set(groups[(d1, d2), w]), (g, model, n, (d1, d2), w)
+                    cleared_in_all += len(cleared.intersection(source))
+                assert set(store.pivots) == {
+                    ((d1, d2), w) for ((d1, d2), w), members in groups.items()
+                    if d1 + d2 >= n and members[0] >> width >= n - 1
+                    and ((d1, d2), w) in touched | before
+                }, (g, model, n)
             written.clear()
             reduced.clear()
             enumerated.clear()
@@ -968,18 +1000,21 @@ def test_store_inserts_each_column_once(monkeypatch):
             assert (written, reduced, enumerated) == ([], [], []), (g, model)
     finally:
         clear_brute_force_caches()
-    assert cleared_in_all > 400
+    assert cleared_in_all > 400 and resumed > 50 and rebuilt > 20
 
 
 def test_clearing_leaves_every_store_tuple_unchanged(monkeypatch):
     # over sweep_points(), each genus and model grown point by point from an
-    # empty store: with clearing, the store holds the very tuples of a store
-    # whose reductions report no lows, so that it clears no column
+    # empty store, so that most groups resume their reductions: with
+    # clearing, the store holds the very tuples of a store whose writer
+    # ignores the members to clear, so that it clears no column
     cleared_counts = []
     write = dga._Layout.write
 
     def counting_write(self, source, cleared=()):
-        cleared_counts[-1] += len(cleared)
+        if not clearing:
+            cleared = ()
+        cleared_counts[-1] += len(set(source).intersection(cleared))
         return write(self, source, cleared)
 
     def grown():
@@ -993,10 +1028,9 @@ def test_clearing_leaves_every_store_tuple_unchanged(monkeypatch):
 
     monkeypatch.setattr(dga._Layout, "write", counting_write)
     try:
+        clearing = True
         want = grown()
-        monkeypatch.setattr(
-            dga, "reduce_columns",
-            lambda columns, n_rows: (reduce_columns(columns, n_rows)[0], set()))
+        clearing = False
         assert grown() == want
     finally:
         clear_brute_force_caches()
@@ -1059,9 +1093,62 @@ def test_grow_rejects_a_group_above_the_bidegree_bound(monkeypatch):
     # breaks it would put a cell at 2h > 3k + 1, past verify's degree claim
     member = 2 << dga._Layout(0, 3, "A").width | dga._Layout(0, 3, "A").encode((0, 1, 0, 0, ()))
     groups = {((0, 1), ()): [member], ((0, 2), ()): [member]}
-    monkeypatch.setattr(dga, "_dominant_groups", lambda g, n, model: groups)
+    monkeypatch.setattr(dga, "_dominant_groups", lambda g, n, model, floor: groups)
     with pytest.raises(ArithmeticError, match=r"deg2 <= deg1 \+ 1 violated .* \(\(0, 2\), \(\)\)"):
         dga._Store().grow(0, 3, "A")
+
+
+def _assert_store_matches_a_fresh_one(g, model):
+    """The store of (g, model) holds the tuples and the kept pivots, under
+    the same layout, of a fresh store grown straight to its top."""
+    store = dga._store(g, model)
+    fresh = dga._Store()
+    fresh.grow(g, store.top, model)
+    assert store.steps == fresh.steps, (g, model, store.top)
+    assert (store.pivots, store.width) == (fresh.pivots, fresh.width), (g, model, store.top)
+
+
+@pytest.mark.parametrize("g, model, first, dump, after", [
+    (2, "A", 9, 6, 10), (1, "A", 20, 12, 21), (1, "B", 14, 10, 15), (3, "A", 7, 5, 8),
+])
+def test_a_grow_after_a_dump_below_the_top_matches_a_fresh_store(
+        tmp_path, g, model, first, dump, after):
+    # the dump replaces the store with the fresh one it grew, kept pivots
+    # included, so the next grow resumes from the dump's own pivots: at
+    # (1, B) n = 10 and 15 share a layout
+    try:
+        clear_brute_force_caches()
+        want = {n: dga._cohomology_by_weight(g, n, model) for n in range(after, -1, -1)}
+        clear_brute_force_caches()
+        dga._cohomology_by_weight(g, first, model)
+        dump_blocks(g, dump, model, tmp_path)
+        _assert_store_matches_a_fresh_one(g, model)
+        assert dga._cohomology_by_weight(g, after, model) == want[after]
+        _assert_store_matches_a_fresh_one(g, model)
+        for n in range(after + 1):
+            assert dga._cohomology_by_weight(g, n, model) == want[n], n
+    finally:
+        clear_brute_force_caches()
+
+
+def test_shuffled_regrowth_matches_fresh_stores(tmp_path):
+    # shuffled calls with dumps among them, past layout width changes:
+    # after each, every store tuple and kept pivot equals a fresh store's
+    rng = random.Random(41)
+    try:
+        for g, top, model in ((0, 40, "B"), (1, 20, "A"), (1, 17, "B"), (2, 9, "B"),
+                              (3, 8, "A")):
+            clear_brute_force_caches()
+            calls = list(range(top + 1)) + [("dump", n) for n in rng.sample(range(top), 3)]
+            rng.shuffle(calls)
+            for n in calls:
+                if isinstance(n, tuple):
+                    dump_blocks(g, n[1], model, tmp_path / f"g{g}_{model}_{n[1]}")
+                else:
+                    dga._cohomology_by_weight(g, n, model)
+                _assert_store_matches_a_fresh_one(g, model)
+    finally:
+        clear_brute_force_caches()
 
 
 def test_repeat_read_returns_the_same_result(tmp_path):
@@ -1095,7 +1182,7 @@ def test_dump_blocks(tmp_path):
     # sorted by deg3, and has the prefix ranks of the store the dump grew
     for g, n, model in ((1, 4, "A"), (2, 3, "A"), (1, 4, "B"), (0, 6, "B"),
                         (2, 5, "B"), (3, 4, "A")):
-        groups = dga._dominant_groups(g, n, model)
+        groups = dga._dominant_groups(g, n, model, 0)
         keys = sorted(
             ((d1, d2), w) for (d1, d2), w in groups if ((d1 + 2, d2 - 1), w) in groups
         )
@@ -1118,7 +1205,7 @@ def test_dump_blocks(tmp_path):
             step = dga._store(g, model).steps[key]
             columns = transpose(dumped).rows
             ranks, _ = reduce_columns(
-                [columns.get(c, {}) for c in range(dumped.n_cols)], dumped.n_rows)
+                [columns.get(c, {}) for c in range(dumped.n_cols)], dumped.n_rows, {})
             assert ranks == list(step[len(step) // 2:]), (g, n, model, key)
 
 

@@ -133,9 +133,9 @@ def test_rank_matches_dense_reference_on_differential_blocks(monkeypatch):
         reduced.append([write(self, source)[0]])
         return write(self, source, cleared)
 
-    def recording(columns, n_rows):
+    def recording(columns, n_rows, pivots):
         before = [dict(column) for column in columns]
-        got = reduce_columns(columns, n_rows)
+        got = reduce_columns(columns, n_rows, pivots)
         assert columns == before  # the reduction leaves every column unchanged
         reduced[-1].append(got[0])
         return got
@@ -170,11 +170,13 @@ def test_prefix_ranks_of_random_matrices():
         want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, nc + 1)]
         columns = [{r: dense[r][c] for r in range(nr) if dense[r][c]} for c in range(nc)]
         before = [dict(column) for column in columns]
-        ranks, lows = reduce_columns(columns, nr)
+        ranks, pivots = reduce_columns(columns, nr, {})
         assert ranks == want
         assert columns == before
         from_r = [rank_dense_bareiss(dense[r:]) for r in range(nr + 1)]
-        assert lows == {r for r in range(nr) if from_r[r] > from_r[r + 1]}
+        assert set(pivots) == {r for r in range(nr) if from_r[r] > from_r[r + 1]}
+        # each pivot column ends at its low
+        assert all(max(column) == low for low, column in pivots.items())
 
 
 def test_prefix_ranks_with_negative_pivots():
@@ -183,8 +185,9 @@ def test_prefix_ranks_with_negative_pivots():
     # against the -2 pivot that becomes 2*col plus the pivot column, which
     # is {2: 3, 1: 3}, of content 3, a new pivot at row 2.  The fourth
     # column reduces to zero.  The fifth meets the -2 pivot with multiplier
-    # 2 and ends as a pivot at row 1, and the sixth meets the -1 pivot with
-    # multiplier 1 and reduces to zero.
+    # 2 and ends as a pivot at row 1, {1: 2}, and the sixth meets the -1
+    # pivot with multiplier 1 and reduces to zero.  The first two columns
+    # are kept as they came, the caller's own dicts.
     columns = [
         {4: -1, 3: 1, 1: 2},
         {3: -2, 2: 1, 1: 1},
@@ -196,9 +199,57 @@ def test_prefix_ranks_with_negative_pivots():
     dense = [[column.get(r, 0) for column in columns] for r in range(5)]
     want = [rank_dense_bareiss([row[:k] for row in dense]) for k in range(1, 7)]
     before = [dict(column) for column in columns]
-    assert reduce_columns(columns, 5) == (want, {1, 2, 3, 4})
+    ranks, pivots = reduce_columns(columns, 5, {})
+    assert (ranks, pivots) == (want, {
+        4: {4: -1, 3: 1, 1: 2}, 3: {3: -2, 2: 1, 1: 1}, 2: {2: 1, 1: 1}, 1: {1: 2}})
+    assert pivots[4] is columns[0] and pivots[3] is columns[1]
     assert want == [1, 2, 3, 3, 4, 4]
     assert columns == before
+
+
+def _assert_resumes_at_every_split(columns, n_rows):
+    """Reducing columns [0, k) and then [k, m) into one pivot dict gives,
+    for every k, the prefix ranks and the pivots of one reduction of
+    [0, m), and the dict passed in is the one returned."""
+    whole, lows = reduce_columns(columns, n_rows, {})
+    for k in range(len(columns) + 1):
+        pivots = {}
+        head, kept = reduce_columns(columns[:k], n_rows, pivots)
+        tail, kept = reduce_columns(columns[k:], n_rows, kept)
+        assert kept is pivots
+        assert (head + tail, kept) == (whole, lows), k
+
+
+def test_reduce_columns_resumes_at_every_split():
+    rng = random.Random(29)
+    values = [0, 0, 0, 1, -1, 2, -3]
+    for _ in range(200):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 9)
+        dense = _random_dense(rng, nr, nc, values)
+        _assert_resumes_at_every_split(
+            [{r: dense[r][c] for r in range(nr) if dense[r][c]} for c in range(nc)], nr)
+
+
+def test_reduce_columns_resumes_on_differential_blocks(monkeypatch):
+    # every group the store reduces at the sweep points, each point grown
+    # from an empty store so that each group is reduced whole, split at
+    # every column
+    recorded = []
+
+    def recording(columns, n_rows, pivots):
+        recorded.append((columns, n_rows))
+        return reduce_columns(columns, n_rows, pivots)
+
+    monkeypatch.setattr(dga, "reduce_columns", recording)
+    try:
+        for g, n, model in sweep_points():
+            clear_brute_force_caches()
+            dga.cohomology_dims(g, n, model)
+    finally:
+        clear_brute_force_caches()
+    assert len(recorded) > 1000
+    for columns, n_rows in recorded:
+        _assert_resumes_at_every_split(columns, n_rows)
 
 
 def test_rank_transpose_and_bounds():
