@@ -14,17 +14,23 @@ multiplicity one.  One store per genus (``_bracket``) keeps the running
 sum of each (t, s) column at each u where it changes, and grows by the
 window above the largest u it holds, so each term is written and checked
 once per process.  The store keys each column by its table cell (k, h) =
-(t + s, t + 2s), keeps the columns in cell order, and keeps each change
+(t + s, t + 2s), lists the cells in cell order, and keeps each change
 point's dimension next to its VirtualRep, added up from ``dim_irrep`` once
 per change point.  It checks a cell's weight band once, when its column
-joins, and each change point's dimension as it is added.  A table is then
-one pass over the columns: it bisects each at u = n, skipping the columns
-that start above n, so its cells arrive sorted with their dimensions, and
-it checks its Euler characteristic and builds no series; ``build_Q`` walks
-each column's change points once for the q-series, as a
-{(t, s, u): VirtualRep} dict; ``stabilization_bound`` reads the last u at
-which a column changes; ``euler_series`` sums the alternating dimensions
-of a whole bracket per u.
+joins, and each change point's dimension as it is added.
+
+Every bracket term of cell (k, h) has k - 1 <= u <= k + 1, so a cell
+changes only at u = k - 1, k and k + 1: it is absent below n = k - 1 and
+final from n = k + 1 on.  The store keeps the final value, dimension and
+running Euler sum of each settled cell, of degree k <= top - 1, in cell
+order.  A table at n is then the settled cells of degree k <= n - 1, one
+slice, and the columns of degree n and n + 1, each bisected at u = n;
+its cells arrive sorted with their dimensions, it checks its Euler
+characteristic and builds no series.  ``build_Q`` walks each column's
+change points once for the q-series, as a {(t, s, u): VirtualRep} dict;
+``stabilization_bound`` reads the last u at which a column changes;
+``euler_series`` sums the alternating dimensions of a whole bracket per
+u.
 
 The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
 with the trivial representation as its only irreducible, has its own
@@ -36,11 +42,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 
-from .reps import TRIVIAL, VirtualRep, dim_irrep, rep_label
+from .reps import TRIVIAL, RepLabel, VirtualRep, dim_irrep
 
 __all__ = [
     "q_bracket",
@@ -73,7 +80,7 @@ def _bracket_terms(g, N, lo=-1):
         shifts = pre + [(t + 2 * m, s + 1, u + 2 * m + 2) for t, s, u in pre]
         # V(i, j) sits at u = j + 2i + du: lo < u needs i > (lo - du - j) / 2
         first = max(0, (lo - j - max(du for _, _, du in shifts)) // 2 + 1)
-        labels = [rep_label(g, i, j) for i in range(first, (N - j) // 2 + 1)]
+        labels = [RepLabel(i, j) for i in range(first, (N - j) // 2 + 1)]
         for dt, ds, du in shifts:
             terms += [
                 (j + i + dt, i + ds, j + 2 * i + du, labels[i - first])
@@ -91,16 +98,21 @@ def q_bracket(g, N, lo=-1):
           * sum [V(i,j)] t^(j+i) s^i u^(j+2i) (1 + t^(2(g-j)) s u^(2(g-j+1))),
 
     as a flat list of (t, s, u, label) terms, each of multiplicity one; a
-    label that occurs twice at one (t, s, u) is listed twice.  Labels come
-    from ``rep_label`` or are TRIVIAL, never ZERO.
+    label that occurs twice at one (t, s, u) is listed twice.  Labels are
+    TRIVIAL or RepLabel(i, j) with i >= 0 and 1 <= j <= g, built directly:
+    that is already ``rep_label``'s normal form, and never ZERO.
 
     Its invariants are checked on the window's terms: the u^0 coefficient
-    is 1 (when the window holds u = 0), and every term has t >= s,
-    t <= u + 2g + 2, u <= t + s + 1 and u <= t + 2s, the last two in one
-    test, u <= t + s + min(s, 1).  1/(1-u) keeps the u^0 coefficient and
-    each term's (t, s), and only carries terms to higher u, so the master
-    series meets the first three as well: each of its cells of degree
-    k = t + s has weight h = t + 2s <= 3k/2.
+    is 1 (when the window holds u = 0), and every term has t <= u + 2g + 2,
+    t >= s, u <= t + s + 1, u <= t + 2s and u >= t + s - 1, the third and
+    fourth in one test, u <= t + s + min(s, 1).  The error names the first
+    of these bounds, in this order, that a term breaks.
+    1/(1-u) keeps the u^0 coefficient and each term's (t, s), and only
+    carries terms to higher u, so the master series meets the first three
+    as well: each of its cells of degree k = t + s has weight
+    h = t + 2s <= 3k/2.  The two bounds on u put every term of a cell of
+    degree k at k - 1 <= u <= k + 1, which the store's settled prefix
+    rests on.
     """
     _check_genus(g)
     if N < 0:
@@ -114,13 +126,18 @@ def q_bracket(g, N, lo=-1):
             )
     top = 2 * g + 2
     for t, s, u, _ in terms:
-        if t > u + top or u > t + s + (s > 0) or t < s:  # s > 0 is min(s, 1), for s >= 0
+        # s > 0 is min(s, 1), for s >= 0
+        if t > u + top or t < s or not t + s - 1 <= u <= t + s + (s > 0):
             if t > u + top:
                 bound = "t <= u + 2g + 2"
             elif t < s:
                 bound = "t >= s"
+            elif u > t + s + 1:
+                bound = "u <= t + s + 1"
+            elif u > t + 2 * s:
+                bound = "u <= t + 2s"
             else:
-                bound = "u <= t + s + 1" if u > t + s + 1 else "u <= t + 2s"
+                bound = "u >= t + s - 1"
             raise ArithmeticError(
                 f"exponent bound {bound} violated at {(t, s, u)}, g={g}"
             )
@@ -135,36 +152,54 @@ class _Bracket:
     column with a term at u <= top to three lists: the u at which its
     running sum changes, in increasing order, the VirtualRep that it sums
     to from that u on, shared by every n up to the next change, and that
-    rep's dimension.  The columns are kept in cell order, so that a read at
-    n <= top, which takes each column by bisection and skips the columns
-    that start above n, gives a table's cells sorted, each with its
-    dimension.
+    rep's dimension.  ``cells`` lists the same cells in cell order, and
+    ``starts[m]``, for m <= top + 2, counts its cells of degree k < m.
+
+    Every term of a column has k - 1 <= u <= k + 1 (``q_bracket`` checks
+    both bounds), so the store holds no cell of degree k > top + 1, and a
+    cell of degree k <= top - 1 has all its change points: it is settled,
+    the same at every n >= k + 1.  ``finals`` and ``final_dims`` hold the
+    last VirtualRep and dimension of each of the first ``starts[top]``
+    cells, the settled ones, and ``eulers[i]`` the Euler sum of the first
+    i.  A table at n <= top is the first ``starts[n]`` cells, of degree
+    k <= n - 1, at their final values, then the columns of degree n and
+    n + 1 bisected at n: no higher cell has a term at u <= n.
 
     Every cell in the store has been checked once: its weight band when its
     column joined, and its dimension, positive, at each change point.
     """
 
-    __slots__ = ("top", "columns")
+    __slots__ = ("top", "columns", "cells", "starts", "finals", "final_dims", "eulers")
 
     def __init__(self):
         self.top = -1
         self.columns = {}
+        self.cells = []
+        self.starts = [0]
+        self.finals = []
+        self.final_dims = []
+        self.eulers = [0]
 
     def cover(self, g, n):
         """Grow to top = n: ask ``q_bracket`` only for the terms with
         top < u <= n, and extend each column from its last sum and
-        dimension, adding the ``dim_irrep`` of each new term.
+        dimension, adding the ``dim_irrep`` of each new term, looked up
+        once per label.
 
         A column new to the store must have its cell (k, h) in the weight
         band, h >= k and 0 <= 3k - 2h <= 2g + 2 (ArithmeticError), and each
         new change point a positive dimension (ValueError): a sum of
         multiplicity-one terms is an effective rep that is not zero.  Both
         errors name the cell and the n from which it holds, and leave the
-        store as it was.  A column new to the store puts the columns out of
-        cell order, so they are sorted again when one is added.
+        store as it was.  A new term has u > top, so its cell has degree
+        k >= u - 1 >= top: only the cells from ``starts[top]`` on are put in
+        order again, and the settled prefix grows at its end, by the cells
+        of degree top <= k <= n - 1.
         """
+        terms = q_bracket(g, n, self.top)
+        dim_of = {label: dim_irrep(g, label) for label in {term[3] for term in terms}}
         fresh = {}
-        for t, s, u, label in q_bracket(g, n, self.top):
+        for t, s, u, label in terms:
             fresh.setdefault((t + s, t + 2 * s), []).append((u, label))
         columns = self.columns
         grown = []
@@ -180,28 +215,44 @@ class _Bracket:
                     f"weight band violated at genus {g}, n={column[0][0]}, (k={k}, h={h})"
                 )
             us, reps, dims = [], [], []
-            ends = [u for u, _ in column[1:]] + [n + 1]
-            for (u, label), end in zip(column, ends):
-                counts[label] = counts.get(label, 0) + 1
-                dim += dim_irrep(g, label)
-                if end > u:
-                    if dim <= 0:
-                        raise ValueError(
-                            f"dimension {dim} at genus {g}, n={u}, (k={k}, h={h})"
-                        )
-                    us.append(u)
-                    reps.append(VirtualRep.from_counts(counts))
-                    dims.append(dim)
-                    counts = dict(counts)
+            for u, at_u in groupby(column, itemgetter(0)):
+                for _, label in at_u:
+                    counts[label] = counts.get(label, 0) + 1
+                    dim += dim_of[label]
+                if dim <= 0:
+                    raise ValueError(f"dimension {dim} at genus {g}, n={u}, (k={k}, h={h})")
+                us.append(u)
+                reps.append(VirtualRep.from_counts(counts))
+                dims.append(dim)
+                counts = dict(counts)
             grown.append(((k, h), us, reps, dims))
-        added = not fresh.keys() <= columns.keys()
+        added = [cell for cell, *_ in grown if cell not in columns]
         for cell, us, reps, dims in grown:
             column = columns.setdefault(cell, ([], [], []))
             column[0].extend(us)
             column[1].extend(reps)
             column[2].extend(dims)
+        self._settle(n, added)
+
+    def _settle(self, n, added):
+        """Put the ``added`` cells in order, count ``starts`` up to n + 2
+        and settle the cells of degree k <= n - 1, for top = n."""
+        cells, starts = self.cells, self.starts
+        del starts[max(self.top, 0) + 1:]
+        cut = starts[-1]
         if added:
-            self.columns = dict(sorted(columns.items()))
+            cells[cut:] = sorted(cells[cut:] + added)
+        for m in range(len(starts), n + 3):
+            while cut < len(cells) and cells[cut][0] < m:
+                cut += 1
+            starts.append(cut)
+        euler = self.eulers[-1]
+        for cell in cells[len(self.finals):starts[n]]:
+            _, reps, dims = self.columns[cell]
+            self.finals.append(reps[-1])
+            self.final_dims.append(dims[-1])
+            euler += -dims[-1] if cell[0] % 2 else dims[-1]
+            self.eulers.append(euler)
         self.top = n
 
 
@@ -372,24 +423,31 @@ def mixed_table(g, n):
     """Table of gr-pieces of H^*(UConf_n) for genus g >= 0.
 
     For g >= 1 it is the u^n coefficient of the master series, read off
-    the genus' store in one pass: each column whose first change point is
-    at most n is bisected once, which gives the cell's VirtualRep and its
-    dimension, computed by the store once per change point.  The store's
-    columns are keyed by cell (k, h) = (t+s, t+2s) and come in cell order,
-    and it has checked each cell's weight band and dimension, so the pass
-    only adds up the Euler characteristic and checks it (ValueError).  For
-    the sphere it is one V(0,0) at (0, 0), the sphere itself at (2, 2) when
-    n = 1, and for n >= 3 one class at (3, 4), of the weight of
-    H^3(PGL_2(C)), built and checked like any table of given cells.
+    the genus' store.  Its cells of degree k <= n - 1 are settled, so their
+    VirtualReps, dimensions and Euler sum are slices of the store's prefix;
+    each column of degree n or n + 1 whose first change point is at most n
+    is bisected once, which gives the cell's VirtualRep and its dimension,
+    computed by the store once per change point; no cell of higher degree
+    has a term at u <= n.  The store's cells are keyed (k, h) =
+    (t+s, t+2s) and come in cell order, and it has checked each cell's
+    weight band and dimension, so the read only adds up the Euler
+    characteristic and checks it (ValueError).  For the sphere it is one
+    V(0,0) at (0, 0), the sphere itself at (2, 2) when n = 1, and for
+    n >= 3 one class at (3, 4), of the weight of H^3(PGL_2(C)), built and
+    checked like any table of given cells.
     """
     if g < 0 or n < 0:
         raise ValueError("need g >= 0 and n >= 0")
     if g == 0:
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
         return MixedTable(0, n, {kh: VirtualRep.unit() for kh in cells}).validate()
-    entries, dims = {}, {}
-    euler = 0
-    for cell, (us, reps, ds) in _covering(g, n).columns.items():
+    store = _covering(g, n)
+    cells, settled = store.cells, store.starts[n]
+    entries = dict(zip(cells, store.finals[:settled]))
+    dims = dict(zip(cells, store.final_dims[:settled]))
+    euler = store.eulers[settled]
+    for cell in cells[settled:store.starts[n + 2]]:
+        us, reps, ds = store.columns[cell]
         if us[0] <= n:
             i = bisect_right(us, n) - 1
             entries[cell] = reps[i]
@@ -431,9 +489,10 @@ def stabilization_bound(g, k, h):
     at which the store's (k, h) column changes, or 0 when the bracket has
     no such column.  Every bracket term satisfies u <= t + s + 1 = k + 1
     and u <= t + 2s = h (q_bracket checks both), so a store grown to k + 1
-    holds the whole column and the bound is at most h.  For the sphere it
-    is read off its table: (2, 2) is gone from n = 2 on, (3, 4) is there
-    from n = 3 on, and every other cell is constant from n = 0.
+    holds the whole column and the bound is at most min(h, k + 1).  For
+    the sphere it is read off its table: (2, 2) is gone from n = 2 on,
+    (3, 4) is there from n = 3 on, and every other cell is constant from
+    n = 0.
     """
     if g < 0:
         raise ValueError("need g >= 0")

@@ -41,6 +41,9 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``closedform.build_Q``.
 - ``u_slice``: the u^n coefficient of ``closedform.build_Q``'s dict, which
   the tests compare with the tables.
+- ``bisected_table``: a closed-form table read by bisecting every column
+  of the genus' store at n, which checks the settled prefix that
+  ``closedform.mixed_table`` reads its cells of degree k <= n - 1 from.
 - ``per_cell_dims``: a table's dimensions, Betti numbers and Euler
   characteristic recomputed cell by cell, which check the dimensions that
   ``closedform.MixedTable`` stores at construction.
@@ -62,11 +65,12 @@ per-process cache of the brute-force route, so that a test that starts or
 ends with it reads no result another test left behind.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
 from confcoh import dga, reps
-from confcoh.closedform import _check_genus
+from confcoh.closedform import MixedTable, _check_euler, _check_genus, _covering
 from confcoh.dga import _Layout, _dominant_groups, _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
@@ -555,6 +559,26 @@ def build_Q_assembled(g, N):
         + _tri(N, [(2, 0, 1, 1)]) * quot
     )
     return geom_u(N) * bracket
+
+
+def bisected_table(g, n):
+    """The table of ``closedform.mixed_table(g, n)`` read off the genus'
+    store by bisecting every column at n, in cell order, skipping the
+    columns that start above n, and checked against the Euler
+    characteristic; the sphere's table is written out."""
+    if g == 0:
+        cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
+        return MixedTable(0, n, {kh: VirtualRep.unit() for kh in cells}).validate()
+    entries, dims = {}, {}
+    euler = 0
+    for cell, (us, sums, ds) in sorted(_covering(g, n).columns.items()):
+        if us[0] <= n:
+            i = bisect_right(us, n) - 1
+            entries[cell] = sums[i]
+            dim = dims[cell] = ds[i]
+            euler += -dim if cell[0] % 2 else dim
+    _check_euler(g, n, euler)
+    return MixedTable._checked(g, n, entries, dims)
 
 
 def per_cell_dims(table):

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from bisect import bisect_right
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,7 @@ from confcoh.closedform import (
 from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, dim_irrep, rep_label
 from confcoh.series import TriSeries
 from reference import (
+    bisected_table,
     coeff,
     build_P_HA,
     build_P_SV,
@@ -235,6 +241,7 @@ def bad_bracket_term(monkeypatch):
         ((0, 0, 2), r"u <= t \+ s \+ 1"),
         ((1, 0, 2), r"u <= t \+ 2s"),
         ((0, 1, 1), r"t >= s"),
+        ((3, 1, 2), r"u >= t \+ s - 1"),
     ],
 )
 def test_bracket_invariants_raise(bad_bracket_term, term, message):
@@ -248,14 +255,36 @@ def test_bracket_invariants_raise(bad_bracket_term, term, message):
 
 
 def test_store_rejects_a_cell_outside_the_weight_band(bad_bracket_term):
-    # (t, s, u) = (5, 0, 3) meets every bound of q_bracket, but its cell
+    # (t, s, u) = (5, 0, 5) meets every bound of q_bracket, but its cell
     # (k, h) = (5, 5) has 3k - 2h = 5 > 2g + 2 = 4; the error holds at every
     # read, since the store takes in no term of the window that failed
-    bad_bracket_term(5, 0, 3)
+    bad_bracket_term(5, 0, 5)
     for _ in range(2):
         with pytest.raises(ArithmeticError, match=r"weight band violated at genus 1, "
                            r"n=\d+, \(k=5, h=5\)"):
-            mixed_table(1, 4)
+            mixed_table(1, 6)
+
+
+def test_degree_bound_raises_under_python_O():
+    # the bound u >= t + s - 1, which the store's settled prefix rests on,
+    # is a real check: it raises with assert statements stripped
+    code = """
+from confcoh import closedform
+from confcoh.reps import TRIVIAL
+assert False, "assert statements are stripped under -O"
+terms = closedform._bracket_terms
+closedform._bracket_terms = lambda g, N, lo=-1: terms(g, N, lo) + [(3, 1, 2, TRIVIAL)]
+try:
+    closedform.mixed_table(1, 4)
+except ArithmeticError as error:
+    print(error)
+"""
+    src = Path(closedform.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "exponent bound u >= t + s - 1 violated at (3, 1, 2), g=1"
 
 
 def test_euler_mismatch_raises(bad_bracket_term, monkeypatch):
@@ -341,6 +370,56 @@ def test_store_reads_equal_a_fresh_bracket(order):
         else:
             series = {key: rep for key, rep in want[g].items() if key[2] <= n}
             assert build_Q(g, n) == series, (g, n)
+
+
+def test_settled_reads_equal_the_bisected_reference():
+    # tables read off the settled prefix against every column of the store
+    # bisected, in shuffled order, with the stores grown between reads by
+    # covers of different steps: the same entries and dims, in the same
+    # cell order
+    rng = random.Random(34)
+    reads = [(g, n) for g in range(11) for n in range(41)]
+    rng.shuffle(reads)
+    closedform._bracket.cache_clear()
+    for g, n in reads:
+        if g and rng.random() < 0.5:
+            step = rng.choice((1, 2, 3, 5, 8))
+            closedform._covering(g, min(40, closedform._bracket(g).top + step))
+        table, want = mixed_table(g, n), bisected_table(g, n)
+        assert list(table.entries.items()) == list(want.entries.items()), (g, n)
+        assert list(table.dims().items()) == list(want.dims().items()), (g, n)
+    closedform._bracket.cache_clear()
+
+
+def test_store_cells_change_only_from_k_minus_one_to_k_plus_one():
+    # every term of a cell of degree k has k - 1 <= u <= k + 1, so the cell
+    # is absent from the tables below n = k - 1 and final from n = k + 1 on
+    N = 30
+    for g in range(1, 9):
+        tables = [mixed_table(g, n).entries for n in range(N + 1)]
+        for (k, h), (us, sums, _) in closedform._bracket(g).columns.items():
+            assert k - 1 <= us[0] and us[-1] <= k + 1, (g, k, h, us)
+            for n in range(N + 1):
+                if n < k - 1:
+                    assert (k, h) not in tables[n], (g, k, h, n)
+                elif n >= k + 1:
+                    assert tables[n][(k, h)] == sums[-1], (g, k, h, n)
+
+
+def test_a_table_bisects_only_the_columns_of_degree_n_and_n_plus_one(monkeypatch):
+    # the cells of degree k <= n - 1 are read off the settled prefix, on a
+    # store grown to n by the read itself and on one grown past it
+    calls = []
+    monkeypatch.setattr(closedform, "bisect_right",
+                        lambda us, n: calls.append(n) or bisect_right(us, n))
+    for g in (1, 2, 5, 8):
+        closedform._bracket.cache_clear()
+        for n in list(range(31)) + list(range(30, -1, -1)):
+            del calls[:]
+            mixed_table(g, n)
+            window = sum(k in (n, n + 1) for k, _ in closedform._bracket(g).columns)
+            assert 0 < len(calls) <= window, (g, n)
+    closedform._bracket.cache_clear()
 
 
 @pytest.fixture
@@ -603,12 +682,12 @@ def test_stabilization_bound_rejects_a_negative_genus():
 
 
 def test_stabilization_bound_is_at_most_the_weight():
-    # every bracket term has u <= t + 2s = h, and the entry settles at the
-    # largest such u
-    for g in range(1, 7):
-        for k in range(25):
-            for h in range(k, 2 * k + 1):
-                assert stabilization_bound(g, k, h) <= h, (g, k, h)
+    # every bracket term has u <= t + 2s = h and u <= t + s + 1 = k + 1, and
+    # the entry settles at the largest such u
+    for g in range(9):
+        for k in range(21):
+            for h in range(2 * k + 3):
+                assert stabilization_bound(g, k, h) <= min(h, k + 1), (g, k, h)
 
 
 def test_stabilization_is_sharp_enough():
