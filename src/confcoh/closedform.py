@@ -10,27 +10,26 @@ degree-one classes in weight 1 and the point class in weight 2.
 The master series is a bracket times 1/(1-u), and 1/(1-u) is a running
 sum over u.  ``q_bracket`` writes the bracket from its formula, for a
 window lo < u <= N, as one checked flat list of (t, s, u, label) terms of
-multiplicity one.  One store per genus (``_bracket``) keeps the running
-sum of each (t, s) column at each u where it changes, and grows by the
-window above the largest u it holds, so each term is written and checked
-once per process.  The store keys each column by its table cell (k, h) =
-(t + s, t + 2s), lists the cells in cell order, and keeps each change
-point's dimension next to its VirtualRep, added up from ``dim_irrep`` once
-per change point.  It checks a cell's weight band once, when its column
-joins, and each change point's dimension as it is added.
+multiplicity one.  Every term of table cell (k, h) = (t + s, t + 2s) has
+k - 1 <= u <= k + 1, so a cell changes only at those three u: it is absent
+below n = k - 1 and final from n = k + 1 on.  One store per genus
+(``_bracket``) keeps three fixed slots per cell, one per u, each empty or
+the running sum from that u on with its dimension, added up from
+``dim_irrep`` once per change point.  It grows by the window above the
+largest u it holds, filing each term straight into its slot, so each term
+is written and checked once per process.  It checks a cell's weight band
+once, when the cell joins, and each change point's dimension as it is
+added.
 
-Every bracket term of cell (k, h) has k - 1 <= u <= k + 1, so a cell
-changes only at u = k - 1, k and k + 1: it is absent below n = k - 1 and
-final from n = k + 1 on.  The store keeps the final value, dimension and
-running Euler sum of each settled cell, of degree k <= top - 1, in cell
-order.  A table at n is then the settled cells of degree k <= n - 1, one
-slice, and the columns of degree n and n + 1, each bisected at u = n;
-its cells arrive sorted with their dimensions, it checks its Euler
-characteristic and builds no series.  ``build_Q`` walks each column's
-change points once for the q-series, as a {(t, s, u): VirtualRep} dict;
-``stabilization_bound`` reads the last u at which a column changes;
-``euler_series`` sums the alternating dimensions of a whole bracket per
-u.
+The store lists its cells in cell order and keeps the final value,
+dimension and running Euler sum of each settled cell, of degree
+k <= top - 1.  A table at n is then the settled cells of degree
+k <= n - 1, one slice, and the cells of degree n and n + 1, each read off
+one slot; its cells arrive sorted with their dimensions, it checks its
+Euler characteristic and builds no series.  ``build_Q`` walks each cell's
+slots once for the q-series, as a {(t, s, u): VirtualRep} dict;
+``stabilization_bound`` reads a cell's last filled slot; ``euler_series``
+sums the alternating dimensions of a whole bracket per u.
 
 The bracket needs g >= 1.  Genus 0, whose sp(0) is the zero Lie algebra
 with the trivial representation as its only irreducible, has its own
@@ -40,11 +39,9 @@ its stabilization bounds are read off that table.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import comb
-from operator import itemgetter
 from types import MappingProxyType
 
 from .reps import TRIVIAL, RepLabel, VirtualRep, dim_irrep
@@ -111,8 +108,8 @@ def q_bracket(g, N, lo=-1):
     carries terms to higher u, so the master series meets the first three
     as well: each of its cells of degree k = t + s has weight
     h = t + 2s <= 3k/2.  The two bounds on u put every term of a cell of
-    degree k at k - 1 <= u <= k + 1, which the store's settled prefix
-    rests on.
+    degree k at k - 1 <= u <= k + 1, which the store's three slots per
+    cell and its settled prefix rest on.
     """
     _check_genus(g)
     if N < 0:
@@ -149,24 +146,27 @@ class _Bracket:
     genus.
 
     ``columns`` maps the table cell (k, h) = (t + s, t + 2s) of each (t, s)
-    column with a term at u <= top to three lists: the u at which its
-    running sum changes, in increasing order, the VirtualRep that it sums
-    to from that u on, shared by every n up to the next change, and that
-    rep's dimension.  ``cells`` lists the same cells in cell order, and
-    ``starts[m]``, for m <= top + 2, counts its cells of degree k < m.
+    column with a term at u <= top to a list of three slots, for
+    u = k - 1, k and k + 1 (slot u - k + 1).  A slot is None when the
+    column has no term at its u, and otherwise (VirtualRep, dim): the sum
+    of the column's terms up to that u, shared by every n up to the next
+    filled slot, and its dimension.  Every term of a column has
+    k - 1 <= u <= k + 1 (``q_bracket`` checks both bounds), which is what
+    makes the slot index valid.  ``cells`` lists the same cells in cell
+    order, and ``starts[m]``, for m <= top + 2, counts its cells of degree
+    k < m.
 
-    Every term of a column has k - 1 <= u <= k + 1 (``q_bracket`` checks
-    both bounds), so the store holds no cell of degree k > top + 1, and a
-    cell of degree k <= top - 1 has all its change points: it is settled,
-    the same at every n >= k + 1.  ``finals`` and ``final_dims`` hold the
-    last VirtualRep and dimension of each of the first ``starts[top]``
-    cells, the settled ones, and ``eulers[i]`` the Euler sum of the first
-    i.  A table at n <= top is the first ``starts[n]`` cells, of degree
-    k <= n - 1, at their final values, then the columns of degree n and
-    n + 1 bisected at n: no higher cell has a term at u <= n.
+    The store holds no cell of degree k > top + 1, and a cell of degree
+    k <= top - 1 has all its slots: it is settled, the same at every
+    n >= k + 1.  ``finals`` and ``final_dims`` hold the last filled slot of
+    each of the first ``starts[top]`` cells, the settled ones, and
+    ``eulers[i]`` the Euler sum of the first i.  A table at n <= top is the
+    first ``starts[n]`` cells, of degree k <= n - 1, at their final values,
+    then the cells of degree n, at slot 1 or else slot 0, and of degree
+    n + 1, at slot 0: no higher cell has a term at u <= n.
 
-    Every cell in the store has been checked once: its weight band when its
-    column joined, and its dimension, positive, at each change point.
+    Every cell in the store has been checked once: its weight band when it
+    joined, and its dimension, positive, at each filled slot.
     """
 
     __slots__ = ("top", "columns", "cells", "starts", "finals", "final_dims", "eulers")
@@ -182,56 +182,65 @@ class _Bracket:
 
     def cover(self, g, n):
         """Grow to top = n: ask ``q_bracket`` only for the terms with
-        top < u <= n, and extend each column from its last sum and
-        dimension, adding the ``dim_irrep`` of each new term, looked up
-        once per label.
+        top < u <= n, file each one straight into its cell's slot u - k + 1,
+        and extend each cell from its last sum and dimension, adding the
+        ``dim_irrep`` of each new term, looked up once per label.
 
-        A column new to the store must have its cell (k, h) in the weight
-        band, h >= k and 0 <= 3k - 2h <= 2g + 2 (ArithmeticError), and each
-        new change point a positive dimension (ValueError): a sum of
-        multiplicity-one terms is an effective rep that is not zero.  Both
-        errors name the cell and the n from which it holds, and leave the
-        store as it was.  A new term has u > top, so its cell has degree
-        k >= u - 1 >= top: only the cells from ``starts[top]`` on are put in
-        order again, and the settled prefix grows at its end, by the cells
-        of degree top <= k <= n - 1.
+        A cell new to the store must be in the weight band, h >= k and
+        0 <= 3k - 2h <= 2g + 2 (ArithmeticError), and each new change point
+        have a positive dimension (ValueError): a sum of multiplicity-one
+        terms is an effective rep that is not zero.  Both errors name the
+        cell and the n from which it holds.  The grown slots are written to
+        new lists and put in the store only once the whole window has
+        passed, so a failed cover leaves the store as it was.  A new term
+        has u > top, so each slot it fills lies above every slot its cell
+        already holds, and its cell has degree k >= u - 1 >= top: only the
+        cells from ``starts[top]`` on are put in order again, and the
+        settled prefix grows at its end, by the cells of degree
+        top <= k <= n - 1.
         """
         terms = q_bracket(g, n, self.top)
         dim_of = {label: dim_irrep(g, label) for label in {term[3] for term in terms}}
         fresh = {}
         for t, s, u, label in terms:
-            fresh.setdefault((t + s, t + 2 * s), []).append((u, label))
+            k = t + s
+            cell = (k, k + s)
+            new = fresh.get(cell)
+            if new is None:
+                new = fresh[cell] = ([], [], [])
+            new[u - k + 1].append(label)
         columns = self.columns
-        grown = []
-        for (k, h), column in fresh.items():
-            column.sort()
+        grown = {}
+        for (k, h), new in fresh.items():
             old = columns.get((k, h))
             if old is not None:
-                counts, dim = dict(old[1][-1].items()), old[2][-1]
+                rep, dim = old[2] or old[1] or old[0]
+                counts, slots = rep.counts(), old.copy()
             elif h >= k and 0 <= 3 * k - 2 * h <= 2 * g + 2:
-                counts, dim = {}, 0
+                counts, dim, slots = {}, 0, [None, None, None]
             else:
+                u = k - 1 + next(i for i, labels in enumerate(new) if labels)
                 raise ArithmeticError(
-                    f"weight band violated at genus {g}, n={column[0][0]}, (k={k}, h={h})"
+                    f"weight band violated at genus {g}, n={u}, (k={k}, h={h})"
                 )
-            us, reps, dims = [], [], []
-            for u, at_u in groupby(column, itemgetter(0)):
-                for _, label in at_u:
+            taken = False
+            for i, labels in enumerate(new):
+                if not labels:
+                    continue
+                if taken:
+                    counts = dict(counts)
+                for label in labels:
                     counts[label] = counts.get(label, 0) + 1
                     dim += dim_of[label]
                 if dim <= 0:
-                    raise ValueError(f"dimension {dim} at genus {g}, n={u}, (k={k}, h={h})")
-                us.append(u)
-                reps.append(VirtualRep.from_counts(counts))
-                dims.append(dim)
-                counts = dict(counts)
-            grown.append(((k, h), us, reps, dims))
-        added = [cell for cell, *_ in grown if cell not in columns]
-        for cell, us, reps, dims in grown:
-            column = columns.setdefault(cell, ([], [], []))
-            column[0].extend(us)
-            column[1].extend(reps)
-            column[2].extend(dims)
+                    raise ValueError(
+                        f"dimension {dim} at genus {g}, n={k - 1 + i}, (k={k}, h={h})"
+                    )
+                slots[i] = (VirtualRep.from_counts(counts), dim)
+                taken = True
+            grown[(k, h)] = slots
+        added = [cell for cell in grown if cell not in columns]
+        columns.update(grown)
         self._settle(n, added)
 
     def _settle(self, n, added):
@@ -248,10 +257,11 @@ class _Bracket:
             starts.append(cut)
         euler = self.eulers[-1]
         for cell in cells[len(self.finals):starts[n]]:
-            _, reps, dims = self.columns[cell]
-            self.finals.append(reps[-1])
-            self.final_dims.append(dims[-1])
-            euler += -dims[-1] if cell[0] % 2 else dims[-1]
+            slots = self.columns[cell]
+            rep, dim = slots[2] or slots[1] or slots[0]
+            self.finals.append(rep)
+            self.final_dims.append(dim)
+            euler += -dim if cell[0] % 2 else dim
             self.eulers.append(euler)
         self.top = n
 
@@ -276,20 +286,21 @@ def _covering(g, n):
 def build_Q(g, N):
     """Master series truncated at u^N, as {(t, s, u): VirtualRep}: the
     bracket times 1/(1-u), whose u^n coefficient is the column sums at n
-    off the genus' store.  Each column's change points are walked once,
-    and the sum from each one fills every u up to the next, or to N, at
-    (t, s) = (2k - h, h - k).  Every coefficient is nonzero, and one that
-    does not change from u to u+1 is the same (immutable) VirtualRep."""
+    off the genus' store.  Each cell (k, h) is walked once over
+    k - 1 <= u <= N, at (t, s) = (2k - h, h - k): the sum of a filled slot
+    fills every u up to the next filled one, or to N.  Every coefficient is
+    nonzero, and one that does not change from u to u+1 is the same
+    (immutable) VirtualRep."""
     q = {}
-    for (k, h), (us, reps, _) in _covering(g, N).columns.items():
+    for (k, h), slots in _covering(g, N).columns.items():
         t, s = 2 * k - h, h - k
-        for u, end, rep in zip(us, us[1:] + [N + 1], reps):
-            if u > N:
-                break
-            for v in range(u, min(end, N + 1)):
-                q[(t, s, v)] = rep
+        rep = None
+        for u in range(k - 1, N + 1):
+            if u <= k + 1 and slots[u - k + 1] is not None:
+                rep = slots[u - k + 1][0]
+            if rep is not None:
+                q[(t, s, u)] = rep
     return q
-
 
 # ---------------------------------------------------------------------------
 # tables
@@ -425,10 +436,10 @@ def mixed_table(g, n):
     For g >= 1 it is the u^n coefficient of the master series, read off
     the genus' store.  Its cells of degree k <= n - 1 are settled, so their
     VirtualReps, dimensions and Euler sum are slices of the store's prefix;
-    each column of degree n or n + 1 whose first change point is at most n
-    is bisected once, which gives the cell's VirtualRep and its dimension,
-    computed by the store once per change point; no cell of higher degree
-    has a term at u <= n.  The store's cells are keyed (k, h) =
+    each cell of degree n is read off its slot 1 (u = n), or else slot 0,
+    and each of degree n + 1 off its slot 0, which gives the cell's
+    VirtualRep and its dimension, computed by the store once per change
+    point; no cell of higher degree has a term at u <= n.  The store's cells are keyed (k, h) =
     (t+s, t+2s) and come in cell order, and it has checked each cell's
     weight band and dimension, so the read only adds up the Euler
     characteristic and checks it (ValueError).  For the sphere it is one
@@ -442,16 +453,17 @@ def mixed_table(g, n):
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
         return MixedTable(0, n, {kh: VirtualRep.unit() for kh in cells}).validate()
     store = _covering(g, n)
-    cells, settled = store.cells, store.starts[n]
+    cells, columns, settled = store.cells, store.columns, store.starts[n]
     entries = dict(zip(cells, store.finals[:settled]))
     dims = dict(zip(cells, store.final_dims[:settled]))
     euler = store.eulers[settled]
     for cell in cells[settled:store.starts[n + 2]]:
-        us, reps, ds = store.columns[cell]
-        if us[0] <= n:
-            i = bisect_right(us, n) - 1
-            entries[cell] = reps[i]
-            dim = dims[cell] = ds[i]
+        slots = columns[cell]
+        # slot 1, else slot 0, at degree k = n; slot 0 at k = n + 1
+        slot = slots[n - cell[0] + 1] or slots[0]
+        if slot is not None:
+            entries[cell], dim = slot
+            dims[cell] = dim
             euler += -dim if cell[0] % 2 else dim
     _check_euler(g, n, euler)
     return MixedTable._checked(g, n, entries, dims)
@@ -471,6 +483,8 @@ def euler_series(g, N):
     """Euler characteristics of UConf_n for n <= N.  The master series is
     the bracket times 1/(1-u), so each is a running sum over u of the
     bracket's alternating dimensions, taken in one pass over its terms."""
+    if g < 0:
+        raise ValueError("need g >= 0")
     if N < 0:
         raise ValueError("truncation must be >= 0")
     if g == 0:
@@ -485,8 +499,8 @@ def stabilization_bound(g, k, h):
     """Least n0 such that the (k, h) table entry is constant for n >= n0.
 
     The 1/(1-u) prefactor only accumulates, so the entry stabilizes at the
-    largest u-exponent with which the bracket meets (k, h): the last point
-    at which the store's (k, h) column changes, or 0 when the bracket has
+    largest u-exponent with which the bracket meets (k, h): the u of the
+    last filled slot of the store's (k, h) cell, or 0 when the bracket has
     no such column.  Every bracket term satisfies u <= t + s + 1 = k + 1
     and u <= t + 2s = h (q_bracket checks both), so a store grown to k + 1
     holds the whole column and the bound is at most min(h, k + 1).  For
@@ -500,5 +514,5 @@ def stabilization_bound(g, k, h):
         return {(2, 2): 2, (3, 4): 3}.get((k, h), 0)
     if not k <= h <= 2 * k:  # the (t, s) = (2k - h, h - k) column has t, s >= 0
         return 0
-    column = _covering(g, k + 1).columns.get((k, h))
-    return column[0][-1] if column else 0
+    slots = _covering(g, k + 1).columns.get((k, h))
+    return max(k - 1 + i for i, slot in enumerate(slots) if slot) if slots else 0

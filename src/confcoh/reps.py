@@ -99,10 +99,10 @@ class VirtualRep:
     Two constructors give the same object: ``VirtualRep(terms)`` takes
     (label, mult) pairs or a dict, normalises each label, drops ZERO labels
     and zero multiplicities and adds up repeated labels; ``from_counts``
-    takes over a {label: mult} dict whose labels are already normalised.
-    Both set ``_dim`` to None; ``effective_dim`` keeps its last result
-    there, as (g, dim), which stays right because a VirtualRep never
-    changes.
+    takes over a {label: mult} dict whose labels are already normalised,
+    and ``counts`` gives an unsorted copy of that dict back.  Both set
+    ``_dim`` to None; ``effective_dim`` keeps its last result there, as
+    (g, dim), which stays right because a VirtualRep never changes.
 
     >>> v = VirtualRep.single(RepLabel(1, 2), 3) + VirtualRep.unit()
     >>> v.text()
@@ -157,6 +157,11 @@ class VirtualRep:
     def items(self):
         """Terms sorted by label, highest first."""
         return sorted(self._terms.items(), reverse=True)
+
+    def counts(self):
+        """A new {label: mult} dict of the terms, in no particular order:
+        the unsorted copy that ``from_counts`` takes back."""
+        return dict(self._terms)
 
     def __bool__(self):
         return bool(self._terms)

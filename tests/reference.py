@@ -41,9 +41,9 @@ benchmark; each one checks a ``confcoh`` function by a second route:
   ``closedform.build_Q``.
 - ``u_slice``: the u^n coefficient of ``closedform.build_Q``'s dict, which
   the tests compare with the tables.
-- ``bisected_table``: a closed-form table read by bisecting every column
-  of the genus' store at n, which checks the settled prefix that
-  ``closedform.mixed_table`` reads its cells of degree k <= n - 1 from.
+- ``summed_table``: a closed-form table summed straight from the bracket's
+  terms, with no store, which checks the settled prefix and the slots that
+  ``closedform.mixed_table`` reads its cells from.
 - ``per_cell_dims``: a table's dimensions, Betti numbers and Euler
   characteristic recomputed cell by cell, which check the dimensions that
   ``closedform.MixedTable`` stores at construction.
@@ -65,12 +65,11 @@ per-process cache of the brute-force route, so that a test that starts or
 ends with it reads no result another test left behind.
 """
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
 from confcoh import dga, reps
-from confcoh.closedform import MixedTable, _check_euler, _check_genus, _covering
+from confcoh.closedform import MixedTable, _check_euler, _check_genus, q_bracket
 from confcoh.dga import _Layout, _dominant_groups, _matrix, enumerate_basis, mono_degrees
 from confcoh.linalg import SparseIntMatrix
 from confcoh.reps import (
@@ -561,23 +560,21 @@ def build_Q_assembled(g, N):
     return geom_u(N) * bracket
 
 
-def bisected_table(g, n):
-    """The table of ``closedform.mixed_table(g, n)`` read off the genus'
-    store by bisecting every column at n, in cell order, skipping the
-    columns that start above n, and checked against the Euler
+def summed_table(g, n):
+    """The table of ``closedform.mixed_table(g, n)`` summed straight from
+    the terms of ``closedform.q_bracket(g, n)``, all at u <= n, with no
+    store: each cell's terms through the constructor that normalises, in
+    cell order, with their dimensions, and checked against the Euler
     characteristic; the sphere's table is written out."""
     if g == 0:
         cells = [(0, 0)] + [(2, 2)] * (n == 1) + [(3, 4)] * (n >= 3)
         return MixedTable(0, n, {kh: VirtualRep.unit() for kh in cells}).validate()
-    entries, dims = {}, {}
-    euler = 0
-    for cell, (us, sums, ds) in sorted(_covering(g, n).columns.items()):
-        if us[0] <= n:
-            i = bisect_right(us, n) - 1
-            entries[cell] = sums[i]
-            dim = dims[cell] = ds[i]
-            euler += -dim if cell[0] % 2 else dim
-    _check_euler(g, n, euler)
+    columns = {}
+    for t, s, _, label in q_bracket(g, n):
+        columns.setdefault((t + s, t + 2 * s), []).append((label, 1))
+    entries = {cell: VirtualRep(columns[cell]) for cell in sorted(columns)}
+    dims = {cell: rep.dim(g) for cell, rep in entries.items()}
+    _check_euler(g, n, sum(-dim if k % 2 else dim for (k, _), dim in dims.items()))
     return MixedTable._checked(g, n, entries, dims)
 
 

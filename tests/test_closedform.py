@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from bisect import bisect_right
 from math import comb
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from confcoh.closedform import (
 from confcoh.reps import TRIVIAL, RepLabel, VirtualRep, dim_irrep, rep_label
 from confcoh.series import TriSeries
 from reference import (
-    bisected_table,
     coeff,
     build_P_HA,
     build_P_SV,
@@ -35,6 +33,7 @@ from reference import (
     geom_u,
     per_cell_dims,
     reference_q_bracket,
+    summed_table,
     tensor_std_sym_decomp,
     u_slice,
 )
@@ -317,6 +316,50 @@ def test_store_rejects_a_cell_of_dimension_at_most_zero(bad_bracket_term, monkey
     assert closedform._bracket(1).top == 0 and list(closedform._bracket(1).columns) == [(0, 0)]
 
 
+def store_state(store):
+    """Everything a store holds: its top, each cell's slot list with the
+    list's identity and its slots, and the settled prefix."""
+    columns = {cell: (id(slots), list(slots)) for cell, slots in store.columns.items()}
+    return (store.top, columns, list(store.cells), list(store.starts),
+            list(store.finals), list(store.final_dims), list(store.eulers))
+
+
+@pytest.mark.parametrize("fault", ["dimension", "band"])
+def test_a_failed_cover_leaves_a_grown_store_as_it_was(bad_bracket_term, monkeypatch, fault):
+    # a cover that extends cells the store holds, and then fails, keeps
+    # each old cell's slot list and every settled value; the next good
+    # cover equals a store grown at once
+    g, top, n = (2, 6, 9) if fault == "dimension" else (1, 5, 7)
+    store = closedform._covering(g, top)
+    if fault == "dimension":
+        # V(0,1) is written, in the window 6 < u <= 9 of genus 2, only to
+        # the (7, 9) cell, which the store grown to 6 holds already
+        std = rep_label(2, 0, 1)
+        monkeypatch.setattr(
+            closedform, "dim_irrep",
+            lambda g, label: -10**6 if label == std else dim_irrep(g, label),
+        )
+        error, message = ValueError, r"dimension -\d+ at genus 2, n=7, \(k=7, h=9\)"
+    else:
+        # (6, 0, 6) meets every bound of q_bracket, but its cell (6, 6),
+        # new to the store grown to 5, has 3k - 2h = 6 > 2g + 2 = 4
+        bad_bracket_term(6, 0, 6)
+        error, message = ArithmeticError, r"weight band violated at genus 1, n=6, \(k=6, h=6\)"
+    extended = {(t + s, t + 2 * s) for t, s, _, _ in q_bracket(g, n, top)} & set(store.columns)
+    assert len(extended) > 1, extended
+    before = store_state(store)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            mixed_table(g, n)
+        assert store_state(store) == before
+    monkeypatch.undo()
+    fresh = closedform._Bracket()
+    fresh.cover(g, n)
+    assert mixed_table(g, n) == summed_table(g, n)
+    assert (store.top, store.columns) == (fresh.top, fresh.columns)
+    assert store_state(store)[2:] == store_state(fresh)[2:]
+
+
 def test_slice_matches_the_checked_constructor():
     # each table cell that the store reads off its change points, and the
     # dim it stores there, against the same column rebuilt from the
@@ -372,11 +415,11 @@ def test_store_reads_equal_a_fresh_bracket(order):
             assert build_Q(g, n) == series, (g, n)
 
 
-def test_settled_reads_equal_the_bisected_reference():
-    # tables read off the settled prefix against every column of the store
-    # bisected, in shuffled order, with the stores grown between reads by
-    # covers of different steps: the same entries and dims, in the same
-    # cell order
+def test_store_reads_equal_the_summed_reference():
+    # tables read off the settled prefix and the slots against tables
+    # summed straight from the bracket, in shuffled order, with the stores
+    # grown between reads by covers of different steps: the same entries
+    # and dims, in the same cell order
     rng = random.Random(34)
     reads = [(g, n) for g in range(11) for n in range(41)]
     rng.shuffle(reads)
@@ -385,40 +428,62 @@ def test_settled_reads_equal_the_bisected_reference():
         if g and rng.random() < 0.5:
             step = rng.choice((1, 2, 3, 5, 8))
             closedform._covering(g, min(40, closedform._bracket(g).top + step))
-        table, want = mixed_table(g, n), bisected_table(g, n)
+        table, want = mixed_table(g, n), summed_table(g, n)
         assert list(table.entries.items()) == list(want.entries.items()), (g, n)
         assert list(table.dims().items()) == list(want.dims().items()), (g, n)
     closedform._bracket.cache_clear()
 
 
 def test_store_cells_change_only_from_k_minus_one_to_k_plus_one():
-    # every term of a cell of degree k has k - 1 <= u <= k + 1, so the cell
-    # is absent from the tables below n = k - 1 and final from n = k + 1 on
+    # every term of a cell of degree k has k - 1 <= u <= k + 1, so a cell
+    # holds three slots, for u = k - 1, k and k + 1, each None or the sum
+    # from that u on with its dimension; the cell is absent from the tables
+    # below n = k - 1, is the last filled slot at or below n up to n = k + 1
+    # and is final from there on
     N = 30
     for g in range(1, 9):
-        tables = [mixed_table(g, n).entries for n in range(N + 1)]
-        for (k, h), (us, sums, _) in closedform._bracket(g).columns.items():
-            assert k - 1 <= us[0] and us[-1] <= k + 1, (g, k, h, us)
+        tables = [mixed_table(g, n) for n in range(N + 1)]
+        for (k, h), slots in closedform._bracket(g).columns.items():
+            assert len(slots) == 3 and any(slots), (g, k, h, slots)
+            for slot in filter(None, slots):
+                assert slot[1] == slot[0].dim(g), (g, k, h)
             for n in range(N + 1):
-                if n < k - 1:
-                    assert (k, h) not in tables[n], (g, k, h, n)
-                elif n >= k + 1:
-                    assert tables[n][(k, h)] == sums[-1], (g, k, h, n)
+                filled = [slot for slot in slots[:max(n - k + 2, 0)] if slot]
+                if filled:
+                    rep, dim = filled[-1]
+                    assert tables[n].entries[(k, h)] == rep, (g, k, h, n)
+                    assert tables[n].dims()[(k, h)] == dim, (g, k, h, n)
+                else:
+                    assert (k, h) not in tables[n].entries, (g, k, h, n)
 
 
-def test_a_table_bisects_only_the_columns_of_degree_n_and_n_plus_one(monkeypatch):
+class _CountedColumns(dict):
+    """A store's ``columns`` that counts its lookups by cell."""
+
+    lookups = 0
+
+    def __getitem__(self, cell):
+        self.lookups += 1
+        return super().__getitem__(cell)
+
+    def get(self, cell, default=None):
+        self.lookups += 1
+        return super().get(cell, default)
+
+
+def test_a_table_looks_up_only_the_columns_of_degree_n_and_n_plus_one():
     # the cells of degree k <= n - 1 are read off the settled prefix, on a
-    # store grown to n by the read itself and on one grown past it
-    calls = []
-    monkeypatch.setattr(closedform, "bisect_right",
-                        lambda us, n: calls.append(n) or bisect_right(us, n))
+    # store grown to n and on one grown past it
     for g in (1, 2, 5, 8):
         closedform._bracket.cache_clear()
+        store = closedform._bracket(g)
+        store.columns = columns = _CountedColumns()
         for n in list(range(31)) + list(range(30, -1, -1)):
-            del calls[:]
+            closedform._covering(g, n)
+            columns.lookups = 0
             mixed_table(g, n)
-            window = sum(k in (n, n + 1) for k, _ in closedform._bracket(g).columns)
-            assert 0 < len(calls) <= window, (g, n)
+            window = sum(k in (n, n + 1) for k, _ in columns)
+            assert 0 < columns.lookups <= window, (g, n)
     closedform._bracket.cache_clear()
 
 
@@ -710,6 +775,12 @@ def test_euler_series_matches_binomials():
     assert euler_series(0, 4) == [1, 2, 1, 0, 0]
     for g in range(0, 9):
         assert euler_series(g, 40) == euler_binomials(g, 40)
+
+
+def test_euler_series_rejects_a_negative_genus():
+    for N in (0, 4):
+        with pytest.raises(ValueError, match="need g >= 0"):
+            euler_series(-1, N)
 
 
 def test_euler_series_rejects_a_negative_truncation():

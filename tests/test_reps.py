@@ -70,6 +70,15 @@ def test_virtualrep_merges_equivalent_labels():
     assert v == VirtualRep.single(RepLabel(1, 1), 2)
 
 
+def test_virtualrep_counts_is_a_copy_that_from_counts_takes_back():
+    v = VirtualRep([(RepLabel(1, 2), 3), (TRIVIAL, 1)])
+    counts = v.counts()
+    assert counts == {RepLabel(1, 2): 3, TRIVIAL: 1}
+    assert VirtualRep.from_counts(v.counts()) == v
+    counts[TRIVIAL] += 1
+    assert v == VirtualRep([(RepLabel(1, 2), 3), (TRIVIAL, 1)]) and v.counts() != counts
+
+
 def test_virtualrep_text_and_json_round_trip():
     v = VirtualRep([(RepLabel(1, 2), 3), (TRIVIAL, 1)])
     assert v.text() == "3·V(1,2) + V(0,0)"
